@@ -34,12 +34,7 @@ fn main() {
     // pins that the knobs cost nothing when idle.
     println!();
     println!("Batched host I/O (doorbell coalescing + mailbox burst 16):");
-    let batched = host_rtt(
-        Config { doorbell_coalesce: true, mailbox_burst: 16, ..Default::default() },
-        Transport::Udp,
-        32,
-        50,
-    );
+    let batched = host_rtt(Config::modern(), Transport::Udp, 32, 50);
     println!("UDP RTT, batching off:          {at_interrupt:>7.1} us");
     println!("UDP RTT, batching on:           {batched:>7.1} us");
     assert!(

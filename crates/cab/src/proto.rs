@@ -74,8 +74,9 @@ pub struct TcpConn {
     pub established: bool,
     /// EOF marker delivered.
     pub eof_sent: bool,
-    /// Close requested while send data was still queued; the FIN goes
-    /// out once `pending` drains.
+    /// Close requested while send data was still queued (here or in
+    /// the send-request mailbox); the FIN goes out once it is all
+    /// admitted to the socket.
     pub close_requested: bool,
 }
 
@@ -1100,6 +1101,18 @@ impl TcpThread {
         }
     }
 
+    /// Is send data for `id` still ahead of a close — accepted but not
+    /// yet admitted to the socket, or waiting in the send-request
+    /// mailbox? Control requests are drained before send requests, so a
+    /// close written right after the last send is seen first.
+    fn send_backlog(cx: &Cx<'_>, id: SocketId) -> bool {
+        cx.proto.tcp_conns.get(&id).is_some_and(|c| !c.pending.is_empty())
+            || cx.shared.mailboxes[reqs::MB_TCP_SEND as usize].queue.iter().any(|m| {
+                reqs::tcp_send_decode(cx.shared.msg_bytes(m))
+                    .is_some_and(|(conn, _)| conn as SocketId == id)
+            })
+    }
+
     /// Push queued send data into the socket as the buffer drains; once
     /// everything is admitted, honour any deferred close.
     fn pump_pending(cx: &mut Cx<'_>, id: SocketId) {
@@ -1114,12 +1127,8 @@ impl TcpThread {
                 return;
             }
         }
-        let deferred = cx
-            .proto
-            .tcp_conns
-            .get(&id)
-            .map(|c| c.close_requested && c.pending.is_empty())
-            .unwrap_or(false);
+        let deferred = cx.proto.tcp_conns.get(&id).is_some_and(|c| c.close_requested)
+            && !Self::send_backlog(cx, id);
         if deferred {
             cx.proto.tcp_conns.entry(id).or_default().close_requested = false;
             let now = cx.now();
@@ -1161,13 +1170,12 @@ impl CabThread for TcpThread {
                 }
                 Some(TcpCtl::Close { conn }) => {
                     let id = conn as SocketId;
-                    let entry = cx.proto.tcp_conns.entry(id).or_default();
-                    if entry.pending.is_empty() {
+                    if Self::send_backlog(cx, id) {
+                        // data queued ahead of the close: defer the FIN
+                        cx.proto.tcp_conns.entry(id).or_default().close_requested = true;
+                    } else {
                         let events = cx.proto.tcp.close(now, id);
                         Self::handle_events(cx, events);
-                    } else {
-                        // data queued ahead of the close: defer the FIN
-                        entry.close_requested = true;
                     }
                 }
                 Some(TcpCtl::Abort { conn }) => {

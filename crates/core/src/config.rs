@@ -43,16 +43,6 @@ pub struct Config {
     /// Ablation A1 (§3.1's planned experiment): process IP input in a
     /// high-priority thread instead of at interrupt level.
     pub ip_in_thread: bool,
-    /// Cancel a node's pending self-wakeup whenever a fresh kick
-    /// recomputes its next work time (retransmit deadline moved by an
-    /// ACK, chain kick overtaken by a frame arrival). The superseded
-    /// wakeup dies in the event arena instead of firing into the node
-    /// and polling it. Off by default: the legacy schedule polls on
-    /// every stale wakeup, and those polls are visible in the modeled
-    /// CPU accounting (`ctx_switches`, `cpu_busy_ns`), so flipping this
-    /// changes same-seed metric snapshots. It never changes what is
-    /// delivered — only when nodes are (re)polled.
-    pub coalesce_wakeups: bool,
     /// Batched host I/O, part 1: coalesce doorbell interrupts. When a
     /// doorbell is already in flight toward a node (scheduled but not
     /// yet delivered), a second ring within that window is dropped
@@ -91,13 +81,36 @@ impl Default for Config {
             doorbell_latency: SimDuration::from_micros(1),
             faults: FaultPlan::default(),
             ip_in_thread: false,
-            coalesce_wakeups: false,
             doorbell_coalesce: false,
             mailbox_burst: 4,
             seed: 0x5eca_1ab1,
             trace: false,
             oracle: None,
         }
+    }
+}
+
+impl Config {
+    /// The modern transport fast path (DESIGN.md §14) over the
+    /// paper-calibrated defaults: windowed RMP, TCP SACK + window
+    /// scaling, and batched host I/O (doorbell/RX interrupt coalescing
+    /// + larger mailbox bursts).
+    ///
+    /// The RTO floor is also raised to 250 ms (RFC 6298's suggested
+    /// granularity): the default 10 ms LAN floor sits *inside* the
+    /// peer's delayed-ack window, so every echo reply whose ack rides
+    /// on the client's next request (~1/rate later) spuriously
+    /// retransmits under load. A floor above the 200 ms delack timeout
+    /// eliminates those retransmits without extra ack traffic.
+    pub fn modern() -> Config {
+        let mut c = Config::default();
+        c.rmp.window = 8;
+        c.tcp.sack = true;
+        c.tcp.wscale = Some(2);
+        c.tcp.rto_min = SimDuration::from_millis(250);
+        c.doorbell_coalesce = true;
+        c.mailbox_burst = 16;
+        c
     }
 }
 
@@ -113,5 +126,16 @@ mod tests {
         assert_eq!(c.cab_costs.ctx_switch, SimDuration::from_micros(20));
         assert!(c.mtu > 8192);
         assert_eq!(c.faults.loss, 0.0);
+    }
+
+    #[test]
+    fn fastpath_flips_exactly_the_transport_knobs() {
+        let fast = Config::modern();
+        assert_eq!(fast.rmp.window, 8);
+        assert!(fast.tcp.sack);
+        assert_eq!(fast.tcp.wscale, Some(2));
+        assert_eq!(fast.tcp.rto_min, SimDuration::from_millis(250));
+        assert!(fast.doorbell_coalesce);
+        assert_eq!(fast.mailbox_burst, 16);
     }
 }

@@ -98,13 +98,11 @@ pub struct World {
     /// Scheduler counters (e.g. past-timestamp clamps), published into
     /// [`World::metrics`].
     pub sched: SchedStats,
-    /// The latest self-kick per CAB. When [`Config::coalesce_wakeups`]
-    /// is set, every [`kick_cab`] cancels it and schedules a fresh one
-    /// from the CAB's newly reported next work time, so stale wakeups
-    /// (a retransmit timer obsoleted by an ACK, a chain kick overtaken
-    /// by a frame arrival) die in the event arena instead of firing and
-    /// re-polling. Off (the default), superseded wakeups still fire as
-    /// extra polls — the legacy, snapshot-pinned schedule.
+    /// The one live self-kick per CAB. Every [`kick_cab`] cancels it
+    /// and schedules a fresh one from the CAB's newly reported next
+    /// work time, so a superseded wakeup (a retransmit timer obsoleted
+    /// by an ACK, a chain kick overtaken by a frame arrival) dies in
+    /// the event arena instead of firing and re-polling.
     cab_wake: Vec<Option<TimerId>>,
     /// Same, for the hosts.
     host_wake: Vec<Option<TimerId>>,
@@ -589,13 +587,13 @@ fn kick_cab_event(w: &mut World, sim: &mut Sim, i: u64) {
 ///
 /// Whatever ran this kick — the pending wakeup itself, a frame arrival,
 /// a host doorbell — the burst just executed recomputes the CAB's next
-/// work time, so the previously scheduled wakeup is obsolete. Under
-/// [`Config::coalesce_wakeups`] it is cancelled here and replaced: this
-/// is how protocol timers get cancelled on progress — when an ACK moves
-/// a retransmit deadline, the wakeup parked on the old deadline dies in
-/// the arena instead of firing into an idle CAB and re-polling every
-/// stack. With the flag off the stale wakeup still fires as a redundant
-/// poll, reproducing the legacy schedule exactly.
+/// work time, so the previously scheduled wakeup is obsolete: it is
+/// cancelled here and replaced, and a node never has more than one
+/// live self-wake. This is how protocol timers get cancelled on
+/// progress (an ACK moves a retransmit deadline and the wakeup parked
+/// on the old one dies in the arena), and it is what keeps a busy CAB
+/// from being stepped ahead of the clock: a second wake chain would
+/// run queued thread bursts before interrupts that arrive meanwhile.
 pub fn kick_cab(w: &mut World, sim: &mut Sim, i: usize) {
     // Sharded runs boot every world from the identical recipe, so the
     // boot kicks for foreign nodes exist here too; they (and only
@@ -605,9 +603,7 @@ pub fn kick_cab(w: &mut World, sim: &mut Sim, i: usize) {
         return;
     }
     if let Some(id) = w.cab_wake[i].take() {
-        if w.config.coalesce_wakeups {
-            sim.cancel(id);
-        }
+        sim.cancel(id);
     }
     let now = sim.now();
     let (fx, status) = {
@@ -644,9 +640,7 @@ pub fn kick_host(w: &mut World, sim: &mut Sim, i: usize) {
         return;
     }
     if let Some(id) = w.host_wake[i].take() {
-        if w.config.coalesce_wakeups {
-            sim.cancel(id);
-        }
+        sim.cancel(id);
     }
     let now = sim.now();
     let cab_id = w.hosts[i].cab_id as usize;

@@ -111,25 +111,11 @@ impl SweepConfig {
         }
     }
 
-    /// The modern transport fast path on top of this sweep: windowed
-    /// RMP, TCP SACK + window scaling, and batched I/O (doorbell/RX
-    /// interrupt coalescing + larger mailbox bursts). Same transports,
-    /// steps and SLO — only the world configuration and the variant
-    /// label change.
-    ///
-    /// The RTO floor is also raised to 250ms (RFC 6298's suggested
-    /// granularity): the seed's 10ms LAN floor sits *inside* the
-    /// peer's delayed-ack window, so every echo reply whose ack rides
-    /// on the client's next request (~1/rate later) spuriously
-    /// retransmits under load. A floor above the 200ms delack timeout
-    /// eliminates those retransmits without extra ack traffic.
+    /// This sweep over the modern transport fast path
+    /// ([`Config::modern`]). Same transports, steps and SLO — only the
+    /// world configuration and the variant label change.
     pub fn fastpath(mut self) -> SweepConfig {
-        self.base.rmp.window = 8;
-        self.base.tcp.sack = true;
-        self.base.tcp.wscale = Some(2);
-        self.base.tcp.rto_min = SimDuration::from_millis(250);
-        self.base.doorbell_coalesce = true;
-        self.base.mailbox_burst = 16;
+        self.base = Config::modern();
         self.variant = "fastpath";
         self
     }
@@ -430,23 +416,6 @@ mod tests {
         assert_eq!(a, b);
         assert!(a.contains("\"transport\": \"udp\""));
         assert!(a.contains("\"variant\": \"baseline\""));
-    }
-
-    #[test]
-    fn fastpath_flips_exactly_the_transport_knobs() {
-        let base = SweepConfig::quick(1);
-        let fast = SweepConfig::quick(1).fastpath();
-        assert_eq!(fast.variant, "fastpath");
-        assert_eq!(fast.base.rmp.window, 8);
-        assert!(fast.base.tcp.sack);
-        assert_eq!(fast.base.tcp.wscale, Some(2));
-        assert_eq!(fast.base.tcp.rto_min, SimDuration::from_millis(250));
-        assert!(fast.base.doorbell_coalesce);
-        assert_eq!(fast.base.mailbox_burst, 16);
-        // the sweep shape itself is untouched: same steps, same SLO
-        assert_eq!(fast.offered_rps, base.offered_rps);
-        assert_eq!(fast.slo_p99, base.slo_p99);
-        assert_eq!(fast.measure, base.measure);
     }
 
     #[test]

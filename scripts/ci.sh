@@ -212,4 +212,25 @@ print("ci: collective artifact ok:", ", ".join(
     f"vs chain {f['chain']['per_epoch_ns'] // 1000} µs" for f in fleets))
 EOF
 
+# event-growth guard: one live self-wake per node means steady traffic
+# costs a steady number of events. The repo benchmark's traced
+# stream_twohub run reports the wall time of its last 300 ms slice over
+# its second (sim.slice_wall_ratio: ~1 when flat, ~10 when superseded
+# wakeups live on as poll chains) and the share of scheduled events
+# cancelled before firing (0 when nothing is ever superseded).
+echo "ci: event-growth guard (benchmark stream_twohub, traced)"
+bash benchmark/run.sh --workload stream_twohub --seed 13 --seconds 3 --trace 1 \
+    | tail -n 1 > "$smoke_dir/stream_twohub.json"
+python3 - "$smoke_dir/stream_twohub.json" <<'EOF'
+import json, sys
+with open(sys.argv[1]) as f:
+    r = json.load(f)
+assert r["correct"] is True and r["failed"] == 0, "stream_twohub: run not correct"
+ratio = r["metrics"]["sim.slice_wall_ratio"]["value"]
+cancelled = r["metrics"]["sim.cancelled_share"]["value"]
+assert ratio < 1.5, f"stream_twohub: wall time per slice grew {ratio:.2f}x over the run"
+assert cancelled > 0, "stream_twohub: no superseded wakeup was ever cancelled"
+print(f"ci: event growth ok: slice_wall_ratio {ratio:.2f}, cancelled_share {cancelled:.3f}")
+EOF
+
 echo "ci: all green"

@@ -51,7 +51,12 @@ fn horizon() -> SimTime {
 /// give up after 50 ms of darkness — under scheduled outages the
 /// channel must instead back off and outlive the window.
 fn chaos_config(seed: u64) -> Config {
-    let mut config = Config { seed, ..Config::default() };
+    chaos_tuned(Config::default(), seed)
+}
+
+/// The chaos tuning applied over any base profile.
+fn chaos_tuned(base: Config, seed: u64) -> Config {
+    let mut config = Config { seed, ..base };
     config.rmp.rto_max = SimDuration::from_millis(20);
     config.rmp.max_retries = 64;
     // Every chaos case runs with the conformance oracle armed: on top
@@ -83,12 +88,10 @@ fn seq_sample(world: &World) -> Vec<SocketSample> {
 /// earn their keep — loss and outages are what exercise selective
 /// acks and scoreboard retransmission.
 fn fastpath_config(seed: u64) -> Config {
-    let mut config = chaos_config(seed);
-    config.rmp.window = 8;
-    config.tcp.sack = true;
-    config.tcp.wscale = Some(2);
-    config.doorbell_coalesce = true;
-    config.mailbox_burst = 16;
+    let mut config = chaos_tuned(Config::modern(), seed);
+    // chaos keeps the LAN RTO floor: recovery after the 40 ms heal is
+    // what the horizon and the progress samples are sized for
+    config.tcp.rto_min = Config::default().tcp.rto_min;
     config
 }
 

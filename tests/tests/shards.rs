@@ -82,12 +82,7 @@ fn det_mode_matches_unsharded_run_exactly() {
 /// shard-visible state into the event order.)
 #[test]
 fn det_mode_matches_unsharded_with_fast_path_enabled() {
-    let mut config = Config { oracle: Some(true), ..Config::default() };
-    config.rmp.window = 8;
-    config.tcp.sack = true;
-    config.tcp.wscale = Some(2);
-    config.doorbell_coalesce = true;
-    config.mailbox_burst = 16;
+    let config = Config { oracle: Some(true), ..Config::modern() };
     let build = move || {
         let (mut world, sim) = World::new(config, Topology::two_hubs(26));
         let _handles = two_hub_pair_load(&mut world, u64::MAX / 2, 1024);
@@ -223,7 +218,7 @@ fn fast_mode_is_reproducible_run_to_run() {
 fn fast_mode_conserves_frames_at_quiescence() {
     let topo = Topology::two_hubs(26);
     const BYTES_PER_PAIR: u64 = 64 * 1024;
-    let deadline = SimTime::ZERO + SimDuration::from_secs(10);
+    let deadline = SimTime::ZERO + SimDuration::from_millis(400);
     for shards in [2, 4] {
         let parts = run_fast(
             shards,

@@ -112,6 +112,87 @@ fn corruption_is_dropped_by_crc_and_tcp_recovers() {
 }
 
 #[test]
+fn tcp_close_written_behind_send_requests_still_delivers_every_byte() {
+    // The TCP thread drains its control mailbox before its send-request
+    // mailbox. A host that writes its last send requests and then the
+    // close, all before the thread next runs, must still get every byte
+    // onto the wire ahead of the FIN.
+    use nectar::scenario::CabTcpListener;
+    use nectar_cab::reqs::{self, TcpCtl};
+    use nectar_host::{HostCx, HostProcess, HostStep};
+
+    struct SendThenClose {
+        recv_mbox: u16,
+        chunks: Vec<Vec<u8>>,
+        sync: Option<u16>,
+    }
+    impl HostProcess for SendThenClose {
+        fn run(&mut self, cx: &mut HostCx<'_>) -> HostStep {
+            let Some(sync) = self.sync else {
+                let sync = cx.sync_alloc();
+                let open = TcpCtl::Open {
+                    dst_cab: 1,
+                    port: 5000,
+                    recv_mbox: self.recv_mbox,
+                    reply_sync: sync,
+                };
+                cx.put_message(reqs::MB_TCP_CTL, &open.encode()).unwrap();
+                self.sync = Some(sync);
+                return HostStep::Yield;
+            };
+            match cx.sync_poll(sync) {
+                None => HostStep::Yield,
+                Some(0) => panic!("connection refused"),
+                Some(v) => {
+                    // one atomic host burst: sends, then the close
+                    let conn = (v - 1) as u16;
+                    for chunk in &self.chunks {
+                        cx.put_message(reqs::MB_TCP_SEND, &reqs::tcp_send_encode(conn, chunk))
+                            .unwrap();
+                    }
+                    cx.put_message(reqs::MB_TCP_CTL, &TcpCtl::Close { conn }.encode()).unwrap();
+                    HostStep::Done
+                }
+            }
+        }
+    }
+
+    let (mut world, mut sim) = World::single_hub(Config::default(), 2);
+    let accept = world.cabs[1].shared.create_mailbox(false, HostOpMode::SharedMemory);
+    let data = world.cabs[1].shared.create_mailbox(false, HostOpMode::SharedMemory);
+    // listen before boot so the SYN cannot beat the listener thread,
+    // which then attaches the accepted connection to `data`
+    let listen = TcpCtl::Listen { port: 5000, accept_mbox: accept }.encode();
+    let msg = world.cabs[1].shared.begin_put(reqs::MB_TCP_CTL, listen.len()).unwrap();
+    world.cabs[1].shared.msg_write(&msg, 0, &listen);
+    world.cabs[1].shared.end_put(reqs::MB_TCP_CTL, msg);
+    world.cabs[1].fork_app(Box::new(CabTcpListener::new(5000, accept, data)));
+    let src = world.cabs[0].shared.create_mailbox(true, HostOpMode::SharedMemory);
+    let sent: Vec<u8> = (0..3000u32).map(|i| (i % 251) as u8).collect();
+    let chunks = sent.chunks(1000).map(<[u8]>::to_vec).collect();
+    world.hosts[0].spawn(Box::new(SendThenClose { recv_mbox: src, chunks, sync: None }));
+    world.run_until(&mut sim, until(5));
+
+    // nobody reads `data`: everything the connection delivered is
+    // still queued there, in order, with the empty EOF marker last
+    let shared = &mut world.cabs[1].shared;
+    let mut msgs = Vec::new();
+    while let Ok(msg) = shared.begin_get(data) {
+        msgs.push(shared.msg_bytes(&msg).to_vec());
+        shared.end_get(data, msg);
+    }
+    let eof = msgs.pop().expect("nothing was delivered");
+    assert!(eof.is_empty(), "last delivery is data, not EOF: the FIN never arrived");
+    let got = msgs.concat();
+    assert!(
+        got == sent,
+        "{} of {} bytes written ahead of the close arrived",
+        got.len(),
+        sent.len()
+    );
+}
+
+#[test]
 fn icmp_echo_end_to_end() {
     // ping CAB 1 from a thread on CAB 0 through IP/ICMP
     use nectar_cab::proto::{ip_for_cab, ip_output};
