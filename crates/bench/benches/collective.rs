@@ -13,7 +13,7 @@
 //! epochs. The root's `arrives_rx` counter is printed as the proof of
 //! interior combining: 4-ary trees hear ≤4 frames per epoch at the
 //! root no matter the fleet. Results land in `BENCH_collective.json`
-//! (in `$NECTAR_BENCH_DIR` when set, else the current directory).
+//! (in `$NECTAR_BENCH_DIR` when set, else the workspace root).
 //!
 //! Determinism contract: every reported quantity is integer-valued
 //! and schedule-derived, so same-seed runs render byte-identical
@@ -255,18 +255,5 @@ fn main() {
         );
     }
 
-    let dir = std::env::var("NECTAR_BENCH_DIR").unwrap_or_else(|_| ".".into());
-    let dir = std::path::Path::new(&dir);
-    if let Err(e) = std::fs::create_dir_all(dir) {
-        eprintln!("collective: cannot create {}: {e}", dir.display());
-        std::process::exit(1);
-    }
-    let path = dir.join("BENCH_collective.json");
-    match std::fs::write(&path, to_json(quick, &results)) {
-        Ok(()) => println!("  wrote {}", path.display()),
-        Err(e) => {
-            eprintln!("collective: cannot write {}: {e}", path.display());
-            std::process::exit(1);
-        }
-    }
+    nectar_bench::write_artifact("BENCH_collective.json", &to_json(quick, &results));
 }

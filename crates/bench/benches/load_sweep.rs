@@ -8,7 +8,7 @@
 //! p50/p90/p99/p99.9 latency measured from each request's *intended*
 //! start time, and the sweep locates the capacity knee (last step still
 //! served at ≥95% of offered). Results land in `BENCH_load.json` (in
-//! `$NECTAR_BENCH_DIR` when set, else the current directory) plus a
+//! `$NECTAR_BENCH_DIR` when set, else the workspace root) plus a
 //! markdown table on stdout. `--quick` (or `NECTAR_LOAD_QUICK=1`) runs
 //! the two-transport CI smoke configuration.
 //!
@@ -59,18 +59,5 @@ fn main() {
         );
     }
 
-    let dir = std::env::var("NECTAR_BENCH_DIR").unwrap_or_else(|_| ".".into());
-    let dir = std::path::Path::new(&dir);
-    if let Err(e) = std::fs::create_dir_all(dir) {
-        eprintln!("load_sweep: cannot create {}: {e}", dir.display());
-        std::process::exit(1);
-    }
-    let path = dir.join("BENCH_load.json");
-    match std::fs::write(&path, variants_json(&results)) {
-        Ok(()) => println!("  wrote {}", path.display()),
-        Err(e) => {
-            eprintln!("load_sweep: cannot write {}: {e}", path.display());
-            std::process::exit(1);
-        }
-    }
+    nectar_bench::write_artifact("BENCH_load.json", &variants_json(&results));
 }

@@ -10,9 +10,9 @@
 //! load. Every point reports CO-correct p50/p99 and the per-stage
 //! hotspot rollup (`net/fabric/stage/*`); the sweep locates the SLO
 //! knee per size. One chaos point then re-runs the largest fabric
-//! under the sharded kernel with the fault engine and the conformance
-//! oracle armed. Results land in `BENCH_scale.json` (in
-//! `$NECTAR_BENCH_DIR` when set, else the current directory).
+//! with the fault engine and the conformance oracle armed. Results
+//! land in `BENCH_scale.json` (in `$NECTAR_BENCH_DIR` when set, else
+//! the workspace root).
 //!
 //! Determinism contract: every reported quantity is integer-valued
 //! and schedule-derived, so same-seed runs render byte-identical
@@ -20,7 +20,6 @@
 
 use nectar::config::Config;
 use nectar::fault::{FaultScript, LinkPlan};
-use nectar::shard::ShardedWorld;
 use nectar::world::World;
 use nectar_hub::Backpressure;
 use nectar_load::{deploy_fleet, Arrival, FleetPlan, LoadTransport, SizeDist};
@@ -259,7 +258,6 @@ fn run_size(size: &SizeCfg) -> SizeResult {
 
 struct ChaosResult {
     label: &'static str,
-    shards: u64,
     loss_permille: u64,
     hubs: u64,
     intended: u64,
@@ -270,9 +268,9 @@ struct ChaosResult {
     oracle_armed: bool,
 }
 
-/// One chaos point at the largest fabric size, under the sharded
-/// deterministic kernel: uniform per-fiber loss, conformance oracle
-/// armed, conservation identity checked on the merged ledgers.
+/// One chaos point at the largest fabric size: uniform per-fiber
+/// loss, conformance oracle armed, conservation identity checked on
+/// the load ledger.
 fn run_chaos(size: &SizeCfg) -> ChaosResult {
     const LOSS: f64 = 0.02;
     let mid = size.offered_rps[size.offered_rps.len() / 2];
@@ -280,49 +278,32 @@ fn run_chaos(size: &SizeCfg) -> ChaosResult {
     let topo = plan.topology();
     let script = FaultScript::uniform(&topo, LinkPlan { loss: LOSS, ..LinkPlan::default() });
     assert!(!script.is_empty());
-    let shards = 2;
 
-    let mut ledgers = Vec::new();
-    let mut sw = ShardedWorld::build(shards, || {
-        let mut config = scale_config(plan.seed ^ 0xc4a05, true);
-        // give the req/resp retransmitters room to ride out the loss
-        config.rmp.rto_max = SimDuration::from_millis(20);
-        config.rmp.max_retries = 64;
-        let (mut world, mut sim) = World::new(config, plan.topology());
-        world.install_fault_script(&mut sim, &script);
-        let fleet = deploy_fleet(&mut world, &plan);
-        ledgers.push(fleet.ledger.clone());
-        (world, sim)
-    });
-    sw.run_until(plan.stop + SimDuration::from_secs(1));
+    let mut config = scale_config(plan.seed ^ 0xc4a05, true);
+    // give the req/resp retransmitters room to ride out the loss
+    config.rmp.rto_max = SimDuration::from_millis(20);
+    config.rmp.max_retries = 64;
+    let (mut world, mut sim) = World::new(config, plan.topology());
+    world.install_fault_script(&mut sim, &script);
+    let fleet = deploy_fleet(&mut world, &plan);
+    world.run_until(&mut sim, plan.stop + SimDuration::from_secs(1));
     assert!(
         nectar_stack::conform::enabled(),
         "oracle was disarmed mid-run; the chaos-clean claim is vacuous"
     );
 
-    let mut intended = 0;
-    let mut responses = 0;
-    let mut timeouts = 0;
-    let mut failures = 0;
-    for l in &ledgers {
-        let led = *l.borrow();
-        intended += led.requests_intended;
-        responses += led.responses;
-        timeouts += led.timeouts;
-        failures += led.failures;
-    }
-    let conserved = responses + timeouts + failures == intended;
+    let led = *fleet.ledger.borrow();
+    let conserved = led.responses + led.timeouts + led.failures == led.requests_intended;
     assert!(conserved, "chaos ledger leaked requests");
-    assert!(responses > 0, "chaos fleet made no progress under {LOSS} loss");
+    assert!(led.responses > 0, "chaos fleet made no progress under {LOSS} loss");
     ChaosResult {
         label: size.label,
-        shards: shards as u64,
         loss_permille: (LOSS * 1000.0) as u64,
         hubs: topo.hubs as u64,
-        intended,
-        responses,
-        timeouts,
-        failures,
+        intended: led.requests_intended,
+        responses: led.responses,
+        timeouts: led.timeouts,
+        failures: led.failures,
         conserved,
         oracle_armed: true,
     }
@@ -387,11 +368,10 @@ fn to_json(quick: bool, sizes: &[SizeResult], chaos: &ChaosResult) -> String {
         out.push_str(&format!("   ]}}{}\n", sep));
     }
     out.push_str(&format!(
-        "],\n\"chaos\": {{\"label\": \"{}\", \"shards\": {}, \"loss_permille\": {}, \
+        "],\n\"chaos\": {{\"label\": \"{}\", \"loss_permille\": {}, \
          \"hubs\": {}, \"intended\": {}, \"responses\": {}, \"timeouts\": {}, \
          \"failures\": {}, \"conserved\": {}, \"oracle_armed\": {}}}\n}}\n",
         chaos.label,
-        chaos.shards,
         chaos.loss_permille,
         chaos.hubs,
         chaos.intended,
@@ -431,25 +411,12 @@ fn main() {
     }
 
     let largest = sizes.last().expect("at least one size");
-    println!("chaos: {} under {}%-loss fabric, sharded kernel, oracle armed", largest.label, 2);
+    println!("chaos: {} under {}%-loss fabric, oracle armed", largest.label, 2);
     let chaos = run_chaos(largest);
     println!(
         "  chaos ledger: intended={} responses={} timeouts={} failures={} (conserved)",
         chaos.intended, chaos.responses, chaos.timeouts, chaos.failures
     );
 
-    let dir = std::env::var("NECTAR_BENCH_DIR").unwrap_or_else(|_| ".".into());
-    let dir = std::path::Path::new(&dir);
-    if let Err(e) = std::fs::create_dir_all(dir) {
-        eprintln!("scale: cannot create {}: {e}", dir.display());
-        std::process::exit(1);
-    }
-    let path = dir.join("BENCH_scale.json");
-    match std::fs::write(&path, to_json(quick, &results, &chaos)) {
-        Ok(()) => println!("  wrote {}", path.display()),
-        Err(e) => {
-            eprintln!("scale: cannot write {}: {e}", path.display());
-            std::process::exit(1);
-        }
-    }
+    nectar_bench::write_artifact("BENCH_scale.json", &to_json(quick, &results, &chaos));
 }

@@ -40,6 +40,24 @@ pub fn emit_snapshot(tag: &str, world: &World) {
     }
 }
 
+/// Write a `BENCH_*.json` artifact into `$NECTAR_BENCH_DIR`, or the
+/// workspace root when unset: `cargo bench` runs targets from
+/// `crates/bench/`, which is not where the committed artifacts live.
+/// A bench that cannot record its result has failed, so I/O errors
+/// exit nonzero.
+pub fn write_artifact(name: &str, json: &str) {
+    let dir = std::env::var("NECTAR_BENCH_DIR")
+        .unwrap_or_else(|_| concat!(env!("CARGO_MANIFEST_DIR"), "/../..").into());
+    let path = std::path::Path::new(&dir).join(name);
+    match std::fs::create_dir_all(&dir).and_then(|()| std::fs::write(&path, json)) {
+        Ok(()) => println!("  wrote {}", path.display()),
+        Err(e) => {
+            eprintln!("bench: cannot write {}: {e}", path.display());
+            std::process::exit(1);
+        }
+    }
+}
+
 /// Round-trip latency between two host processes (Table 1 column 1).
 /// Returns the median RTT in microseconds.
 pub fn host_rtt(config: Config, transport: Transport, size: usize, count: u32) -> f64 {

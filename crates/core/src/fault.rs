@@ -14,16 +14,14 @@
 //! hub0→cab3 are separate strands of the same [`LinkId`], just as a
 //! duplex fiber is two light paths) owns an independent [`Pcg32`]
 //! stream and its own Gilbert–Elliott channel state, and the legacy
-//! global-plan entry draws come from a per-CAB stream. This is what
-//! makes fault schedules *shard-invariant*: under the sharded kernel
-//! (`crate::shard`) each shard owns a disjoint set of transmitting
-//! nodes, so the strands it advances are exactly the strands an
-//! unsharded run would advance with the same frame sequence — a draw
-//! on one strand can never perturb another strand's future, no matter
-//! how the strands interleave globally. A single shared stream (the
-//! pre-shard design) breaks this: two frames on unrelated fibers
-//! would consume from one sequence, making every verdict depend on
-//! the global frame order. The default (fault-free) configuration
+//! global-plan entry draws come from a per-CAB stream. A draw on one
+//! fiber therefore never perturbs another fiber's schedule: adding a
+//! clause or traffic elsewhere does not reshuffle the faults a given
+//! strand already had. A single engine-wide stream breaks this — two
+//! frames on unrelated fibers would consume from one sequence, making
+//! every verdict depend on the global frame order, so a shrunk fault
+//! script or an extra client would replay a different loss pattern on
+//! the fibers under study. The default (fault-free) configuration
 //! still reproduces the pinned metrics fixture byte for byte, because
 //! `Pcg32::chance` consumes no state for probabilities of 0 or 1.
 //!
@@ -629,11 +627,10 @@ mod tests {
         }
     }
 
-    /// Shard-invariance pin (ISSUE 6): the verdict sequence one CAB
-    /// observes must not depend on other CABs' traffic, because under
-    /// the sharded kernel another CAB's frames may be interleaved in a
-    /// completely different global order (or happen on another shard's
-    /// engine instance entirely).
+    /// Strand-locality pin: the verdict sequence one CAB observes must
+    /// not depend on other CABs' traffic — adding load elsewhere may
+    /// interleave foreign frames in any global order without
+    /// reshuffling the faults this CAB's fiber sees.
     #[test]
     fn entry_draws_are_independent_per_cab() {
         let plan = FaultPlan { loss: 0.3, corrupt: 0.2 };

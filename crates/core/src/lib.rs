@@ -47,7 +47,6 @@ pub mod config;
 pub mod fault;
 pub mod netdev;
 pub mod scenario;
-pub mod shard;
 pub mod topology;
 pub mod world;
 
@@ -56,7 +55,6 @@ pub use config::{Config, FaultPlan};
 pub use fault::{
     FaultEngine, FaultScript, GilbertElliott, LinkId, LinkPlan, NodeOutage, NodeRef, Verdict,
 };
-pub use shard::{run_fast, ShardPlan, ShardedWorld};
 pub use topology::{Attachment, ClosSpec, Topology};
 pub use world::{LoadLedger, NetStats, SharedLoadLedger, Sim, World};
 

@@ -19,7 +19,6 @@ use nectar_wire::datalink::Frame;
 
 use crate::config::Config;
 use crate::fault::{FaultEngine, FaultScript, NodeRef, Verdict};
-use crate::shard::{MsgKind, ShardCtx};
 use crate::topology::{Attachment, Topology};
 
 /// The event queue specialized to this world.
@@ -125,10 +124,6 @@ pub struct World {
     /// on the legacy key set (no `net/load/*`), which the pinned
     /// fixtures depend on.
     pub load: Option<SharedLoadLedger>,
-    /// Sharded-run context (see [`crate::shard`]). `None` — the
-    /// default — is plain single-threaded execution: every node is
-    /// owned and no frame ever diverts.
-    pub(crate) shard: Option<Box<ShardCtx>>,
 }
 
 impl World {
@@ -187,7 +182,6 @@ impl World {
             cab_doorbell_pending: vec![false; n],
             host_doorbell_pending: vec![false; n],
             load: None,
-            shard: None,
         };
         // boot every CAB and host (threads initialize, then idle)
         for i in 0..n {
@@ -221,11 +215,6 @@ impl World {
             if let NodeRef::Cab(c) = o.node {
                 let c = c as usize;
                 sim.at(o.from, move |w, _s| {
-                    // sharded runs schedule this on every shard for
-                    // identical boot seqs; only the owner flushes
-                    if !w.owns_cab(c) {
-                        return;
-                    }
                     let (frames, bytes) = w.cabs[c].flush_rx_fifo();
                     if frames > 0 {
                         w.faults.note_fifo_flush(NodeRef::Cab(c as u16), frames, bytes);
@@ -233,17 +222,6 @@ impl World {
                 });
             }
         }
-    }
-
-    /// Does this shard own CAB `c` (and its host)? Unsharded worlds own
-    /// everything.
-    pub(crate) fn owns_cab(&self, c: usize) -> bool {
-        self.shard.as_ref().is_none_or(|s| s.plan.cab_shard[c] == s.me)
-    }
-
-    /// Does this shard own HUB `h`?
-    pub(crate) fn owns_hub(&self, h: usize) -> bool {
-        self.shard.as_ref().is_none_or(|s| s.plan.hub_shard[h] == s.me)
     }
 
     /// Run until the queue drains or `deadline` passes.
@@ -595,13 +573,6 @@ fn kick_cab_event(w: &mut World, sim: &mut Sim, i: u64) {
 /// from being stepped ahead of the clock: a second wake chain would
 /// run queued thread bursts before interrupts that arrive meanwhile.
 pub fn kick_cab(w: &mut World, sim: &mut Sim, i: usize) {
-    // Sharded runs boot every world from the identical recipe, so the
-    // boot kicks for foreign nodes exist here too; they (and only
-    // they) hit this guard and do nothing — no state touched, no
-    // sequence numbers drawn.
-    if !w.owns_cab(i) {
-        return;
-    }
     if let Some(id) = w.cab_wake[i].take() {
         sim.cancel(id);
     }
@@ -635,10 +606,6 @@ fn kick_host_event(w: &mut World, sim: &mut Sim, i: u64) {
 /// Run one host burst against its CAB's shared memory and route the
 /// effects. Pending-wakeup handling mirrors [`kick_cab`].
 pub fn kick_host(w: &mut World, sim: &mut Sim, i: usize) {
-    // host i rides with CAB i; the same boot-duplicate guard applies
-    if !w.owns_cab(i) {
-        return;
-    }
     if let Some(id) = w.host_wake[i].take() {
         sim.cancel(id);
     }
@@ -675,18 +642,9 @@ pub fn kick_host(w: &mut World, sim: &mut Sim, i: usize) {
                 // the 10 Mbit/s comparison interface: direct host link
                 let prop = SimDuration::from_micros(5);
                 let at = (first_byte + prop).max(now);
-                if w.owns_cab(dst_host as usize) {
-                    sim.at(at, move |w, s| {
-                        crate::netdev::eth_deliver(w, s, dst_host as usize, packet);
-                    });
-                } else {
-                    crate::shard::divert(
-                        w,
-                        sim,
-                        at,
-                        MsgKind::EthDeliver { host: dst_host, packet },
-                    );
-                }
+                sim.at(at, move |w, s| {
+                    crate::netdev::eth_deliver(w, s, dst_host as usize, packet);
+                });
             }
         }
     }
@@ -733,18 +691,9 @@ fn route_cab_effects(
                 }
                 let prop = w.config.link.fiber_propagation;
                 let at = first_byte + prop;
-                if w.owns_hub(hub as usize) {
-                    sim.at(at, move |w, s| {
-                        hub_frame_arrival(w, s, hub as usize, port, frame);
-                    });
-                } else {
-                    crate::shard::divert(
-                        w,
-                        sim,
-                        at,
-                        MsgKind::HubArrival { hub, in_port: port, frame: frame.into_bytes() },
-                    );
-                }
+                sim.at(at, move |w, s| {
+                    hub_frame_arrival(w, s, hub as usize, port, frame);
+                });
             }
             CabEffect::InterruptHost => {
                 // host index == cab index in this world
@@ -766,14 +715,7 @@ fn route_cab_effects(
     }
 }
 
-pub(crate) fn hub_frame_arrival(
-    w: &mut World,
-    sim: &mut Sim,
-    hub: usize,
-    in_port: u8,
-    mut frame: Frame,
-) {
-    debug_assert!(w.owns_hub(hub), "frame arrived at a HUB this shard does not own");
+fn hub_frame_arrival(w: &mut World, sim: &mut Sim, hub: usize, in_port: u8, mut frame: Frame) {
     let now = sim.now();
     let wire_len = frame.wire_len();
     // a blacked-out HUB is dark: frames reaching any of its ports vanish
@@ -809,18 +751,9 @@ pub(crate) fn hub_frame_arrival(
                         Verdict::Deliver => {}
                     }
                     let c = c as usize;
-                    if w.owns_cab(c) {
-                        sim.at(at, move |w, s| {
-                            deliver_frame_to_cab(w, s, c, frame);
-                        });
-                    } else {
-                        crate::shard::divert(
-                            w,
-                            sim,
-                            at,
-                            MsgKind::CabDeliver { cab: c as u16, frame: frame.into_bytes() },
-                        );
-                    }
+                    sim.at(at, move |w, s| {
+                        deliver_frame_to_cab(w, s, c, frame);
+                    });
                 }
                 Attachment::Hub { hub: h2, in_port: p2 } => {
                     match w.faults.forward_verdict(
@@ -841,18 +774,9 @@ pub(crate) fn hub_frame_arrival(
                         }
                         Verdict::Deliver => {}
                     }
-                    if w.owns_hub(h2 as usize) {
-                        sim.at(at, move |w, s| {
-                            hub_frame_arrival(w, s, h2 as usize, p2, frame);
-                        });
-                    } else {
-                        crate::shard::divert(
-                            w,
-                            sim,
-                            at,
-                            MsgKind::HubArrival { hub: h2, in_port: p2, frame: frame.into_bytes() },
-                        );
-                    }
+                    sim.at(at, move |w, s| {
+                        hub_frame_arrival(w, s, h2 as usize, p2, frame);
+                    });
                 }
                 Attachment::None => {
                     w.stats.frames_dead_end += 1;
@@ -869,8 +793,7 @@ pub(crate) fn hub_frame_arrival(
             // on the upstream link and is re-offered when the output's
             // backlog drains to the xon watermark. `resume_at` is
             // strictly after `now` because the backlog exceeded xoff ≥
-            // xon, so this cannot loop at one instant. Hub-local
-            // rescheduling, so sharded runs need no divert.
+            // xon, so this cannot loop at one instant.
             debug_assert!(resume_at > now, "xoff hold must move time forward");
             sim.at(resume_at, move |w, s| {
                 hub_frame_arrival(w, s, hub, in_port, frame);
@@ -881,9 +804,7 @@ pub(crate) fn hub_frame_arrival(
 
 /// A frame's last hop: off the fiber into the destination CAB's input
 /// FIFO (unless the board is blacked out), then a kick to process it.
-/// Shared by the local delivery path and cross-shard injection.
-pub(crate) fn deliver_frame_to_cab(w: &mut World, sim: &mut Sim, c: usize, frame: Frame) {
-    debug_assert!(w.owns_cab(c), "frame delivered to a CAB this shard does not own");
+fn deliver_frame_to_cab(w: &mut World, sim: &mut Sim, c: usize, frame: Frame) {
     let t = sim.now();
     // a dark destination board receives nothing
     if w.faults.node_is_down(NodeRef::Cab(c as u16), t) {

@@ -289,14 +289,6 @@ impl Hub {
         &self.out_ports[out_port].stats
     }
 
-    /// The instant this output port's serializer frees up. Monotone
-    /// non-decreasing; a parallel shard runner uses it as an occupancy
-    /// floor when promising how soon this port could emit another
-    /// frame (`first_byte_out = (now + latency).max(busy_until)`).
-    pub fn port_busy_until(&self, out_port: usize) -> SimTime {
-        self.out_ports[out_port].busy_until
-    }
-
     /// Execute a controller command.
     pub fn execute(&mut self, cmd: HubCommand) -> HubReply {
         match cmd {
@@ -499,7 +491,7 @@ mod tests {
         // survive untouched and nothing is counted as received
         let rx_before = hub.stats().rx_frames;
         let mut f = frame(&[0], 100);
-        let busy = hub.port_busy_until(0);
+        let busy = hub.out_ports[0].busy_until;
         match hub.frame_arrival(t(2), 1, &mut f, ser) {
             HubDecision::Hold { resume_at } => {
                 // re-offer when the backlog would have drained to xon

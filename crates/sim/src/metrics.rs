@@ -191,22 +191,6 @@ impl MetricsSnapshot {
             .fold(0u64, |a, b| a.saturating_add(b))
     }
 
-    /// Key-wise saturating sum of several snapshots — the sharded-run
-    /// merge. Each shard publishes the full key set with zeros for
-    /// counters owned by other shards (a node that never stepped
-    /// publishes zero everywhere; conditional keys simply stay absent),
-    /// so summing reproduces the single-thread snapshot exactly.
-    pub fn merge_sum(parts: &[MetricsSnapshot]) -> MetricsSnapshot {
-        let mut out = MetricsSnapshot::new();
-        for part in parts {
-            for (k, v) in part.iter() {
-                let cur = out.values.entry(k.to_string()).or_insert(0);
-                *cur = cur.saturating_add(v);
-            }
-        }
-        out
-    }
-
     /// Serialize to deterministic JSON: keys in sorted order, one entry
     /// per line, integer values only. Byte-identical across same-seed
     /// runs and across platforms.
@@ -431,31 +415,6 @@ mod tests {
         s.gauge("node/0/mbox/depth", &g);
         assert_eq!(s.get("node/0/mbox/depth"), Some(3));
         assert_eq!(s.get("node/0/mbox/depth_high"), Some(5));
-    }
-
-    #[test]
-    fn merge_sum_is_keywise_and_saturating() {
-        let mut a = MetricsSnapshot::new();
-        a.set("net/frames_launched", 3);
-        a.set("node/0/link/tx_bytes", 100);
-        a.set("node/1/link/tx_bytes", 0); // non-owned node: zero
-        let mut b = MetricsSnapshot::new();
-        b.set("net/frames_launched", 4);
-        b.set("node/0/link/tx_bytes", 0);
-        b.set("node/1/link/tx_bytes", 7);
-        b.set("hub/1/forwarded_frames", u64::MAX);
-        let m = MetricsSnapshot::merge_sum(&[a.clone(), b.clone()]);
-        assert_eq!(m.get("net/frames_launched"), Some(7));
-        assert_eq!(m.get("node/0/link/tx_bytes"), Some(100));
-        assert_eq!(m.get("node/1/link/tx_bytes"), Some(7));
-        assert_eq!(m.get("hub/1/forwarded_frames"), Some(u64::MAX));
-        // saturates rather than wraps
-        let mut c = MetricsSnapshot::new();
-        c.set("hub/1/forwarded_frames", 5);
-        let m2 = MetricsSnapshot::merge_sum(&[b, c]);
-        assert_eq!(m2.get("hub/1/forwarded_frames"), Some(u64::MAX));
-        // identity: merging one part is that part
-        assert_eq!(MetricsSnapshot::merge_sum(std::slice::from_ref(&a)), a);
     }
 
     #[test]

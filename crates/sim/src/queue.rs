@@ -115,12 +115,8 @@ struct Key {
 /// crate in the workspace (component unit tests use small ad-hoc worlds).
 pub struct Scheduler<W> {
     now: SimTime,
-    /// Source of `(time, seq)` tie-break values. Normally private to
-    /// this scheduler; a sharded deterministic run rebinds every
-    /// shard's scheduler to one shared counter
-    /// ([`Scheduler::share_seq_source`]) so sequence numbers are drawn
-    /// in global execution order across shards.
-    seq: Rc<Cell<u64>>,
+    /// Next `(time, seq)` tie-break value.
+    seq: u64,
     executed: u64,
     cancelled: u64,
     /// Live (scheduled, not yet fired or cancelled) event count.
@@ -153,7 +149,7 @@ impl<W> Scheduler<W> {
     pub fn new() -> Self {
         Scheduler {
             now: SimTime::ZERO,
-            seq: Rc::new(Cell::new(0)),
+            seq: 0,
             executed: 0,
             cancelled: 0,
             live: 0,
@@ -194,73 +190,6 @@ impl<W> Scheduler<W> {
     /// borrows of the scheduler (the world stores one for metrics).
     pub fn stats(&self) -> SchedStats {
         self.stats.clone()
-    }
-
-    /// Draw the next sequence number from this scheduler's counter
-    /// without scheduling anything. A sharded run uses this to stamp a
-    /// cross-shard message at *send* time, so the receiving shard can
-    /// inject it (via [`Scheduler::at_seq`]) with exactly the tie-break
-    /// position the single-thread run would have given it.
-    pub fn alloc_seq(&mut self) -> u64 {
-        let seq = self.seq.get();
-        self.seq.set(seq + 1);
-        seq
-    }
-
-    /// The sequence number the next scheduled event would receive.
-    pub fn next_seq(&self) -> u64 {
-        self.seq.get()
-    }
-
-    /// The shared counter behind this scheduler's sequence numbers.
-    pub fn seq_source(&self) -> Rc<Cell<u64>> {
-        Rc::clone(&self.seq)
-    }
-
-    /// Rebind this scheduler to draw sequence numbers from `src`.
-    /// Deterministic sharded runs point every shard's scheduler at one
-    /// counter so `(time, seq)` keys are globally unique and reflect
-    /// global scheduling order. The caller must ensure the counter is
-    /// at least as large as every sequence number already issued here,
-    /// or key ordering uniqueness breaks.
-    pub fn share_seq_source(&mut self, src: Rc<Cell<u64>>) {
-        debug_assert!(src.get() >= self.seq.get(), "shared seq source lags this scheduler");
-        self.seq = src;
-    }
-
-    /// Schedule `f` with an explicit, caller-provided sequence number.
-    /// The scheduler's own counter is *not* advanced — the caller drew
-    /// `seq` from some scheduler's counter already (see
-    /// [`Scheduler::alloc_seq`]). This is the injection half of
-    /// deterministic cross-shard messaging.
-    pub fn at_seq(
-        &mut self,
-        at: SimTime,
-        seq: u64,
-        f: impl FnOnce(&mut W, &mut Scheduler<W>) + 'static,
-    ) -> TimerId {
-        debug_assert!(at >= self.now, "cross-shard event in the past: {at} < {}", self.now);
-        let at = at.max(self.now);
-        self.insert_key(at, seq, Payload::Boxed(Box::new(f)))
-    }
-
-    /// The `(time, seq)` key of the next live event without executing
-    /// it, discarding cancelled keys that surface on the way. This is
-    /// the shard runners' horizon probe.
-    pub fn peek_next(&mut self) -> Option<(SimTime, u64)> {
-        loop {
-            if !self.refill() {
-                return None;
-            }
-            let Some(Reverse(key)) = self.cur.peek() else { unreachable!() };
-            if matches!(self.slots[key.slot as usize].payload, Payload::Vacant) {
-                let slot = key.slot;
-                self.cur.pop();
-                self.free.push(slot);
-                continue;
-            }
-            return Some((key.at, key.seq));
-        }
     }
 
     /// Schedule `f` at absolute time `at`. Scheduling in the past is a
@@ -322,13 +251,8 @@ impl<W> Scheduler<W> {
             c.set(c.get() + 1);
         }
         let at = at.max(self.now);
-        let seq = self.alloc_seq();
-        self.insert_key(at, seq, payload)
-    }
-
-    /// Place a fully-formed `(at, seq)` key into the wheel. `at` must
-    /// already be clamped to `>= now`.
-    fn insert_key(&mut self, at: SimTime, seq: u64, payload: Payload<W>) -> TimerId {
+        let seq = self.seq;
+        self.seq += 1;
         let slot = match self.free.pop() {
             Some(s) => s,
             None => {
@@ -450,7 +374,19 @@ impl<W> Scheduler<W> {
     /// The timestamp of the next live event, discarding any cancelled
     /// keys that surface on the way.
     fn next_event_time(&mut self) -> Option<SimTime> {
-        self.peek_next().map(|(at, _)| at)
+        loop {
+            if !self.refill() {
+                return None;
+            }
+            let Some(Reverse(key)) = self.cur.peek() else { unreachable!() };
+            if matches!(self.slots[key.slot as usize].payload, Payload::Vacant) {
+                let slot = key.slot;
+                self.cur.pop();
+                self.free.push(slot);
+                continue;
+            }
+            return Some(key.at);
+        }
     }
 
     /// Execute the next event, if any. Returns `false` when the queue is
@@ -753,58 +689,6 @@ mod tests {
             assert_eq!(stats.clamped_past(), 1);
             assert_eq!(w.0, vec![(5_000, 0)]);
         }
-    }
-
-    #[test]
-    fn peek_next_reports_key_without_executing() {
-        let mut s: Scheduler<Log> = Scheduler::new();
-        let mut w = Log::default();
-        s.at(SimTime::from_nanos(7_000), |w, _| w.0.push((7, 0)));
-        let id = s.at(SimTime::from_nanos(3_000), |w, _| w.0.push((3, 0)));
-        assert_eq!(s.peek_next(), Some((SimTime::from_nanos(3_000), 1)));
-        assert_eq!(s.executed(), 0);
-        // cancelling the head moves the peek to the survivor
-        assert!(s.cancel(id));
-        assert_eq!(s.peek_next(), Some((SimTime::from_nanos(7_000), 0)));
-        s.run(&mut w);
-        assert_eq!(w.0, vec![(7, 0)]);
-        assert_eq!(s.peek_next(), None);
-    }
-
-    #[test]
-    fn shared_seq_source_orders_across_schedulers() {
-        // Two schedulers on one counter: same-instant events interleave
-        // by global allocation order, exactly like one scheduler.
-        let mut a: Scheduler<Log> = Scheduler::new();
-        let mut b: Scheduler<Log> = Scheduler::new();
-        b.share_seq_source(a.seq_source());
-        let t = SimTime::from_nanos(100);
-        a.at(t, |w, _| w.0.push((0, 0)));
-        b.at(t, |w, _| w.0.push((0, 1)));
-        a.at(t, |w, _| w.0.push((0, 2)));
-        assert_eq!(a.next_seq(), 3);
-        assert_eq!(b.next_seq(), 3);
-        // merge by (time, seq): a holds seqs {0, 2}, b holds {1}
-        let mut w = Log::default();
-        a.step(&mut w);
-        b.step(&mut w);
-        a.step(&mut w);
-        assert_eq!(w.0, vec![(0, 0), (0, 1), (0, 2)]);
-    }
-
-    #[test]
-    fn at_seq_injects_with_foreign_sequence_number() {
-        let mut s: Scheduler<Log> = Scheduler::new();
-        let mut w = Log::default();
-        let t = SimTime::from_nanos(40);
-        s.at(t, |w, _| w.0.push((0, 0))); // seq 0
-        let stamped = s.alloc_seq(); // seq 1, as a remote sender would draw
-        s.at(t, |w, _| w.0.push((0, 2))); // seq 2
-        s.at_seq(t, stamped, |w, _| w.0.push((0, 1)));
-        // at_seq must not advance the counter
-        assert_eq!(s.next_seq(), 3);
-        s.run(&mut w);
-        assert_eq!(w.0, vec![(0, 0), (0, 1), (0, 2)]);
     }
 
     #[test]

@@ -166,173 +166,3 @@ fn wheel_matches_reference_scheduler() {
         assert_eq!(exec_real, exec_ref, "executed counts diverged");
     });
 }
-
-// -------------------------------------------------- sharded merge
-
-/// The deterministic-merge discipline of the sharded kernel
-/// (`nectar::shard`), distilled to bare schedulers: `k` schedulers
-/// share one sequence counter, every shard schedules the same roots
-/// (ownership-guarded no-op duplicates on non-owners, drawing no
-/// seqs at fire time), a plan firing on its owner spawns local
-/// children directly and foreign children by allocating a seq at
-/// *send* time for `at_seq` injection, and a merge loop always pops
-/// the globally minimal `(time, seq)`. The popped `(idx, time, seq)`
-/// stream must equal the single-scheduler run's, bit for bit, on any
-/// randomized workload and shard count.
-struct MergeWorld {
-    me: usize,
-    shards: usize,
-    plans: Vec<Plan>,
-    handles: Vec<Option<TimerId>>,
-    /// `(dst_shard, at, seq, child)` — cross-shard sends this step.
-    outbox: Vec<(usize, u64, u64, usize)>,
-    /// Plans fired on this shard this step (drained by the merge loop).
-    fired: Vec<usize>,
-}
-
-fn owner(idx: usize, shards: usize) -> usize {
-    idx % shards
-}
-
-fn fire_merge(w: &mut MergeWorld, s: &mut Scheduler<MergeWorld>, arg: u64) {
-    let idx = arg as usize;
-    if owner(idx, w.shards) != w.me {
-        return; // boot duplicate on a non-owner: no state, no seqs
-    }
-    w.fired.push(idx);
-    let plan = w.plans[idx].clone();
-    for (d, child) in plan.spawn {
-        let at = s.now() + SimDuration::from_nanos(d);
-        if owner(child, w.shards) == w.me {
-            w.handles[child] = Some(s.at_call(at, fire_merge, child as u64));
-        } else {
-            // foreign child: draw the seq now, in global execution
-            // order, exactly where a single scheduler would draw it
-            let seq = s.alloc_seq();
-            w.outbox.push((owner(child, w.shards), at.as_nanos(), seq, child));
-        }
-    }
-    for slot in plan.cancel {
-        if let Some(id) = w.handles[slot].take() {
-            s.cancel(id);
-        }
-    }
-}
-
-/// Run the workload across `k` schedulers under the merge discipline,
-/// logging every productive pop as `(idx, time, seq)`.
-fn run_merged(plans: &[Plan], roots: &[(u64, usize)], k: usize) -> Vec<(usize, u64, u64)> {
-    let n = plans.len();
-    let mut worlds: Vec<MergeWorld> = (0..k)
-        .map(|me| MergeWorld {
-            me,
-            shards: k,
-            plans: plans.to_vec(),
-            handles: vec![None; n],
-            outbox: Vec::new(),
-            fired: Vec::new(),
-        })
-        .collect();
-    let mut sims: Vec<Scheduler<MergeWorld>> = (0..k).map(|_| Scheduler::new()).collect();
-    // identical boot on every shard (root handles stay unrecorded —
-    // root cancels are pruned), then adopt shard 0's counter
-    for s in sims.iter_mut() {
-        for &(d, idx) in roots {
-            let _ = s.at_call(SimTime::from_nanos(d), fire_merge, idx as u64);
-        }
-    }
-    let src = sims[0].seq_source();
-    for s in sims.iter_mut().skip(1) {
-        s.share_seq_source(std::rc::Rc::clone(&src));
-    }
-    let mut log = Vec::new();
-    loop {
-        let mut best: Option<(u64, u64, usize)> = None;
-        for (i, s) in sims.iter_mut().enumerate() {
-            if let Some((t, q)) = s.peek_next() {
-                if best.is_none_or(|(bt, bq, _)| (t.as_nanos(), q) < (bt, bq)) {
-                    best = Some((t.as_nanos(), q, i));
-                }
-            }
-        }
-        let Some((t, q, i)) = best else { break };
-        sims[i].step(&mut worlds[i]);
-        for idx in worlds[i].fired.drain(..) {
-            log.push((idx, t, q));
-        }
-        for (dst, at, seq, child) in worlds[i].outbox.drain(..) {
-            sims[dst]
-                .at_seq(SimTime::from_nanos(at), seq, move |w, s| fire_merge(w, s, child as u64));
-        }
-    }
-    log
-}
-
-/// The single-scheduler reference, logging `(idx, time, seq)` via
-/// `peek_next` before each step.
-fn run_single_logged(plans: &[Plan], roots: &[(u64, usize)]) -> Vec<(usize, u64, u64)> {
-    let n = plans.len();
-    let mut w = MergeWorld {
-        me: 0,
-        shards: 1,
-        plans: plans.to_vec(),
-        handles: vec![None; n],
-        outbox: Vec::new(),
-        fired: Vec::new(),
-    };
-    let mut s = Scheduler::new();
-    for &(d, idx) in roots {
-        s.at_call(SimTime::from_nanos(d), fire_merge, idx as u64);
-    }
-    let mut log = Vec::new();
-    while let Some((t, q)) = s.peek_next() {
-        s.step(&mut w);
-        for idx in w.fired.drain(..) {
-            log.push((idx, t.as_nanos(), q));
-        }
-        assert!(w.outbox.is_empty(), "single-shard run must never divert");
-    }
-    log
-}
-
-/// Cancels only make sense when the canceling plan can see the handle:
-/// same owner as the target, and the target was spawned by a same-owner
-/// parent (cross-shard children are injected by the merge loop, whose
-/// handles nobody holds). Prune everything else — identically for the
-/// reference run, so both execute the same workload. Root handles are
-/// never recorded, so root cancels are pruned too.
-fn prune_cancels(plans: &mut [Plan], roots: &[(u64, usize)], k: usize) {
-    let n = plans.len();
-    let mut parent = vec![usize::MAX; n];
-    for (p, plan) in plans.iter().enumerate() {
-        for &(_, child) in &plan.spawn {
-            parent[child] = p;
-        }
-    }
-    let root_set: Vec<usize> = roots.iter().map(|&(_, i)| i).collect();
-    for (p, plan) in plans.iter_mut().enumerate() {
-        let me = owner(p, k);
-        plan.cancel.retain(|&c| {
-            c < n
-                && !root_set.contains(&c)
-                && parent[c] != usize::MAX
-                && owner(c, k) == me
-                && owner(parent[c], k) == me
-        });
-    }
-}
-
-#[test]
-fn sharded_merge_matches_single_scheduler_event_order() {
-    cases(DEFAULT_CASES, |g| {
-        let (mut plans, roots) = gen_workload(g);
-        let k = g.usize_in(2, 5);
-        prune_cancels(&mut plans, &roots, k);
-        let reference = run_single_logged(&plans, &roots);
-        let merged = run_merged(&plans, &roots, k);
-        assert_eq!(
-            merged, reference,
-            "sharded merge diverged from single-scheduler (time, seq) order at k={k}"
-        );
-    });
-}

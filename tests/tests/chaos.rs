@@ -24,7 +24,6 @@
 use nectar::config::Config;
 use nectar::fault::{FaultScript, LinkPlan};
 use nectar::scenario::two_hub_pair_load;
-use nectar::shard::ShardedWorld;
 use nectar::topology::Topology;
 use nectar::world::World;
 use nectar_sim::{check, SimDuration, SimTime};
@@ -206,153 +205,6 @@ fn chaos_randomized_fault_schedules_preserve_invariants() {
     });
 }
 
-/// `run_case` under the deterministic sharded kernel: same schedule,
-/// same invariants, the world split across `shards` event queues. Every
-/// shard installs the script and deploys the full load (identical boot
-/// recipe); only owned nodes execute, so per-pair byte counts are
-/// summed across shards and each socket's samples are keyed by shard.
-fn run_case_sharded(seed: u64, script: &FaultScript, shards: usize) -> Result<(), String> {
-    let mut handle_sets = Vec::new();
-    let mut sw = ShardedWorld::build(shards, || {
-        let (mut world, mut sim) = World::new(chaos_config(seed), Topology::two_hubs(26));
-        world.install_fault_script(&mut sim, script);
-        handle_sets.push(two_hub_pair_load(&mut world, BYTES_PER_PAIR, 1024));
-        (world, sim)
-    });
-
-    let sample_all = |sw: &ShardedWorld| -> Vec<(usize, SocketSample)> {
-        sw.worlds
-            .iter()
-            .enumerate()
-            .flat_map(|(s, w)| seq_sample(w).into_iter().map(move |x| (s, x)))
-            .collect()
-    };
-    sw.run_until(heal_time());
-    let mid = sample_all(&sw);
-    sw.run_until(horizon());
-    let end = sample_all(&sw);
-
-    // 1. progress across every shard queue
-    if sw.pending() != 0 {
-        return Err(format!("{} events still pending at the horizon", sw.pending()));
-    }
-
-    // 2. post-heal delivery: pair i's bytes land on whichever shard
-    // owns the receiving CAB, so sum the replicated handles
-    let pairs = handle_sets[0].len();
-    for i in 0..pairs {
-        let received: u64 = handle_sets.iter().map(|h| h[i].0.get()).sum();
-        let done = handle_sets.iter().any(|h| h[i].1.get());
-        if !done || received != BYTES_PER_PAIR {
-            return Err(format!(
-                "stream {i} delivered {received} of {BYTES_PER_PAIR} bytes (done={done})"
-            ));
-        }
-    }
-
-    // 3. conservation on the merged snapshot
-    let snap = sw.metrics();
-    let g = |k: &str| snap.get(k).unwrap_or(0);
-    let launched = g("net/frames_launched");
-    let sinks = g("net/frames_lost_injected")
-        + g("net/frames_dead_end")
-        + g("net/fault/frames_down_dropped")
-        + snap.sum_matching("hub/", "/dropped_frames")
-        + snap.sum_matching("node/", "/link/rx_frames")
-        + snap.sum_matching("node/", "/link/rx_fifo_dropped_frames");
-    if launched != sinks {
-        return Err(format!("frame conservation broke: launched={launched} sinks={sinks}"));
-    }
-
-    // 4. sequence sanity per (shard, socket)
-    for sample in [&mid, &end] {
-        for (shard, ((cab, id), _, (snd_una, snd_nxt, _))) in sample.iter() {
-            if !snd_una.before_eq(*snd_nxt) {
-                return Err(format!(
-                    "shard {shard} cab {cab} socket {id}: snd_una {snd_una:?} ran past \
-                     snd_nxt {snd_nxt:?}"
-                ));
-            }
-        }
-    }
-    for (shard, (key, state, (una_mid, _, rcv_mid))) in mid.iter() {
-        if !state.synchronized() {
-            continue;
-        }
-        if let Some((_, (_, _, (una_end, _, rcv_end)))) =
-            end.iter().find(|(s, (k, _, _))| s == shard && k == key)
-        {
-            if !una_mid.before_eq(*una_end) || !rcv_mid.before_eq(*rcv_end) {
-                return Err(format!(
-                    "shard {shard} cab {} socket {}: sequence state moved backwards",
-                    key.0, key.1
-                ));
-            }
-        }
-    }
-    Ok(())
-}
-
-#[test]
-fn chaos_sweep_stays_green_at_four_shards() {
-    // the same randomized sweep, each schedule run under the
-    // deterministic sharded kernel at shards=4 (per-node fallback:
-    // every CAB↔HUB fiber is a shard boundary). Replay one case with
-    // NECTAR_CHECK_SEED=<seed>; scale with NECTAR_CHAOS_CASES.
-    let n = check::cases_from_env("NECTAR_CHAOS_CASES", 20);
-    let topo = Topology::two_hubs(26);
-    check::cases(n, |g| {
-        let seed = g.u64();
-        let script = FaultScript::random(g, &topo, heal_time());
-        if let Err(violation) = run_case_sharded(seed, &script, 4) {
-            let minimal = check::shrink(
-                script,
-                |s| s.shrink_candidates(),
-                |s| run_case_sharded(seed, s, 4).is_err(),
-            );
-            let min_violation = run_case_sharded(seed, &minimal, 4).unwrap_err();
-            panic!(
-                "chaos invariant violated under shards=4 (deterministic mode): {violation}\n\
-                 replay: NECTAR_CHECK_SEED=<printed seed> with shards=4\n\
-                 minimal fault script ({min_violation}):\n{minimal:#?}"
-            );
-        }
-    });
-}
-
-#[test]
-fn sharded_chaos_replays_the_unsharded_run_bit_for_bit() {
-    // satellite (d)'s end-to-end pin: with strand-local fault RNG
-    // (per-link, per-direction streams + per-CAB entry streams) a
-    // probabilistic schedule produces the *same* loss pattern however
-    // the world is sharded, so the merged metrics snapshot equals the
-    // single-thread one byte for byte. Under the old engine-global
-    // stream this fails immediately: two shards interleave their draws
-    // differently than one queue does.
-    let topo = Topology::two_hubs(26);
-    let mut g = check::Gen::new(0x5eed_cafe);
-    let seed = g.u64();
-    let script = FaultScript::random(&mut g, &topo, heal_time());
-    let (mut world, mut sim) = World::new(chaos_config(seed), Topology::two_hubs(26));
-    world.install_fault_script(&mut sim, &script);
-    let _handles = two_hub_pair_load(&mut world, BYTES_PER_PAIR, 1024);
-    world.run_until(&mut sim, horizon());
-    let want = world.metrics_json();
-    for shards in [2, 4] {
-        let mut sw = ShardedWorld::build(shards, || {
-            let (mut world, mut sim) = World::new(chaos_config(seed), Topology::two_hubs(26));
-            world.install_fault_script(&mut sim, &script);
-            let _handles = two_hub_pair_load(&mut world, BYTES_PER_PAIR, 1024);
-            (world, sim)
-        });
-        sw.run_until(horizon());
-        assert!(
-            sw.metrics_json() == want,
-            "fault schedule diverged at {shards} shards — cross-shard RNG leak"
-        );
-    }
-}
-
 #[test]
 fn fast_path_chaos_schedule_preserves_invariants() {
     // One randomized schedule with the modern fast path enabled:
@@ -365,35 +217,6 @@ fn fast_path_chaos_schedule_preserves_invariants() {
     let script = FaultScript::random(&mut g, &topo, heal_time());
     if let Err(violation) = run_case_with(fastpath_config(seed), &script) {
         panic!("fast-path chaos case violated an invariant: {violation}");
-    }
-}
-
-#[test]
-fn fast_path_sharded_chaos_replays_the_unsharded_run_bit_for_bit() {
-    // The shard-invariance contract survives the fast path: the same
-    // chaos schedule with windowed RMP + SACK + batched host I/O
-    // merges to a byte-identical snapshot at 2 and 4 shards, and both
-    // runs reach quiescence before the horizon.
-    let topo = Topology::two_hubs(26);
-    let mut g = check::Gen::new(0xfa57_0002);
-    let seed = g.u64();
-    let script = FaultScript::random(&mut g, &topo, heal_time());
-    let (mut world, mut sim) = World::new(fastpath_config(seed), Topology::two_hubs(26));
-    world.install_fault_script(&mut sim, &script);
-    let _handles = two_hub_pair_load(&mut world, BYTES_PER_PAIR, 1024);
-    world.run_until(&mut sim, horizon());
-    assert_eq!(sim.pending(), 0, "unsharded fast-path run failed to quiesce");
-    let want = world.metrics_json();
-    for shards in [2, 4] {
-        let mut sw = ShardedWorld::build(shards, || {
-            let (mut world, mut sim) = World::new(fastpath_config(seed), Topology::two_hubs(26));
-            world.install_fault_script(&mut sim, &script);
-            let _handles = two_hub_pair_load(&mut world, BYTES_PER_PAIR, 1024);
-            (world, sim)
-        });
-        sw.run_until(horizon());
-        assert_eq!(sw.pending(), 0, "{shards}-shard fast-path run failed to quiesce");
-        assert!(sw.metrics_json() == want, "fast-path chaos run diverged at {shards} shards");
     }
 }
 

@@ -18,6 +18,7 @@
 use nectar::collective::{deploy_barrier_fleet, CollectiveGroup, MulticastRoot, MulticastSink};
 use nectar::config::Config;
 use nectar::fault::{FaultScript, LinkPlan};
+use nectar::scenario::two_hub_pair_load;
 use nectar::topology::Topology;
 use nectar::world::World;
 use nectar_sim::{MetricsSnapshot, SimDuration, SimTime};
@@ -200,6 +201,46 @@ fn barrier_completes_under_frame_loss() {
         snap.get("net/collective/completions"),
         Some(group.members.len() as u64 * epochs as u64)
     );
+    assert_frames_conserved(&snap);
+}
+
+/// Chaos composition: a barrier fleet sharing the fabric with the
+/// pairwise RMP/TCP load, 2% uniform frame loss on every fiber and the
+/// conformance oracle armed. The barrier must complete every epoch
+/// with the exact sum, the streams must deliver, and the ledger must
+/// balance with collective replication and injected loss as explicit
+/// terms.
+#[test]
+fn collective_barrier_composes_with_unicast_load_under_loss() {
+    const BYTES_PER_PAIR: u64 = 4 * 1024;
+    let topo = Topology::two_hubs(26);
+    let heal = SimTime::ZERO + SimDuration::from_millis(400);
+    let script = FaultScript::uniform(
+        &topo,
+        LinkPlan { loss: 0.02, until: Some(heal), ..LinkPlan::default() },
+    );
+    let mut config = Config { oracle: Some(true), ..Config::default() };
+    config.rmp.rto_max = SimDuration::from_millis(20);
+    config.rmp.max_retries = 64;
+    let (mut world, mut sim) = World::new(config, topo);
+    world.install_fault_script(&mut sim, &script);
+    let streams = two_hub_pair_load(&mut world, BYTES_PER_PAIR, 1024);
+    let group = CollectiveGroup::tree(3, (0..16).collect(), 4);
+    let members = deploy_barrier_fleet(&mut world, &group, CombineOp::Sum, 5, |i| i as u64 + 1);
+
+    world.run_until(&mut sim, deadline(10_000));
+
+    for (i, h) in members.iter().enumerate() {
+        assert!(h.done.get(), "member {i} stuck under chaos");
+        assert!(!h.failed.get(), "member {i} gave up");
+        assert_eq!(h.last_value.get(), 136, "member {i} reduced wrong value under chaos");
+    }
+    for (i, (received, _)) in streams.iter().enumerate() {
+        assert_eq!(received.get(), BYTES_PER_PAIR, "stream {i} short under chaos");
+    }
+    let snap = world.metrics();
+    assert!(snap.get("net/frames_lost_injected").unwrap_or(0) > 0, "loss never fired");
+    assert!(snap.get("net/collective/replicas").unwrap_or(0) > 0, "no fan-out in the composed run");
     assert_frames_conserved(&snap);
 }
 
