@@ -102,7 +102,7 @@ fn measure(upcall: bool) -> f64 {
         times: times.clone(),
         done: done.clone(),
     }));
-    world.run_until(&mut sim, SimTime::ZERO + SimDuration::from_secs(5));
+    world.run_until_done(&mut sim, SimTime::ZERO + SimDuration::from_secs(5), |_| done.get());
     assert!(done.get());
     let m = times.borrow_mut().median().as_micros_f64();
     m

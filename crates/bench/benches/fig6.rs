@@ -23,7 +23,7 @@ fn main() {
     // caches and scheduling are warm
     let (ping, rtts, done) = Pinger::new(Transport::Datagram, (1, svc), reply, 0, 32, 5, false);
     world.hosts[0].spawn(Box::new(ping));
-    world.run_until(&mut sim, SimTime::ZERO + SimDuration::from_secs(5));
+    world.run_until_done(&mut sim, SimTime::ZERO + SimDuration::from_secs(5), |_| done.get());
     assert!(done.get());
 
     // the forward leg of the last ping: from the pinger's final

@@ -24,7 +24,7 @@ fn netdev_mode_throughput() -> f64 {
     let (streamer, _) =
         HostStackStreamer::new(0, HostWire::CabRaw { dst_cab: 1 }, 5000, NETDEV_MTU - 44, total);
     world.hosts[0].spawn(Box::new(streamer));
-    world.run_until(&mut sim, SimTime::ZERO + SimDuration::from_secs(120));
+    world.run_until_done(&mut sim, SimTime::ZERO + SimDuration::from_secs(120), |_| done.get());
     assert!(done.get(), "netdev sink got {}/{total}", received.get());
     let m = meter.borrow().mbits_per_sec_to_last();
     m
@@ -50,7 +50,7 @@ fn ethernet_throughput() -> f64 {
         total,
     );
     world.hosts[0].spawn(Box::new(streamer));
-    world.run_until(&mut sim, SimTime::ZERO + SimDuration::from_secs(120));
+    world.run_until_done(&mut sim, SimTime::ZERO + SimDuration::from_secs(120), |_| done.get());
     assert!(done.get(), "ethernet sink got {}/{total}", received.get());
     let m = meter.borrow().mbits_per_sec_to_last();
     m

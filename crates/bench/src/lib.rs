@@ -58,6 +58,12 @@ pub fn write_artifact(name: &str, json: &str) {
     }
 }
 
+/// The hang guard of a driver run: every driver stops when its
+/// transfer completes, and asserts that it did before this deadline.
+fn until(secs: u64) -> SimTime {
+    SimTime::ZERO + SimDuration::from_secs(secs)
+}
+
 /// Round-trip latency between two host processes (Table 1 column 1).
 /// Returns the median RTT in microseconds.
 pub fn host_rtt(config: Config, transport: Transport, size: usize, count: u32) -> f64 {
@@ -72,7 +78,7 @@ pub fn host_rtt(config: Config, transport: Transport, size: usize, count: u32) -
     world.hosts[1].spawn(Box::new(echo));
     let (ping, rtts, done) = Pinger::new(transport, server, reply, 7001, size, count, false);
     world.hosts[0].spawn(Box::new(ping));
-    world.run_until(&mut sim, SimTime::ZERO + SimDuration::from_secs(60));
+    world.run_until_done(&mut sim, until(60), |_| done.get());
     assert!(done.get(), "{transport:?} host ping-pong did not finish");
     emit_snapshot(&format!("host_rtt_{transport:?}_{size}"), &world);
     let m = rtts.borrow_mut().median().as_micros_f64();
@@ -98,7 +104,7 @@ pub fn cab_rtt(config: Config, transport: Transport, size: usize, count: u32) ->
     }
     let (ping, rtts, done) = CabPinger::new(transport, server, reply, size, count);
     world.cabs[0].fork_app(Box::new(ping));
-    world.run_until(&mut sim, SimTime::ZERO + SimDuration::from_secs(60));
+    world.run_until_done(&mut sim, until(60), |_| done.get());
     assert!(done.get(), "{transport:?} CAB ping-pong did not finish");
     emit_snapshot(&format!("cab_rtt_{transport:?}_{size}"), &world);
     let m = rtts.borrow_mut().median().as_micros_f64();
@@ -128,7 +134,7 @@ pub fn cab_throughput(mut config: Config, proto: StreamProto, msg_size: usize, t
             world.cabs[1].fork_app(Box::new(sink));
             let (streamer, _) = CabRmpStreamer::new((1, sink_mbox), src_mbox, msg_size, total);
             world.cabs[0].fork_app(Box::new(streamer));
-            world.run_until(&mut sim, SimTime::ZERO + SimDuration::from_secs(600));
+            world.run_until_done(&mut sim, until(600), |_| done.get());
             assert!(done.get(), "RMP sink got {}/{total} at size {msg_size}", received.get());
             emit_snapshot(&format!("cab_throughput_{proto:?}_{msg_size}"), &world);
             let m = meter.borrow().mbits_per_sec_to_last();
@@ -142,7 +148,7 @@ pub fn cab_throughput(mut config: Config, proto: StreamProto, msg_size: usize, t
             world.cabs[1].fork_app(Box::new(sink));
             let (streamer, _) = CabTcpStreamer::new(1, TCP_PORT, msg_size, total);
             world.cabs[0].fork_app(Box::new(streamer));
-            world.run_until(&mut sim, SimTime::ZERO + SimDuration::from_secs(600));
+            world.run_until_done(&mut sim, until(600), |_| done.get());
             assert!(done.get(), "TCP sink got {}/{total} at size {msg_size}", received.get());
             emit_snapshot(&format!("cab_throughput_{proto:?}_{msg_size}"), &world);
             let m = meter.borrow().mbits_per_sec_to_last();
@@ -165,7 +171,7 @@ pub fn host_throughput(mut config: Config, proto: StreamProto, msg_size: usize, 
             world.hosts[1].spawn(Box::new(sink));
             let (streamer, _) = HostRmpStreamer::new((1, sink_mbox), src_mbox, msg_size, total);
             world.hosts[0].spawn(Box::new(streamer));
-            world.run_until(&mut sim, SimTime::ZERO + SimDuration::from_secs(600));
+            world.run_until_done(&mut sim, until(600), |_| done.get());
             assert!(done.get(), "host RMP sink got {}/{total}", received.get());
             emit_snapshot(&format!("host_throughput_{proto:?}_{msg_size}"), &world);
             let m = meter.borrow().mbits_per_sec_to_last();
@@ -186,7 +192,7 @@ pub fn host_throughput(mut config: Config, proto: StreamProto, msg_size: usize, 
             let src_mbox = world.cabs[0].shared.create_mailbox(true, HostOpMode::SharedMemory);
             let (streamer, _) = HostTcpStreamer::new(1, TCP_PORT, src_mbox, msg_size, total);
             world.hosts[0].spawn(Box::new(streamer));
-            world.run_until(&mut sim, SimTime::ZERO + SimDuration::from_secs(600));
+            world.run_until_done(&mut sim, until(600), |_| done.get());
             assert!(done.get(), "host TCP sink got {}/{total}", received.get());
             emit_snapshot(&format!("host_throughput_{proto:?}_{msg_size}"), &world);
             let m = meter.borrow().mbits_per_sec_to_last();

@@ -36,8 +36,10 @@
 //!     Pinger::new(Transport::Datagram, (1, svc), reply, 0, 32, 10, false);
 //! world.hosts[0].spawn(Box::new(ping));
 //!
-//! world.run_until(&mut sim, SimTime::ZERO + SimDuration::from_secs(1));
-//! assert!(done.get());
+//! // the echo server polls its mailbox forever, so stop when the pinger
+//! // is done; the second is only a guard against a hang
+//! let guard = SimTime::ZERO + SimDuration::from_secs(1);
+//! assert!(world.run_until_done(&mut sim, guard, |_| done.get()));
 //! let median = rtts.borrow_mut().median();
 //! assert!(median.as_micros() > 100 && median.as_micros() < 1000);
 //! ```

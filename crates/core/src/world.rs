@@ -5,8 +5,8 @@
 //! (one burst per event); frames move between them through the HUB
 //! model with cut-through timing. This module owns the glue — effect
 //! routing, kick scheduling, fault injection — and the public
-//! [`World::run_until`] / [`World::run_for`] drivers used by tests,
-//! examples and the benchmark harness.
+//! [`World::run_until`] / [`World::run_until_done`] / [`World::run_for`]
+//! drivers used by tests, examples and the benchmark harness.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -227,6 +227,20 @@ impl World {
     /// Run until the queue drains or `deadline` passes.
     pub fn run_until(&mut self, sim: &mut Sim, deadline: SimTime) {
         sim.run_until(self, deadline);
+    }
+
+    /// Run until `done(world)` holds, with `deadline` as the hang guard;
+    /// says whether it held. Hosts poll forever (paper §3.2), so a world
+    /// with a host process never drains its queue: this is how a driver
+    /// stops when its transfer does. The clock is left at the completing
+    /// event (see [`Scheduler::run_until_or`]).
+    pub fn run_until_done(
+        &mut self,
+        sim: &mut Sim,
+        deadline: SimTime,
+        done: impl FnMut(&World) -> bool,
+    ) -> bool {
+        sim.run_until_or(self, deadline, done)
     }
 
     /// Run for a span of simulated time from `sim.now()`.
@@ -586,15 +600,13 @@ pub fn kick_cab(w: &mut World, sim: &mut Sim, i: usize) {
         _ => now,
     };
     route_cab_effects(w, sim, i, fx, burst_end);
-    match status {
-        StepStatus::Ran { next } => {
-            w.cab_wake[i] = Some(sim.at_call(next, kick_cab_event, i as u64));
-        }
-        StepStatus::Idle { next: Some(next) } => {
-            let at = next.max(now + SimDuration::from_nanos(1));
-            w.cab_wake[i] = Some(sim.at_call(at, kick_cab_event, i as u64));
-        }
-        StepStatus::Idle { next: None } => {}
+    let wake = match status {
+        StepStatus::Ran { next } => Some(next),
+        StepStatus::Idle { next } => next.map(|t| t.max(now + SimDuration::from_nanos(1))),
+    };
+    if let Some(at) = wake {
+        debug_assert!(w.cab_wake[i].is_none(), "CAB {i} would hold two live self-wakes");
+        w.cab_wake[i] = Some(sim.at_call(at, kick_cab_event, i as u64));
     }
 }
 
@@ -648,15 +660,13 @@ pub fn kick_host(w: &mut World, sim: &mut Sim, i: usize) {
             }
         }
     }
-    match status {
-        HostStepStatus::Ran { next } => {
-            w.host_wake[i] = Some(sim.at_call(next, kick_host_event, i as u64));
-        }
-        HostStepStatus::Idle { next: Some(next) } => {
-            let at = next.max(now + SimDuration::from_nanos(1));
-            w.host_wake[i] = Some(sim.at_call(at, kick_host_event, i as u64));
-        }
-        HostStepStatus::Idle { next: None } => {}
+    let wake = match status {
+        HostStepStatus::Ran { next } => Some(next),
+        HostStepStatus::Idle { next } => next.map(|t| t.max(now + SimDuration::from_nanos(1))),
+    };
+    if let Some(at) = wake {
+        debug_assert!(w.host_wake[i].is_none(), "host {i} would hold two live self-wakes");
+        w.host_wake[i] = Some(sim.at_call(at, kick_host_event, i as u64));
     }
 }
 

@@ -427,15 +427,37 @@ impl<W> Scheduler<W> {
     /// Run until the event queue drains or the clock passes `deadline`,
     /// whichever comes first. Events scheduled exactly at `deadline` run.
     pub fn run_until(&mut self, world: &mut W, deadline: SimTime) {
+        self.run_until_or(world, deadline, |_| false);
+    }
+
+    /// [`run_until`](Self::run_until) that also ends as soon as
+    /// `stop(world)` holds, and says whether it did. The predicate is
+    /// checked on entry (nothing runs if it already holds) and after
+    /// every executed event; on a stop the clock stays at the event that
+    /// made it true — it is not advanced to `deadline` — and later events
+    /// stay queued. If `stop` never holds this is exactly `run_until`.
+    pub fn run_until_or(
+        &mut self,
+        world: &mut W,
+        deadline: SimTime,
+        mut stop: impl FnMut(&W) -> bool,
+    ) -> bool {
+        if stop(world) {
+            return true;
+        }
         while let Some(at) = self.next_event_time() {
             if at > deadline {
                 break;
             }
             self.step(world);
+            if stop(world) {
+                return true;
+            }
         }
         if self.now < deadline {
             self.now = deadline;
         }
+        false
     }
 
     /// Run at most `max_events` events (a guard for tests that want to
@@ -517,6 +539,67 @@ mod tests {
         s.at(SimTime::from_nanos(20_000), |w, _| w.0.push((20, 0)));
         s.run_until(&mut w, SimTime::from_nanos(20_000));
         assert_eq!(w.0, vec![(20, 0)]);
+    }
+
+    /// Three events at 10, 20 and 30 µs, each logging its time.
+    fn three_events() -> Scheduler<Log> {
+        let mut s: Scheduler<Log> = Scheduler::new();
+        for us in [10, 20, 30] {
+            s.after(SimDuration::from_micros(us), move |w, _| w.0.push((us, 0)));
+        }
+        s
+    }
+
+    #[test]
+    fn run_until_or_stops_at_the_event_that_flips_the_predicate() {
+        let mut s = three_events();
+        let mut w = Log::default();
+        let stopped = s.run_until_or(&mut w, SimTime::from_nanos(1_000_000), |w| w.0.len() == 2);
+        assert!(stopped);
+        assert_eq!(w.0, vec![(10, 0), (20, 0)]);
+        // the clock is the flipping event's time, not the deadline
+        assert_eq!(s.now(), SimTime::from_nanos(20_000));
+        assert_eq!(s.executed(), 2);
+        assert_eq!(s.pending(), 1);
+        // the rest still runs afterwards
+        s.run(&mut w);
+        assert_eq!(w.0.len(), 3);
+    }
+
+    #[test]
+    fn run_until_or_runs_nothing_when_already_done() {
+        let mut s = three_events();
+        let mut w = Log::default();
+        assert!(s.run_until_or(&mut w, SimTime::from_nanos(1_000_000), |_| true));
+        assert_eq!(s.executed(), 0);
+        assert_eq!(s.now(), SimTime::ZERO);
+        assert_eq!(s.pending(), 3);
+    }
+
+    #[test]
+    fn run_until_or_never_true_is_run_until() {
+        let deadline = SimTime::from_nanos(25_000);
+        let mut plain = three_events();
+        let mut w_plain = Log::default();
+        plain.run_until(&mut w_plain, deadline);
+
+        let mut s = three_events();
+        let mut w = Log::default();
+        assert!(!s.run_until_or(&mut w, deadline, |_| false));
+        assert_eq!(s.now(), deadline);
+        assert_eq!(s.executed(), plain.executed());
+        assert_eq!(s.pending(), plain.pending());
+        assert_eq!(w.0, w_plain.0);
+    }
+
+    #[test]
+    fn run_until_or_includes_deadline_events() {
+        let mut s = three_events();
+        let mut w = Log::default();
+        // the predicate flips on the event that sits exactly on the deadline
+        assert!(s.run_until_or(&mut w, SimTime::from_nanos(30_000), |w| w.0.len() == 3));
+        assert_eq!(s.now(), SimTime::from_nanos(30_000));
+        assert_eq!(s.pending(), 0);
     }
 
     #[test]

@@ -27,7 +27,7 @@ fn network_device_mode() -> f64 {
     let (streamer, _) =
         HostStackStreamer::new(0, HostWire::CabRaw { dst_cab: 1 }, 5000, NETDEV_MTU - 44, TOTAL);
     world.hosts[0].spawn(Box::new(streamer));
-    world.run_until(&mut sim, SimTime::ZERO + SimDuration::from_secs(120));
+    world.run_until_done(&mut sim, SimTime::ZERO + SimDuration::from_secs(120), |_| done.get());
     assert!(done.get());
     let v = meter.borrow().mbits_per_sec_to_last();
     v
@@ -46,7 +46,7 @@ fn protocol_engine_mode() -> f64 {
     let src = world.cabs[0].shared.create_mailbox(true, HostOpMode::SharedMemory);
     let (streamer, _) = HostTcpStreamer::new(1, 5000, src, 8192, TOTAL);
     world.hosts[0].spawn(Box::new(streamer));
-    world.run_until(&mut sim, SimTime::ZERO + SimDuration::from_secs(120));
+    world.run_until_done(&mut sim, SimTime::ZERO + SimDuration::from_secs(120), |_| done.get());
     assert!(done.get());
     let v = meter.borrow().mbits_per_sec_to_last();
     v
@@ -60,7 +60,7 @@ fn application_engine_mode() -> f64 {
     world.hosts[1].spawn(Box::new(sink));
     let (streamer, _) = HostRmpStreamer::new((1, sink_mbox), src_mbox, 8192, TOTAL);
     world.hosts[0].spawn(Box::new(streamer));
-    world.run_until(&mut sim, SimTime::ZERO + SimDuration::from_secs(120));
+    world.run_until_done(&mut sim, SimTime::ZERO + SimDuration::from_secs(120), |_| done.get());
     assert!(done.get());
     let v = meter.borrow().mbits_per_sec_to_last();
     v

@@ -31,8 +31,10 @@ fn main() {
         Pinger::new(Transport::ReqResp, (1, service), reply, 0, 64, 20, false);
     world.hosts[0].spawn(Box::new(pinger));
 
-    // 4. Run the simulation.
-    world.run_until(&mut sim, SimTime::ZERO + SimDuration::from_secs(2));
+    // 4. Run until the pinger finishes. The echo server polls its
+    //    mailbox forever (§3.2), so the event queue never drains; the
+    //    two seconds are only a guard against a hang.
+    world.run_until_done(&mut sim, SimTime::ZERO + SimDuration::from_secs(2), |_| done.get());
 
     // 5. Report.
     assert!(done.get(), "the pinger should have finished");

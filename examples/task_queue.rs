@@ -220,7 +220,7 @@ fn main() {
     }));
 
     let t0 = SimTime::ZERO;
-    world.run_until(&mut sim, t0 + SimDuration::from_secs(60));
+    world.run_until_done(&mut sim, t0 + SimDuration::from_secs(60), |_| done.get());
     assert!(done.get(), "task queue did not drain");
 
     // verify against the sequential answer

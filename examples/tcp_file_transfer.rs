@@ -37,7 +37,7 @@ fn main() {
     let (streamer, _) = HostTcpStreamer::new(1, 5000, src, 8192, total);
     world.hosts[0].spawn(Box::new(streamer));
 
-    world.run_until(&mut sim, SimTime::ZERO + SimDuration::from_secs(300));
+    world.run_until_done(&mut sim, SimTime::ZERO + SimDuration::from_secs(300), |_| done.get());
 
     println!("tcp file transfer ({kib} KiB, fiber loss {:.2}%)", loss * 100.0);
     println!("  delivered    : {} of {} bytes", received.get(), total);

@@ -210,4 +210,30 @@ assert cancelled > 0, "stream_twohub: no superseded wakeup was ever cancelled"
 print(f"ci: event growth ok: slice_wall_ratio {ratio:.2f}, cancelled_share {cancelled:.3f}")
 EOF
 
+# run-to-completion guard: the paper drivers stop when their transfer
+# does (DESIGN.md §9), and stopping there must not move what they
+# measure. Simulated values only — they repeat exactly at a fixed seed
+# on any machine — and no wall-clock threshold. Host CPU per operation
+# is the tell: ~317 µs when a world stops with its transfer, ~28 000 µs
+# when an echo server polls on to a 60 s deadline.
+echo "ci: run-to-completion guard (benchmark paper_pair, traced)"
+bash benchmark/run.sh --workload paper_pair --seed 13 --seconds 3 --trace 1 \
+    | tail -n 1 > "$smoke_dir/paper_pair.json"
+python3 - "$smoke_dir/paper_pair.json" <<'EOF'
+import json, sys
+with open(sys.argv[1]) as f:
+    r = json.load(f)
+assert r["correct"] is True and r["failed"] == 0, "paper_pair: run not correct"
+m = {k: v["value"] for k, v in r["metrics"].items()}
+for key, want in (("paper.host_dgram_rtt_us", 342),
+                  ("paper.host_rmp_8k_mbps", 31.32890667202073),
+                  ("paper.err_pct", 10.8684730925727)):
+    assert m[key] == want, f"paper_pair: {key} moved: {m[key]!r} != {want!r}"
+host_us = m["host.sim_cpu_us_per_op"]
+assert host_us < 1000, \
+    f"paper_pair: {host_us:.0f} simulated host-CPU us per operation: a driver ran on past its transfer"
+print(f"ci: run to completion ok: host datagram RTT {m['paper.host_dgram_rtt_us']} us, "
+      f"host CPU {host_us:.0f} us per op")
+EOF
+
 echo "ci: all green"

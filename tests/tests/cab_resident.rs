@@ -29,7 +29,7 @@ fn cab_ping(transport: Transport, size: usize, count: u32) -> (f64, bool) {
     }
     let (ping, rtts, done) = CabPinger::new(transport, server, reply, size, count);
     world.cabs[0].fork_app(Box::new(ping));
-    world.run_until(&mut sim, SimTime::ZERO + SimDuration::from_secs(30));
+    world.run_until_done(&mut sim, SimTime::ZERO + SimDuration::from_secs(30), |_| done.get());
     let median = rtts.borrow_mut().median().as_micros_f64();
     (median, done.get())
 }
@@ -79,7 +79,7 @@ fn cab_to_cab_rmp_throughput_approaches_fiber_rate() {
     world.cabs[1].fork_app(Box::new(sink));
     let (streamer, _) = CabRmpStreamer::new((1, sink_mbox), src_mbox, 8192, total);
     world.cabs[0].fork_app(Box::new(streamer));
-    world.run_until(&mut sim, SimTime::ZERO + SimDuration::from_secs(10));
+    world.run_until_done(&mut sim, SimTime::ZERO + SimDuration::from_secs(10), |_| done.get());
     assert!(done.get(), "sink got {} of {total}", received.get());
     let mbps = meter.borrow().mbits_per_sec_to_last();
     println!("cab-cab RMP 8KiB throughput = {mbps:.1} Mbit/s");
@@ -96,7 +96,7 @@ fn cab_to_cab_rmp_small_messages_overhead_dominates() {
     world.cabs[1].fork_app(Box::new(sink));
     let (streamer, _) = CabRmpStreamer::new((1, sink_mbox), src_mbox, 64, total);
     world.cabs[0].fork_app(Box::new(streamer));
-    world.run_until(&mut sim, SimTime::ZERO + SimDuration::from_secs(30));
+    world.run_until_done(&mut sim, SimTime::ZERO + SimDuration::from_secs(30), |_| done.get());
     assert!(done.get());
     let mbps = meter.borrow().mbits_per_sec_to_last();
     println!("cab-cab RMP 64B throughput = {mbps:.2} Mbit/s");
@@ -115,7 +115,7 @@ fn cab_to_cab_tcp_throughput() {
     world.cabs[1].fork_app(Box::new(sink));
     let (streamer, _) = CabTcpStreamer::new(1, 5000, 8192, total);
     world.cabs[0].fork_app(Box::new(streamer));
-    world.run_until(&mut sim, SimTime::ZERO + SimDuration::from_secs(20));
+    world.run_until_done(&mut sim, SimTime::ZERO + SimDuration::from_secs(20), |_| done.get());
     assert!(done.get(), "sink got {} of {total}", received.get());
     let mbps = meter.borrow().mbits_per_sec_to_last();
     println!("cab-cab TCP 8KiB-chunk throughput = {mbps:.1} Mbit/s");
@@ -137,7 +137,7 @@ fn cab_to_cab_tcp_without_checksum_approaches_rmp() {
     world.cabs[1].fork_app(Box::new(sink));
     let (streamer, _) = CabTcpStreamer::new(1, 5000, 8192, total);
     world.cabs[0].fork_app(Box::new(streamer));
-    world.run_until(&mut sim, SimTime::ZERO + SimDuration::from_secs(20));
+    world.run_until_done(&mut sim, SimTime::ZERO + SimDuration::from_secs(20), |_| done.get());
     assert!(done.get());
     let mbps = meter.borrow().mbits_per_sec_to_last();
     println!("cab-cab TCP-no-cksum throughput = {mbps:.1} Mbit/s");

@@ -31,7 +31,7 @@ fn circuit_reduces_hub_transit_latency() {
         let reply = world.cabs[0].shared.create_mailbox(false, HostOpMode::SharedMemory);
         let (p, rtts, done) = CabPinger::new(Transport::Datagram, (1, svc), reply, 32, 20);
         world.cabs[0].fork_app(Box::new(p));
-        world.run_until(&mut sim, SimTime::ZERO + SimDuration::from_secs(10));
+        world.run_until_done(&mut sim, SimTime::ZERO + SimDuration::from_secs(10), |_| done.get());
         assert!(done.get());
         let m = rtts.borrow_mut().median().as_micros_f64();
         (m, world.hubs[0].stats().forwarded, world.hubs[0].stats().forwarded_circuit)
@@ -76,6 +76,6 @@ fn circuit_blocks_unrelated_packet_traffic_on_that_output() {
     world.cabs[0].fork_app(Box::new(p2));
     let t = sim.now();
     sim.at(t, |w, s| nectar::world::kick_cab(w, s, 0));
-    world.run_until(&mut sim, SimTime::ZERO + SimDuration::from_secs(2));
+    world.run_until_done(&mut sim, SimTime::ZERO + SimDuration::from_secs(2), |_| done2.get());
     assert!(done2.get(), "packet switching must work again after CloseCircuit");
 }

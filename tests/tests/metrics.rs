@@ -15,8 +15,10 @@ fn until(secs: u64) -> SimTime {
 }
 
 /// Run the paper's production deployment — every CAB pings its
-/// antipode through the two-HUB fabric — to quiescence and return the
-/// finished world.
+/// antipode through the two-HUB fabric — until the last pinger is done
+/// and return the finished world. Datagrams carry no acks, so the last
+/// reply consumed means no frame is in flight: the ledger identities
+/// below hold at that instant.
 fn run_all_pairs(config: Config) -> World {
     let (mut world, mut sim) = World::new(config, Topology::two_hubs(26));
     let mut services = Vec::new();
@@ -35,7 +37,7 @@ fn run_all_pairs(config: Config) -> World {
         world.cabs[i as usize].fork_app(Box::new(p));
         dones.push((i, done));
     }
-    world.run_until(&mut sim, until(30));
+    world.run_until_done(&mut sim, until(30), |_| dones.iter().all(|(_, done)| done.get()));
     for (i, done) in &dones {
         assert!(done.get(), "CAB {i} did not complete its pings");
     }
@@ -157,7 +159,9 @@ fn conservation_holds_under_injected_loss() {
     world.cabs[1].fork_app(Box::new(sink));
     let (streamer, _) = CabRmpStreamer::new((1, sink_mbox), src_mbox, 4096, total_bytes);
     world.cabs[0].fork_app(Box::new(streamer));
-    world.run_until(&mut sim, until(60));
+    // the sink thread reads the last message a context switch after its
+    // ack crossed the fiber, so nothing is in flight at completion
+    world.run_until_done(&mut sim, until(60), |_| done.get());
     assert!(done.get(), "RMP delivered only {} of {total_bytes}", received.get());
 
     let snap = world.metrics();

@@ -36,7 +36,7 @@ fn production_deployment_26_hosts_2_hubs() {
         world.cabs[i as usize].fork_app(Box::new(p));
         dones.push((i, done));
     }
-    world.run_until(&mut sim, until(30));
+    world.run_until_done(&mut sim, until(30), |_| dones.iter().all(|(_, done)| done.get()));
     for (i, done) in &dones {
         assert!(done.get(), "CAB {i} did not complete its pings");
     }
@@ -57,7 +57,7 @@ fn multi_hop_chain_routing() {
     let reply = world.cabs[0].shared.create_mailbox(false, HostOpMode::SharedMemory);
     let (p, rtts, done) = CabPinger::new(Transport::Datagram, ((n - 1) as u16, svc), reply, 32, 10);
     world.cabs[0].fork_app(Box::new(p));
-    world.run_until(&mut sim, until(10));
+    world.run_until_done(&mut sim, until(10), |_| done.get());
     assert!(done.get());
     // each of the four HUBs forwarded the pings
     for h in 0..4 {
@@ -80,7 +80,7 @@ fn datagrams_are_lossy_but_rmp_is_reliable_under_loss() {
     world.cabs[1].fork_app(Box::new(sink));
     let (streamer, _) = CabRmpStreamer::new((1, sink_mbox), src_mbox, 4096, total);
     world.cabs[0].fork_app(Box::new(streamer));
-    world.run_until(&mut sim, until(60));
+    world.run_until_done(&mut sim, until(60), |_| done.get());
     assert!(done.get(), "RMP delivered only {} of {total}", received.get());
     assert!(world.stats.frames_lost_injected > 0, "loss injection never fired");
     // retransmissions happened
@@ -104,7 +104,7 @@ fn corruption_is_dropped_by_crc_and_tcp_recovers() {
     let src = world.cabs[0].shared.create_mailbox(true, HostOpMode::SharedMemory);
     let (streamer, _) = nectar::scenario::HostTcpStreamer::new(1, 5000, src, 8192, total);
     world.hosts[0].spawn(Box::new(streamer));
-    world.run_until(&mut sim, until(120));
+    world.run_until_done(&mut sim, until(120), |_| done.get());
     assert!(done.get(), "TCP delivered only {} of {total}", received.get());
     assert!(world.stats.frames_corrupted_injected > 0);
     let crc_drops: u64 = world.cabs.iter().map(|c| c.stats.frames_crc_dropped).sum();
@@ -236,7 +236,7 @@ fn icmp_echo_end_to_end() {
         sent: false,
         got: got.clone(),
     }));
-    world.run_until(&mut sim, until(5));
+    world.run_until_done(&mut sim, until(5), |_| got.get());
     assert!(got.get(), "no echo reply");
     // the responder's ICMP ran as an upcall, not a thread
     assert!(world.cabs[1].rt.upcalls_run > 0);
@@ -253,7 +253,7 @@ fn deterministic_replay_same_seed_same_trace() {
         world.hosts[1].spawn(Box::new(echo));
         let (ping, _, done) = Pinger::new(Transport::Datagram, (1, svc), reply, 0, 32, 10, false);
         world.hosts[0].spawn(Box::new(ping));
-        world.run_until(&mut sim, until(5));
+        world.run_until_done(&mut sim, until(5), |_| done.get());
         assert!(done.get());
         world
             .trace
@@ -282,7 +282,7 @@ fn different_seeds_change_fault_patterns_not_correctness() {
         world.cabs[1].fork_app(Box::new(sink));
         let (streamer, _) = CabRmpStreamer::new((1, sink_mbox), src_mbox, 2048, total);
         world.cabs[0].fork_app(Box::new(streamer));
-        world.run_until(&mut sim, until(60));
+        world.run_until_done(&mut sim, until(60), |_| done.get());
         assert!(done.get(), "seed {seed}: {} of {total}", received.get());
     }
 }
@@ -305,7 +305,7 @@ fn mixed_concurrent_traffic() {
     let (p, rtts, ping_done) = CabPinger::new(Transport::Datagram, (1, svc), reply, 32, 20);
     world.cabs[0].fork_app(Box::new(p));
 
-    world.run_until(&mut sim, until(30));
+    world.run_until_done(&mut sim, until(30), |_| stream_done.get() && ping_done.get());
     assert!(stream_done.get());
     assert!(ping_done.get());
     let m = rtts.borrow_mut().median().as_micros_f64();

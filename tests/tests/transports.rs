@@ -24,7 +24,7 @@ fn ping_pong(transport: Transport, size: usize, count: u32, block: bool) -> (f64
     world.hosts[1].spawn(Box::new(echo));
     let (ping, rtts, done) = Pinger::new(transport, server, reply, 7001, size, count, block);
     world.hosts[0].spawn(Box::new(ping));
-    world.run_until(&mut sim, SimTime::ZERO + SimDuration::from_secs(30));
+    world.run_until_done(&mut sim, SimTime::ZERO + SimDuration::from_secs(30), |_| done.get());
     let median = rtts.borrow_mut().median().as_micros_f64();
     (median, done.get())
 }
@@ -107,7 +107,7 @@ fn rmp_stream_survives_a_50ms_link_outage() {
     world.cabs[1].fork_app(Box::new(sink));
     let (streamer, _) = CabRmpStreamer::new((1, sink_mbox), src_mbox, 1024, total_bytes);
     world.cabs[0].fork_app(Box::new(streamer));
-    world.run_until(&mut sim, SimTime::ZERO + SimDuration::from_secs(30));
+    world.run_until_done(&mut sim, SimTime::ZERO + SimDuration::from_secs(30), |_| done.get());
 
     assert!(done.get(), "RMP delivered only {} of {total_bytes}", received.get());
     assert_eq!(received.get(), total_bytes);
@@ -136,7 +136,7 @@ fn tcp_stream_survives_a_50ms_link_outage() {
     world.cabs[1].fork_app(Box::new(sink));
     let (streamer, _) = CabTcpStreamer::new(1, 5000, 1024, total_bytes);
     world.cabs[0].fork_app(Box::new(streamer));
-    world.run_until(&mut sim, SimTime::ZERO + SimDuration::from_secs(30));
+    world.run_until_done(&mut sim, SimTime::ZERO + SimDuration::from_secs(30), |_| done.get());
 
     assert!(done.get(), "TCP delivered only {} of {total_bytes}", received.get());
     assert_eq!(received.get(), total_bytes);
