@@ -70,10 +70,7 @@ pub fn host_rtt(config: Config, transport: Transport, size: usize, count: u32) -
     let (mut world, mut sim) = World::single_hub(config, 2);
     let svc = world.cabs[1].shared.create_mailbox(true, HostOpMode::SharedMemory);
     let reply = world.cabs[0].shared.create_mailbox(true, HostOpMode::SharedMemory);
-    let server = match transport {
-        Transport::Udp => (1u16, UDP_ECHO_PORT),
-        _ => (1u16, svc),
-    };
+    let server = (1u16, transport.addr(svc, UDP_ECHO_PORT));
     let (echo, _) = EchoServer::new(transport, svc, UDP_ECHO_PORT, false);
     world.hosts[1].spawn(Box::new(echo));
     let (ping, rtts, done) = Pinger::new(transport, server, reply, 7001, size, count, false);
@@ -91,18 +88,9 @@ pub fn cab_rtt(config: Config, transport: Transport, size: usize, count: u32) ->
     let (mut world, mut sim) = World::single_hub(config, 2);
     let svc = world.cabs[1].shared.create_mailbox(false, HostOpMode::SharedMemory);
     let reply = world.cabs[0].shared.create_mailbox(false, HostOpMode::SharedMemory);
-    world.cabs[1].fork_app(Box::new(CabEcho { transport, recv_mbox: svc }));
-    let server = match transport {
-        Transport::Udp => (1u16, UDP_ECHO_PORT),
-        _ => (1u16, svc),
-    };
-    if transport == Transport::Udp {
-        let m = nectar_cab::reqs::udp_bind_encode(UDP_ECHO_PORT, svc);
-        let msg = world.cabs[1].shared.begin_put(nectar_cab::reqs::MB_UDP_CTL, m.len()).unwrap();
-        world.cabs[1].shared.msg_write(&msg, 0, &m);
-        world.cabs[1].shared.end_put(nectar_cab::reqs::MB_UDP_CTL, msg);
-    }
-    let (ping, rtts, done) = CabPinger::new(transport, server, reply, size, count);
+    world.cabs[1].fork_app(Box::new(CabEcho::new(transport, svc, UDP_ECHO_PORT)));
+    let server = (1u16, transport.addr(svc, UDP_ECHO_PORT));
+    let (ping, rtts, done) = CabPinger::new(transport, server, reply, 9000, size, count);
     world.cabs[0].fork_app(Box::new(ping));
     world.run_until_done(&mut sim, until(60), |_| done.get());
     assert!(done.get(), "{transport:?} CAB ping-pong did not finish");

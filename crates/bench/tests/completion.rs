@@ -8,7 +8,7 @@
 
 use nectar::config::Config;
 use nectar::scenario::Transport;
-use nectar_bench::{cab_rtt, host_rtt, host_throughput, volume_for, StreamProto};
+use nectar_bench::{cab_rtt, cab_throughput, host_rtt, host_throughput, volume_for, StreamProto};
 
 #[test]
 fn drivers_stop_at_completion_and_the_paper_numbers_do_not_move() {
@@ -25,12 +25,24 @@ fn drivers_stop_at_completion_and_the_paper_numbers_do_not_move() {
         host_throughput(config, StreamProto::Rmp, 8192, volume_for(8192)),
         31.32890667202073
     );
-    // the slowest of the eight Table 1 medians
-    let mut slowest = host_dgram.max(cab_rtt(config, Transport::Datagram, 32, 100));
-    for t in [Transport::Rmp, Transport::ReqResp, Transport::Udp] {
-        slowest = slowest.max(host_rtt(config, t, 32, 100)).max(cab_rtt(config, t, 32, 100));
+    // Table 1's CAB column, and with it the slowest of the eight medians
+    let mut slowest = host_dgram;
+    for (t, cab_us) in [
+        (Transport::Datagram, 142.6),
+        (Transport::Rmp, 210.6),
+        (Transport::ReqResp, 173.6),
+        (Transport::Udp, 405.0),
+    ] {
+        assert_eq!(cab_rtt(config, t, 32, 100), cab_us, "{t:?}");
+        slowest = slowest.max(host_rtt(config, t, 32, 100));
     }
     assert_eq!(slowest, 484.5);
+    // the Figure 7 plateaus (print as 88.68 and 49.35)
+    for (proto, mbps) in
+        [(StreamProto::Rmp, 88.67645892773686), (StreamProto::Tcp, 49.34856148898079)]
+    {
+        assert_eq!(cab_throughput(config, proto, 8192, volume_for(8192)), mbps, "{proto:?}");
+    }
 
     // The echo server's host polls until the world stops. A hundred
     // 342 µs round trips are 34 ms; run to the 60 s hang guard, its CPU

@@ -174,7 +174,11 @@ impl Cab {
 
     /// Install the source route to a destination CAB.
     pub fn set_route(&mut self, dst_cab: u16, route: nectar_wire::route::Route) {
-        self.net.routes.insert(dst_cab, route);
+        let routes = &mut self.net.routes;
+        if routes.len() <= dst_cab as usize {
+            routes.resize(dst_cab as usize + 1, None);
+        }
+        routes[dst_cab as usize] = Some(route);
     }
 
     /// A frame's first byte reaches the input FIFO at `now`; the tail

@@ -168,7 +168,7 @@ pub struct Heap {
     /// Free blocks as (offset, len), sorted by offset, fully coalesced.
     free: Vec<(u32, u32)>,
     /// Live allocations (offset → len) for double-free detection.
-    live: std::collections::HashMap<u32, u32>,
+    live: std::collections::BTreeMap<u32, u32>,
     /// High-water mark of bytes in use.
     pub peak_in_use: usize,
     in_use: usize,
@@ -184,7 +184,7 @@ impl Heap {
             base,
             size,
             free: vec![(base, size as u32)],
-            live: std::collections::HashMap::new(),
+            live: std::collections::BTreeMap::new(),
             peak_in_use: 0,
             in_use: 0,
         }

@@ -16,10 +16,19 @@
 //!   datagram/RMP/request-response *receive* processing runs at
 //!   interrupt time, which is what makes the datagram row of Table 1
 //!   the fastest path in the system.
+//!
+//! This is also where the CAB side of Nectarine (§5) lives: [`send`]
+//! over the four message [`Transport`]s, built on one function per
+//! transport — [`datagram_send`], [`rmp_submit`], [`rr_call`] /
+//! [`rr_reply`], [`udp_send`] — plus [`tcp_send`] for connections. The
+//! server threads call the same functions on behalf of host processes
+//! (whose side is `nectar_host::HostCx::send`), so each transport's
+//! header, cost charges and addressing are written once.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::net::Ipv4Addr;
 
+use nectar_sim::SimTime;
 use nectar_stack::collective::{CollectiveAction, CollectiveConfig, CollectiveEngine};
 use nectar_stack::icmp::{IcmpEngine, IcmpInput};
 use nectar_stack::ip::{IpEndpoint, IpInput};
@@ -56,6 +65,28 @@ pub fn cab_for_ip(ip: Ipv4Addr) -> Option<u16> {
         return None;
     }
     Some((v - 1) as u16)
+}
+
+/// The message transports Nectarine offers (the rows of Table 1). TCP
+/// is a byte stream over a connection: see [`tcp_send`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Transport {
+    Datagram,
+    Rmp,
+    ReqResp,
+    Udp,
+}
+
+impl Transport {
+    /// What a peer addresses an endpoint of this transport by: its UDP
+    /// port, or its mailbox on the Nectar-native transports.
+    pub fn addr(self, mbox: MboxId, port: u16) -> u16 {
+        if self == Transport::Udp {
+            port
+        } else {
+            mbox
+        }
+    }
 }
 
 /// Per-connection TCP bookkeeping on the CAB side.
@@ -102,14 +133,14 @@ pub struct ProtoState {
     pub udp: UdpEndpoint,
     pub tcp: TcpStack,
     pub rmp_rx: RmpReceiver,
-    pub rmp_tx: HashMap<(u16, u16, u16), RmpSender>,
+    pub rmp_tx: BTreeMap<(u16, u16, u16), RmpSender>,
     pub rmp_cfg: RmpConfig,
-    pub rr_clients: HashMap<u16, RrClient>,
-    pub rr_servers: HashMap<u16, RrServer>,
+    pub rr_clients: BTreeMap<u16, RrClient>,
+    pub rr_servers: BTreeMap<u16, RrServer>,
     pub rr_cfg: RrConfig,
-    pub tcp_conns: HashMap<SocketId, TcpConn>,
+    pub tcp_conns: BTreeMap<SocketId, TcpConn>,
     /// Listening port → accept-notification mailbox.
-    pub tcp_accepts: HashMap<u16, MboxId>,
+    pub tcp_accepts: BTreeMap<u16, MboxId>,
     /// Ping replies (ICMP echo) are delivered here when set.
     pub ping_mbox: Option<MboxId>,
     /// In-network collectives: multicast fan-out, tree barrier,
@@ -190,13 +221,13 @@ pub fn init_protocols(
         udp: UdpEndpoint::new(),
         tcp: TcpStack::new(addr, tcp_cfg, seed ^ 0x7cb0),
         rmp_rx: RmpReceiver::new(),
-        rmp_tx: HashMap::new(),
+        rmp_tx: BTreeMap::new(),
         rmp_cfg: RmpConfig { max_fragment: mtu, ..Default::default() },
-        rr_clients: HashMap::new(),
-        rr_servers: HashMap::new(),
+        rr_clients: BTreeMap::new(),
+        rr_servers: BTreeMap::new(),
         rr_cfg: RrConfig::default(),
-        tcp_conns: HashMap::new(),
-        tcp_accepts: HashMap::new(),
+        tcp_conns: BTreeMap::new(),
+        tcp_accepts: BTreeMap::new(),
         ping_mbox: None,
         coll: CollectiveEngine::new(CollectiveConfig::default()),
         coll_mbox: None,
@@ -290,8 +321,7 @@ pub fn process_ip_input(cx: &mut Cx<'_>, packet: &[u8]) {
                 let full = header.build_packet(&payload);
                 deliver_to_mbox(cx, reqs::MB_UDP_IN, &[], &full);
             }
-            other => {
-                let _ = other;
+            _ => {
                 let full = header.build_packet(&payload);
                 let msg = cx.proto.icmp.unreachable_for(&full, UnreachableCode::Protocol);
                 ip_output(cx, header.src, IpProtocol::ICMP, &msg.build());
@@ -405,6 +435,111 @@ fn run_rr_client_actions(cx: &mut Cx<'_>, reply_mbox: u16, acts: Vec<RrClientAct
     }
 }
 
+/// Send an unreliable datagram to `req.dst_mbox` on `req.dst_cab`;
+/// delivery within this CAB skips the wire.
+pub fn datagram_send(cx: &mut Cx<'_>, req: SendReq, msg_id: u32, payload: &[u8]) {
+    cx.charge(cx.costs.datagram_proc);
+    cx.stamp("cab_dg_send", msg_id as u64);
+    if req.dst_cab == cx.cab_id {
+        deliver_to_mbox(cx, req.dst_mbox, &[], payload);
+        return;
+    }
+    let pkt = DatagramHeader { dst_mbox: req.dst_mbox, src_mbox: req.src_mbox }.build(payload);
+    cx.datalink_send(req.dst_cab, DatalinkProto::Datagram, msg_id, &pkt);
+}
+
+/// Send a UDP datagram from `req.src_port` through IP.
+pub fn udp_send(cx: &mut Cx<'_>, req: UdpSendReq, payload: &[u8]) {
+    cx.charge(cx.costs.udp_proc);
+    let src = cx.proto.addr();
+    let dst = ip_for_cab(req.dst_cab);
+    let dgram = cx.proto.udp.output(src, req.src_port, dst, req.dst_port, payload);
+    cx.charge(cx.costs.checksum(dgram.len()));
+    ip_output(cx, dst, IpProtocol::UDP, &dgram);
+}
+
+/// Answer a request delivered into `req.service_mbox`: the server half
+/// of [`rr_call`].
+pub fn rr_reply(cx: &mut Cx<'_>, req: RrReplyReq, msg_id: u32, payload: &[u8]) {
+    let mut acts = Vec::new();
+    let server = cx.proto.rr_servers.entry(req.service_mbox).or_default();
+    server.reply(req.client_cab, req.reply_mbox, req.req_id, payload.to_vec(), &mut acts);
+    for act in acts {
+        match act {
+            RrServerAction::Transmit { dst_cab, packet } => {
+                cx.charge(cx.costs.reqresp_proc);
+                if dst_cab == cx.cab_id {
+                    // loopback reply
+                    rx_dispatch(cx, DatalinkProto::ReqResp, dst_cab, 0, FrameBuf::new(packet));
+                } else {
+                    cx.datalink_send(dst_cab, DatalinkProto::ReqResp, msg_id, &packet);
+                }
+            }
+            RrServerAction::Execute { .. } => unreachable!("reply path"),
+        }
+    }
+}
+
+/// Apply what the TCP stack asked for: segments leave through IP (with
+/// the software checksum charged), socket events update the connection
+/// table and notify the mailboxes bound to it. Every caller of the
+/// stack — the TCP thread and CAB-resident applications alike — hands
+/// its events here.
+pub fn tcp_events(cx: &mut Cx<'_>, events: Vec<TcpStackEvent>) {
+    for ev in events {
+        match ev {
+            TcpStackEvent::Transmit { dst, segment } => {
+                if cx.proto.tcp.config().compute_checksum {
+                    cx.charge(cx.costs.checksum(segment.len()));
+                }
+                ip_output(cx, dst, IpProtocol::TCP, &segment);
+            }
+            TcpStackEvent::Incoming { id, local_port } => {
+                let conn = cx.proto.tcp_conns.entry(id).or_default();
+                conn.port = Some(local_port);
+            }
+            TcpStackEvent::Socket { id, event } => TcpThread::handle_socket_event(cx, id, event),
+            TcpStackEvent::Dropped => {}
+        }
+    }
+}
+
+/// Queue `data` on a connection from a CAB-resident sender (§4.2:
+/// "CAB-resident senders can do this directly without involving the
+/// TCP send thread") and transmit what the window allows. `now` is the
+/// clock reading the stack times the send by — the caller's, because a
+/// thread serving many connections reads the clock once a burst.
+/// Returns the bytes the socket accepted.
+pub fn tcp_send(cx: &mut Cx<'_>, now: SimTime, id: SocketId, data: &[u8]) -> usize {
+    cx.charge(cx.costs.tcp_proc);
+    let (n, events) = cx.proto.tcp.send(now, id, data);
+    tcp_events(cx, events);
+    n
+}
+
+/// Nectarine's send: one message over `transport` from a CAB-resident
+/// caller. `dst` is (CAB, mailbox) — (CAB, port) for UDP — and `src`
+/// the sender's own mailbox or port, where the peer replies. Returns
+/// false when the transport refused the message.
+pub fn send(
+    cx: &mut Cx<'_>,
+    transport: Transport,
+    dst: (u16, u16),
+    src: u16,
+    payload: &[u8],
+) -> bool {
+    let req = SendReq { dst_cab: dst.0, dst_mbox: dst.1, src_mbox: src };
+    match transport {
+        Transport::Datagram => datagram_send(cx, req, 0, payload),
+        Transport::Rmp => rmp_submit(cx, req, payload),
+        Transport::ReqResp => return rr_call(cx, req, payload) != 0,
+        Transport::Udp => {
+            udp_send(cx, UdpSendReq { dst_cab: dst.0, src_port: src, dst_port: dst.1 }, payload)
+        }
+    }
+    true
+}
+
 // ----------------------------------------------------------------------
 // interrupt-level receive processing (end-of-packet)
 // ----------------------------------------------------------------------
@@ -460,8 +595,6 @@ pub fn rx_dispatch(
             };
             match hdr.kind {
                 RmpKind::Data => {
-                    let now = cx.now();
-                    let _ = now;
                     let mut acts = Vec::new();
                     cx.proto.rmp_rx.on_data(src_cab, &hdr, body, &mut acts);
                     for act in acts {
@@ -642,23 +775,9 @@ impl CabThread for DatagramSendThread {
                 Err(WouldBlock::NoSpace(c)) => return Step::Block(c),
                 Ok(msg) => {
                     let bytes = cx.shared.msg_bytes(&msg).to_vec();
-                    cx.charge(cx.costs.datagram_proc);
                     if let Some((req, payload)) = SendReq::decode(&bytes) {
                         cx.proto.stats.datagrams_out += 1;
-                        cx.stamp("cab_dg_send", msg.msg_id as u64);
-                        if req.dst_cab == cx.cab_id {
-                            deliver_to_mbox(cx, req.dst_mbox, &[], payload);
-                        } else {
-                            let pkt =
-                                DatagramHeader { dst_mbox: req.dst_mbox, src_mbox: req.src_mbox }
-                                    .build(payload);
-                            cx.datalink_send(
-                                req.dst_cab,
-                                DatalinkProto::Datagram,
-                                msg.msg_id,
-                                &pkt,
-                            );
-                        }
+                        datagram_send(cx, req, msg.msg_id, payload);
                     } else {
                         cx.proto.stats.bad_requests += 1;
                     }
@@ -701,10 +820,7 @@ impl CabThread for RmpThread {
         }
         // retransmission timers
         let now = cx.now();
-        // Deterministic retransmit order under many concurrent senders:
-        // HashMap iteration order differs between runs.
-        let mut keys: Vec<(u16, u16, u16)> = cx.proto.rmp_tx.keys().copied().collect();
-        keys.sort_unstable();
+        let keys: Vec<(u16, u16, u16)> = cx.proto.rmp_tx.keys().copied().collect();
         for key in keys {
             let mut acts = Vec::new();
             if let Some(s) = cx.proto.rmp_tx.get_mut(&key) {
@@ -757,43 +873,7 @@ impl CabThread for RrThread {
                 Ok(msg) => {
                     let bytes = cx.shared.msg_bytes(&msg).to_vec();
                     if let Some((req, payload)) = RrReplyReq::decode(&bytes) {
-                        let mut acts = Vec::new();
-                        let server = cx.proto.rr_servers.entry(req.service_mbox).or_default();
-                        server.reply(
-                            req.client_cab,
-                            req.reply_mbox,
-                            req.req_id,
-                            payload.to_vec(),
-                            &mut acts,
-                        );
-                        for act in acts {
-                            match act {
-                                RrServerAction::Transmit { dst_cab, packet } => {
-                                    cx.charge(cx.costs.reqresp_proc);
-                                    if dst_cab == cx.cab_id {
-                                        // loopback reply
-                                        let Ok((hdr, body)) = ReqRespHeader::parse(&packet) else {
-                                            continue;
-                                        };
-                                        rx_dispatch(
-                                            cx,
-                                            DatalinkProto::ReqResp,
-                                            dst_cab,
-                                            0,
-                                            FrameBuf::new(hdr.build(body)),
-                                        );
-                                    } else {
-                                        cx.datalink_send(
-                                            dst_cab,
-                                            DatalinkProto::ReqResp,
-                                            msg.msg_id,
-                                            &packet,
-                                        );
-                                    }
-                                }
-                                RrServerAction::Execute { .. } => unreachable!("reply path"),
-                            }
-                        }
+                        rr_reply(cx, req, msg.msg_id, payload);
                     } else {
                         cx.proto.stats.bad_requests += 1;
                     }
@@ -803,11 +883,7 @@ impl CabThread for RrThread {
         }
         // client retransmission timers
         let now = cx.now();
-        // Sorted so that retransmit order is deterministic and fair by
-        // mailbox id: HashMap iteration order varies across runs, which
-        // would reorder datalink sends under multi-client contention.
-        let mut mboxes: Vec<u16> = cx.proto.rr_clients.keys().copied().collect();
-        mboxes.sort_unstable();
+        let mboxes: Vec<u16> = cx.proto.rr_clients.keys().copied().collect();
         for mb in mboxes {
             let mut acts = Vec::new();
             if let Some(c) = cx.proto.rr_clients.get_mut(&mb) {
@@ -994,15 +1070,9 @@ impl CabThread for UdpThread {
                 Err(_) => break,
                 Ok(msg) => {
                     let bytes = cx.shared.msg_bytes(&msg).to_vec();
-                    cx.charge(cx.costs.udp_proc);
                     if let Some((req, payload)) = UdpSendReq::decode(&bytes) {
                         cx.stamp("cab_udp_send", msg.msg_id as u64);
-                        let src = cx.proto.addr();
-                        let dst = ip_for_cab(req.dst_cab);
-                        let dgram =
-                            cx.proto.udp.output(src, req.src_port, dst, req.dst_port, payload);
-                        cx.charge(cx.costs.checksum(dgram.len()));
-                        ip_output(cx, dst, IpProtocol::UDP, &dgram);
+                        udp_send(cx, req, payload);
                     } else {
                         cx.proto.stats.bad_requests += 1;
                     }
@@ -1020,25 +1090,6 @@ impl CabThread for UdpThread {
 pub struct TcpThread;
 
 impl TcpThread {
-    fn handle_events(cx: &mut Cx<'_>, events: Vec<TcpStackEvent>) {
-        for ev in events {
-            match ev {
-                TcpStackEvent::Transmit { dst, segment } => {
-                    if cx.proto.tcp.config().compute_checksum {
-                        cx.charge(cx.costs.checksum(segment.len()));
-                    }
-                    ip_output(cx, dst, IpProtocol::TCP, &segment);
-                }
-                TcpStackEvent::Incoming { id, local_port } => {
-                    let conn = cx.proto.tcp_conns.entry(id).or_default();
-                    conn.port = Some(local_port);
-                }
-                TcpStackEvent::Socket { id, event } => Self::handle_socket_event(cx, id, event),
-                TcpStackEvent::Dropped => {}
-            }
-        }
-    }
-
     fn handle_socket_event(cx: &mut Cx<'_>, id: SocketId, event: TcpEvent) {
         match event {
             TcpEvent::Connected => {
@@ -1086,7 +1137,7 @@ impl TcpThread {
             // reading opened the receive window; let the stack act
             let now = cx.now();
             let events = cx.proto.tcp.poll(now);
-            Self::handle_events(cx, events);
+            tcp_events(cx, events);
         }
     }
 
@@ -1120,7 +1171,7 @@ impl TcpThread {
         {
             let now = cx.now();
             let (n, events) = cx.proto.tcp.send(now, id, &chunk);
-            Self::handle_events(cx, events);
+            tcp_events(cx, events);
             if n < chunk.len() {
                 let rest = chunk[n..].to_vec();
                 cx.proto.tcp_conns.entry(id).or_default().pending.push_front(rest);
@@ -1133,7 +1184,7 @@ impl TcpThread {
             cx.proto.tcp_conns.entry(id).or_default().close_requested = false;
             let now = cx.now();
             let events = cx.proto.tcp.close(now, id);
-            Self::handle_events(cx, events);
+            tcp_events(cx, events);
         }
     }
 }
@@ -1157,7 +1208,7 @@ impl CabThread for TcpThread {
                     let conn = cx.proto.tcp_conns.entry(id).or_default();
                     conn.recv_mbox = Some(recv_mbox);
                     conn.reply_sync = Some(reply_sync);
-                    Self::handle_events(cx, events);
+                    tcp_events(cx, events);
                 }
                 Some(TcpCtl::Listen { port, accept_mbox }) => {
                     cx.proto.tcp.listen(port);
@@ -1175,12 +1226,12 @@ impl CabThread for TcpThread {
                         cx.proto.tcp_conns.entry(id).or_default().close_requested = true;
                     } else {
                         let events = cx.proto.tcp.close(now, id);
-                        Self::handle_events(cx, events);
+                        tcp_events(cx, events);
                     }
                 }
                 Some(TcpCtl::Abort { conn }) => {
                     let events = cx.proto.tcp.abort(now, conn as SocketId);
-                    Self::handle_events(cx, events);
+                    tcp_events(cx, events);
                 }
                 None => cx.proto.stats.bad_requests += 1,
             }
@@ -1203,7 +1254,7 @@ impl CabThread for TcpThread {
                         }
                         let now = cx.now();
                         let events = cx.proto.tcp.on_packet(now, &header, data);
-                        Self::handle_events(cx, events);
+                        tcp_events(cx, events);
                     }
                 }
             }
@@ -1237,17 +1288,14 @@ impl CabThread for TcpThread {
         // 4. timers + pending pumps
         let now = cx.now();
         let events = cx.proto.tcp.poll(now);
-        Self::handle_events(cx, events);
-        // Sorted: pump order affects segment emission order, and HashMap
-        // iteration order is not stable across runs.
-        let mut ids: Vec<SocketId> = cx
+        tcp_events(cx, events);
+        let ids: Vec<SocketId> = cx
             .proto
             .tcp_conns
             .iter()
             .filter(|(_, c)| !c.pending.is_empty())
             .map(|(&id, _)| id)
             .collect();
-        ids.sort_unstable();
         for id in ids {
             Self::pump_pending(cx, id);
         }

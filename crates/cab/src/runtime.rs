@@ -93,9 +93,10 @@ pub enum CabEffect {
 /// Per-CAB datalink transmit state: source routes and fiber occupancy.
 #[derive(Debug)]
 pub struct NetPort {
-    /// Source route to every reachable CAB (computed by the topology
-    /// layer at network build time — §2.1 source routing).
-    pub routes: std::collections::HashMap<u16, Route>,
+    /// Source route to every reachable CAB, indexed by CAB id (computed
+    /// by the topology layer at network build time — §2.1 source
+    /// routing).
+    pub routes: Vec<Option<Route>>,
     /// The outgoing fiber is serializing until this instant.
     pub tx_busy_until: SimTime,
     pub link: LinkModel,
@@ -110,7 +111,7 @@ pub struct NetPort {
 impl NetPort {
     pub fn new(link: LinkModel) -> Self {
         NetPort {
-            routes: std::collections::HashMap::new(),
+            routes: Vec::new(),
             tx_busy_until: SimTime::ZERO,
             link,
             no_route_drops: 0,
@@ -298,7 +299,7 @@ impl<'a> Cx<'a> {
     ) -> bool {
         self.charge(self.costs.datalink);
         self.charge(self.costs.dma_setup);
-        let Some(route) = self.net.routes.get(&dst_cab) else {
+        let Some(Some(route)) = self.net.routes.get(dst_cab as usize) else {
             self.net.no_route_drops += 1;
             return false;
         };
@@ -337,7 +338,7 @@ impl<'a> Cx<'a> {
     ) -> bool {
         self.charge(self.costs.datalink);
         self.charge(self.costs.dma_setup);
-        let Some(route) = self.net.routes.get(&dst_cab) else {
+        let Some(Some(route)) = self.net.routes.get(dst_cab as usize) else {
             self.net.no_route_drops += 1;
             return false;
         };

@@ -1,31 +1,24 @@
 //! Reusable measurement workloads: the host processes and CAB threads
 //! behind Table 1, Figures 6–8, the ablations, and the examples.
 //!
-//! Everything here goes through the same public interfaces an
-//! application would use — service mailboxes, host condition
-//! variables, Nectarine-style helpers — so the measured numbers include
-//! every cost a real application paid.
+//! Everything here is written over Nectarine (§5) — `HostCx::send` on
+//! the host, `nectar_cab::proto::send` / `tcp_send` on the CAB — plus
+//! the mailboxes and host condition variables an application would
+//! use, so no workload touches a protocol header and the measured
+//! numbers include every cost a real application paid.
 
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
-use nectar_cab::proto::{self, rmp_submit, rr_call};
-use nectar_cab::reqs::{self, RrReplyReq, SendReq, TcpCtl, UdpSendReq};
+use nectar_cab::proto;
+use nectar_cab::reqs::{self, RrReplyReq, TcpCtl};
 use nectar_cab::shared::{HostCondId, MboxId, WouldBlock};
 use nectar_cab::{CabThread, Cx, Step};
 use nectar_host::{HostCx, HostProcess, HostStep};
 use nectar_sim::{Histogram, RateMeter, SimTime};
-use nectar_wire::datalink::DatalinkProto;
-use nectar_wire::nectar::DatagramHeader;
 
-/// Which transport a ping-pong or stream exercises (Table 1 rows).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Transport {
-    Datagram,
-    Rmp,
-    ReqResp,
-    Udp,
-}
+/// Which transport a ping-pong or echo exercises (Table 1 rows).
+pub use nectar_cab::proto::Transport;
 
 /// Shared latency results.
 pub type SharedHistogram = Rc<RefCell<Histogram>>;
@@ -52,6 +45,24 @@ pub fn decode_reply_addr(b: &[u8]) -> Option<(u16, u16)> {
         return None;
     }
     Some((u16::from_be_bytes([b[0], b[1]]), u16::from_be_bytes([b[2], b[3]])))
+}
+
+/// The reply request for a call delivered into the request-response
+/// service mailbox `service_mbox`, and the call's payload.
+fn rr_reply_for(service_mbox: MboxId, delivered: &[u8]) -> Option<(RrReplyReq, &[u8])> {
+    let (client_cab, reply_mbox, req_id, payload) = reqs::rr_deliver_decode(delivered)?;
+    Some((RrReplyReq { service_mbox, client_cab, reply_mbox, req_id }, payload))
+}
+
+/// A ping payload: the reply address, padded with a pattern to `size`
+/// bytes.
+fn ping_payload(cab: u16, reply_id: u16, size: usize) -> Vec<u8> {
+    let mut p = Vec::with_capacity(size.max(4));
+    p.extend_from_slice(&encode_reply_addr(cab, reply_id));
+    while p.len() < size {
+        p.push((p.len() * 7) as u8);
+    }
+    p
 }
 
 // ----------------------------------------------------------------------
@@ -120,43 +131,11 @@ impl Pinger {
         )
     }
 
-    fn payload(&self, cx: &HostCx<'_>) -> Vec<u8> {
-        let mut p = Vec::with_capacity(self.size.max(4));
-        let reply_id = if self.transport == Transport::Udp { self.my_port } else { self.my_mbox };
-        p.extend_from_slice(&encode_reply_addr(cx.cab_id, reply_id));
-        while p.len() < self.size {
-            p.push((p.len() * 7) as u8);
-        }
-        p
-    }
-
-    fn send(&mut self, cx: &mut HostCx<'_>) -> Result<(), WouldBlock> {
-        let payload = self.payload(cx);
-        let (cab, id) = self.server;
-        match self.transport {
-            Transport::Datagram => {
-                let req = SendReq { dst_cab: cab, dst_mbox: id, src_mbox: self.my_mbox };
-                let m = req.encode(&payload);
-                cx.stamp("host_send", self.seq as u64);
-                cx.put_message(reqs::MB_DG_SEND, &m)?;
-            }
-            Transport::Rmp => {
-                let req = SendReq { dst_cab: cab, dst_mbox: id, src_mbox: self.my_mbox };
-                let m = req.encode(&payload);
-                cx.put_message(reqs::MB_RMP_SEND, &m)?;
-            }
-            Transport::ReqResp => {
-                let req = SendReq { dst_cab: cab, dst_mbox: id, src_mbox: self.my_mbox };
-                let m = req.encode(&payload);
-                cx.put_message(reqs::MB_RR_SEND, &m)?;
-            }
-            Transport::Udp => {
-                let req = UdpSendReq { dst_cab: cab, src_port: self.my_port, dst_port: id };
-                let m = req.encode(&payload);
-                cx.put_message(reqs::MB_UDP_SEND, &m)?;
-            }
-        }
-        Ok(())
+    fn send(&mut self, cx: &mut HostCx<'_>) -> Result<u32, WouldBlock> {
+        let my_id = self.transport.addr(self.my_mbox, self.my_port);
+        let payload = ping_payload(cx.cab_id, my_id, self.size);
+        cx.stamp("host_send", self.seq as u64);
+        cx.send(self.transport, self.server, my_id, &payload)
     }
 }
 
@@ -182,7 +161,7 @@ impl HostProcess for Pinger {
             PingState::Send => {
                 let sent_at = cx.now();
                 match self.send(cx) {
-                    Ok(()) => {
+                    Ok(_) => {
                         self.state = PingState::Wait { sent_at };
                         HostStep::Yield
                     }
@@ -286,45 +265,14 @@ impl HostProcess for EchoServer {
         let mut drained = 0;
         while let Some((_, bytes)) = cx.get_message(self.recv_mbox) {
             drained += 1;
-            match self.transport {
-                Transport::Datagram | Transport::Rmp => {
-                    if let Some((cab, mbox)) = decode_reply_addr(&bytes) {
-                        let req =
-                            SendReq { dst_cab: cab, dst_mbox: mbox, src_mbox: self.recv_mbox };
-                        let m = req.encode(&bytes);
-                        let target = if self.transport == Transport::Datagram {
-                            reqs::MB_DG_SEND
-                        } else {
-                            reqs::MB_RMP_SEND
-                        };
-                        let _ = cx.put_message(target, &m);
-                        self.echoed.set(self.echoed.get() + 1);
-                    }
-                }
-                Transport::ReqResp => {
-                    if let Some((client_cab, reply_mbox, req_id, payload)) =
-                        reqs::rr_deliver_decode(&bytes)
-                    {
-                        let req = RrReplyReq {
-                            service_mbox: self.recv_mbox,
-                            client_cab,
-                            reply_mbox,
-                            req_id,
-                        };
-                        let m = req.encode(payload);
-                        let _ = cx.put_message(reqs::MB_RR_REPLY, &m);
-                        self.echoed.set(self.echoed.get() + 1);
-                    }
-                }
-                Transport::Udp => {
-                    if let Some((cab, port)) = decode_reply_addr(&bytes) {
-                        let req =
-                            UdpSendReq { dst_cab: cab, src_port: self.my_port, dst_port: port };
-                        let m = req.encode(&bytes);
-                        let _ = cx.put_message(reqs::MB_UDP_SEND, &m);
-                        self.echoed.set(self.echoed.get() + 1);
-                    }
-                }
+            let sent = match self.transport {
+                Transport::ReqResp => rr_reply_for(self.recv_mbox, &bytes)
+                    .map(|(req, payload)| cx.rr_reply(req, payload)),
+                t => decode_reply_addr(&bytes)
+                    .map(|to| cx.send(t, to, t.addr(self.recv_mbox, self.my_port), &bytes)),
+            };
+            if sent.is_some() {
+                self.echoed.set(self.echoed.get() + 1);
             }
             if drained >= 4 {
                 return HostStep::Yield;
@@ -391,8 +339,7 @@ impl HostProcess for HostRmpStreamer {
         }
         let n = self.msg_size.min((self.total_bytes - self.sent) as usize);
         let payload = vec![0x5au8; n];
-        let req = SendReq { dst_cab: self.dst.0, dst_mbox: self.dst.1, src_mbox: self.my_mbox };
-        match cx.put_message(reqs::MB_RMP_SEND, &req.encode(&payload)) {
+        match cx.send(Transport::Rmp, self.dst, self.my_mbox, &payload) {
             Ok(_) => {
                 self.sent += n as u64;
                 HostStep::Yield
@@ -557,8 +504,6 @@ impl HostProcess for HostSink {
     fn run(&mut self, cx: &mut HostCx<'_>) -> HostStep {
         if !self.init {
             self.init = true;
-            let watch = self.tcp_accept.unwrap_or(self.recv_mbox);
-            let _ = watch;
             self.hc = cx.mbox_host_cond(self.recv_mbox);
             if let Some(hc) = self.hc {
                 self.seen_poll = cx.poll_cond(hc);
@@ -607,12 +552,26 @@ impl HostProcess for HostSink {
 // CAB-resident workloads (Table 1 CAB↔CAB column, Figure 7, §5.3)
 // ----------------------------------------------------------------------
 
-/// A CAB thread answering pings over the Nectar transports — the echo
-/// half of the CAB↔CAB latency measurements, running entirely on the
-/// communication processor.
+/// A CAB thread answering pings over any message transport — the echo
+/// half of the CAB↔CAB latency measurements and the echo service behind
+/// the load fleet, running entirely on the communication processor. On
+/// UDP it owns `port`: it binds `port → recv_mbox` on its first run and
+/// replies from that port.
 pub struct CabEcho {
     pub transport: Transport,
     pub recv_mbox: MboxId,
+    pub port: u16,
+    /// Messages drained per burst; `None` follows the CAB's
+    /// `burst_limit`.
+    pub burst: Option<usize>,
+    started: bool,
+}
+
+impl CabEcho {
+    /// `port` is only meaningful on UDP.
+    pub fn new(transport: Transport, recv_mbox: MboxId, port: u16) -> Self {
+        CabEcho { transport, recv_mbox, port, burst: None, started: false }
+    }
 }
 
 impl CabThread for CabEcho {
@@ -621,7 +580,13 @@ impl CabThread for CabEcho {
     }
 
     fn run(&mut self, cx: &mut Cx<'_>) -> Step {
-        for _ in 0..cx.proto.burst_limit {
+        if !self.started {
+            self.started = true;
+            if self.transport == Transport::Udp {
+                cx.proto.udp.bind(self.port, self.recv_mbox as u32);
+            }
+        }
+        for _ in 0..self.burst.unwrap_or(cx.proto.burst_limit) {
             // select-before-read: the queue-count word is a free read,
             // so an idle wake costs nothing instead of a charged empty
             // Begin_Get (the tax that flattened the udp knee at scale)
@@ -634,70 +599,14 @@ impl CabThread for CabEcho {
                     let bytes = cx.shared.msg_bytes(&msg).to_vec();
                     cx.end_get(self.recv_mbox, msg);
                     match self.transport {
-                        Transport::Datagram => {
-                            if let Some((cab, mbox)) = decode_reply_addr(&bytes) {
-                                let pkt =
-                                    DatagramHeader { dst_mbox: mbox, src_mbox: self.recv_mbox }
-                                        .build(&bytes);
-                                cx.charge(cx.costs.datagram_proc);
-                                cx.datalink_send(cab, DatalinkProto::Datagram, 0, &pkt);
-                            }
-                        }
-                        Transport::Rmp => {
-                            if let Some((cab, mbox)) = decode_reply_addr(&bytes) {
-                                let req = SendReq {
-                                    dst_cab: cab,
-                                    dst_mbox: mbox,
-                                    src_mbox: self.recv_mbox,
-                                };
-                                rmp_submit(cx, req, &bytes);
-                            }
-                        }
                         Transport::ReqResp => {
-                            if let Some((client_cab, reply_mbox, req_id, payload)) =
-                                reqs::rr_deliver_decode(&bytes)
-                            {
-                                let mut acts = Vec::new();
-                                let server = cx.proto.rr_servers.entry(self.recv_mbox).or_default();
-                                server.reply(
-                                    client_cab,
-                                    reply_mbox,
-                                    req_id,
-                                    payload.to_vec(),
-                                    &mut acts,
-                                );
-                                for act in acts {
-                                    if let nectar_stack::reqresp::RrServerAction::Transmit {
-                                        dst_cab,
-                                        packet,
-                                    } = act
-                                    {
-                                        cx.charge(cx.costs.reqresp_proc);
-                                        cx.datalink_send(
-                                            dst_cab,
-                                            DatalinkProto::ReqResp,
-                                            0,
-                                            &packet,
-                                        );
-                                    }
-                                }
+                            if let Some((req, payload)) = rr_reply_for(self.recv_mbox, &bytes) {
+                                proto::rr_reply(cx, req, 0, payload);
                             }
                         }
-                        Transport::Udp => {
-                            if let Some((cab, port)) = decode_reply_addr(&bytes) {
-                                // CAB-resident sender: invoke UDP/IP
-                                // directly, no send-thread hop
-                                cx.charge(cx.costs.udp_proc);
-                                let src = cx.proto.addr();
-                                let dst = proto::ip_for_cab(cab);
-                                let dgram = cx.proto.udp.output(src, 7, dst, port, &bytes);
-                                cx.charge(cx.costs.checksum(dgram.len()));
-                                proto::ip_output(
-                                    cx,
-                                    dst,
-                                    nectar_wire::ipv4::IpProtocol::UDP,
-                                    &dgram,
-                                );
+                        t => {
+                            if let Some(to) = decode_reply_addr(&bytes) {
+                                proto::send(cx, t, to, t.addr(self.recv_mbox, self.port), &bytes);
                             }
                         }
                     }
@@ -714,6 +623,8 @@ pub struct CabPinger {
     pub transport: Transport,
     pub server: (u16, u16),
     pub my_mbox: MboxId,
+    /// Local UDP port (UDP transport only); unique per pinger on a CAB.
+    pub my_port: u16,
     pub size: usize,
     pub count: u32,
     pub rtts: SharedHistogram,
@@ -727,6 +638,7 @@ impl CabPinger {
         transport: Transport,
         server: (u16, u16),
         my_mbox: MboxId,
+        my_port: u16,
         size: usize,
         count: u32,
     ) -> (Self, SharedHistogram, SharedFlag) {
@@ -737,6 +649,7 @@ impl CabPinger {
                 transport,
                 server,
                 my_mbox,
+                my_port,
                 size,
                 count,
                 rtts: rtts.clone(),
@@ -748,44 +661,6 @@ impl CabPinger {
             done,
         )
     }
-
-    fn payload(&self, cx: &Cx<'_>) -> Vec<u8> {
-        let reply_id = if self.transport == Transport::Udp { 9000 } else { self.my_mbox };
-        let mut p = Vec::with_capacity(self.size.max(4));
-        p.extend_from_slice(&encode_reply_addr(cx.cab_id, reply_id));
-        while p.len() < self.size {
-            p.push((p.len() * 3) as u8);
-        }
-        p
-    }
-
-    fn send(&mut self, cx: &mut Cx<'_>) {
-        let payload = self.payload(cx);
-        let (cab, id) = self.server;
-        match self.transport {
-            Transport::Datagram => {
-                let pkt = DatagramHeader { dst_mbox: id, src_mbox: self.my_mbox }.build(&payload);
-                cx.charge(cx.costs.datagram_proc);
-                cx.datalink_send(cab, DatalinkProto::Datagram, 0, &pkt);
-            }
-            Transport::Rmp => {
-                let req = SendReq { dst_cab: cab, dst_mbox: id, src_mbox: self.my_mbox };
-                rmp_submit(cx, req, &payload);
-            }
-            Transport::ReqResp => {
-                let req = SendReq { dst_cab: cab, dst_mbox: id, src_mbox: self.my_mbox };
-                rr_call(cx, req, &payload);
-            }
-            Transport::Udp => {
-                cx.charge(cx.costs.udp_proc);
-                let src = cx.proto.addr();
-                let dst = proto::ip_for_cab(cab);
-                let dgram = cx.proto.udp.output(src, 9000, dst, id, &payload);
-                cx.charge(cx.costs.checksum(dgram.len()));
-                proto::ip_output(cx, dst, nectar_wire::ipv4::IpProtocol::UDP, &dgram);
-            }
-        }
-    }
 }
 
 impl CabThread for CabPinger {
@@ -796,13 +671,15 @@ impl CabThread for CabPinger {
     fn run(&mut self, cx: &mut Cx<'_>) -> Step {
         if self.seq == 0 && self.waiting.is_none() && self.transport == Transport::Udp {
             // bind our reply port to the reply mailbox
-            let m = reqs::udp_bind_encode(9000, self.my_mbox);
+            let m = reqs::udp_bind_encode(self.my_port, self.my_mbox);
             let _ = cx.put_message(reqs::MB_UDP_CTL, &m);
         }
         match self.waiting {
             None => {
                 let sent_at = cx.now();
-                self.send(cx);
+                let my_id = self.transport.addr(self.my_mbox, self.my_port);
+                let payload = ping_payload(cx.cab_id, my_id, self.size);
+                proto::send(cx, self.transport, self.server, my_id, &payload);
                 self.waiting = Some(sent_at);
                 Step::Yield
             }
@@ -869,8 +746,7 @@ impl CabThread for CabRmpStreamer {
         }
         let n = self.msg_size.min((self.total_bytes - self.sent) as usize);
         let payload = vec![0x77u8; n];
-        let req = SendReq { dst_cab: self.dst.0, dst_mbox: self.dst.1, src_mbox: self.my_mbox };
-        rmp_submit(cx, req, &payload);
+        proto::send(cx, Transport::Rmp, self.dst, self.my_mbox, &payload);
         self.sent += n as u64;
         Step::Yield
     }
@@ -921,13 +797,13 @@ impl CabThread for CabTcpStreamer {
                 let remote = (proto::ip_for_cab(self.dst_cab), self.port);
                 let (id, events) = cx.proto.tcp.connect(now, remote, None);
                 self.conn = Some(id);
-                handle_tcp_events_inline(cx, events);
+                proto::tcp_events(cx, events);
                 return Step::Block(cx.proto.tcp_cond);
             }
         };
         if self.sent >= self.total_bytes {
             let events = cx.proto.tcp.close(now, conn);
-            handle_tcp_events_inline(cx, events);
+            proto::tcp_events(cx, events);
             self.done.set(true);
             return Step::Done;
         }
@@ -936,26 +812,8 @@ impl CabThread for CabTcpStreamer {
             return Step::Block(cx.proto.tcp_cond);
         }
         let n = self.chunk.min(cap).min((self.total_bytes - self.sent) as usize);
-        let payload = vec![0x11u8; n];
-        cx.charge(cx.costs.tcp_proc);
-        let (accepted, events) = cx.proto.tcp.send(now, conn, &payload);
-        self.sent += accepted as u64;
-        handle_tcp_events_inline(cx, events);
+        self.sent += proto::tcp_send(cx, now, conn, &vec![0x11u8; n]) as u64;
         Step::Yield
-    }
-}
-
-/// Shared TCP event handling for CAB-resident streamers: transmit via
-/// IP + charge the software checksum, exactly like the TCP thread.
-pub fn handle_tcp_events_inline(cx: &mut Cx<'_>, events: Vec<nectar_stack::tcp::TcpStackEvent>) {
-    use nectar_stack::tcp::TcpStackEvent;
-    for ev in events {
-        if let TcpStackEvent::Transmit { dst, segment } = ev {
-            if cx.proto.tcp.config().compute_checksum {
-                cx.charge(cx.costs.checksum(segment.len()));
-            }
-            proto::ip_output(cx, dst, nectar_wire::ipv4::IpProtocol::TCP, &segment);
-        }
     }
 }
 
@@ -1058,60 +916,6 @@ impl CabThread for CabTcpListener {
     }
 }
 
-/// A CAB thread echoing UDP datagrams from its own bound port — the
-/// UDP echo service behind the multi-client load engine (nectar-load).
-/// Unlike [`CabEcho`] with [`Transport::Udp`] (which answers traffic
-/// already routed to an existing binding), this thread owns its port:
-/// it binds `port → recv_mbox` on first run and replies with the
-/// request bytes from that same port.
-pub struct CabUdpEcho {
-    pub port: u16,
-    pub recv_mbox: MboxId,
-    started: bool,
-}
-
-impl CabUdpEcho {
-    pub fn new(port: u16, recv_mbox: MboxId) -> Self {
-        CabUdpEcho { port, recv_mbox, started: false }
-    }
-}
-
-impl CabThread for CabUdpEcho {
-    fn name(&self) -> &'static str {
-        "cab-udp-echo"
-    }
-
-    fn run(&mut self, cx: &mut Cx<'_>) -> Step {
-        if !self.started {
-            self.started = true;
-            cx.proto.udp.bind(self.port, self.recv_mbox as u32);
-        }
-        for _ in 0..8 {
-            // select-before-read, as in CabEcho: never pay a charged
-            // Begin_Get just to learn the mailbox is empty
-            if !cx.mbox_pending(self.recv_mbox) {
-                return Step::Block(cx.mbox_cond(self.recv_mbox));
-            }
-            match cx.begin_get(self.recv_mbox) {
-                Err(WouldBlock::Empty(c)) | Err(WouldBlock::NoSpace(c)) => return Step::Block(c),
-                Ok(msg) => {
-                    let bytes = cx.shared.msg_bytes(&msg).to_vec();
-                    cx.end_get(self.recv_mbox, msg);
-                    if let Some((cab, port)) = decode_reply_addr(&bytes) {
-                        cx.charge(cx.costs.udp_proc);
-                        let src = cx.proto.addr();
-                        let dst = proto::ip_for_cab(cab);
-                        let dgram = cx.proto.udp.output(src, self.port, dst, port, &bytes);
-                        cx.charge(cx.costs.checksum(dgram.len()));
-                        proto::ip_output(cx, dst, nectar_wire::ipv4::IpProtocol::UDP, &dgram);
-                    }
-                }
-            }
-        }
-        Step::Yield
-    }
-}
-
 /// One accepted connection of a [`CabTcpEchoServer`].
 struct TcpEchoConn {
     id: nectar_stack::tcp::SocketId,
@@ -1192,9 +996,7 @@ impl CabThread for CabTcpEchoServer {
                 }
             }
             while let Some(chunk) = c.pending.pop_front() {
-                cx.charge(cx.costs.tcp_proc);
-                let (n, events) = cx.proto.tcp.send(now, c.id, &chunk);
-                handle_tcp_events_inline(cx, events);
+                let n = proto::tcp_send(cx, now, c.id, &chunk);
                 if n < chunk.len() {
                     c.pending.push_front(chunk[n..].to_vec());
                     break;
@@ -1206,8 +1008,8 @@ impl CabThread for CabTcpEchoServer {
 }
 
 // ----------------------------------------------------------------------
-// many-node sustained load (the simspeed benchmark and the kernel-swap
-// determinism regression)
+// many-node sustained load (the `stream_twohub` / `lossy_twohub`
+// benchmark workloads and the determinism regressions)
 // ----------------------------------------------------------------------
 
 /// Build a sustained pairwise traffic mix over an even number of CABs:

@@ -256,9 +256,9 @@ impl World {
     /// this is the pull point that gathers them, so simulation hot
     /// paths never pay for snapshot assembly.
     pub fn metrics(&self) -> nectar_sim::MetricsSnapshot {
-        let mut r = nectar_sim::MetricsRegistry::enabled();
+        let mut r = nectar_sim::MetricsSnapshot::new();
         self.publish_metrics(&mut r);
-        r.take()
+        r
     }
 
     /// Deterministic JSON form of [`World::metrics`]: sorted keys,
@@ -267,18 +267,17 @@ impl World {
         self.metrics().to_json()
     }
 
-    /// Publish every instrument into a registry (each publish is one
-    /// branch when the registry is disabled).
-    pub fn publish_metrics(&self, r: &mut nectar_sim::MetricsRegistry) {
+    /// Write every instrument into a snapshot.
+    pub fn publish_metrics(&self, r: &mut nectar_sim::MetricsSnapshot) {
         let s = &self.stats;
-        r.publish("net/frames_launched", s.frames_launched);
-        r.publish("net/frames_lost_injected", s.frames_lost_injected);
-        r.publish("net/frames_corrupted_injected", s.frames_corrupted_injected);
-        r.publish("net/frames_hub_dropped", s.frames_hub_dropped);
-        r.publish("net/frames_dead_end", s.frames_dead_end);
-        r.publish("net/bytes_launched", s.bytes_launched);
-        r.publish("net/bytes_lost_injected", s.bytes_lost_injected);
-        r.publish("net/bytes_dead_end", s.bytes_dead_end);
+        r.set("net/frames_launched", s.frames_launched);
+        r.set("net/frames_lost_injected", s.frames_lost_injected);
+        r.set("net/frames_corrupted_injected", s.frames_corrupted_injected);
+        r.set("net/frames_hub_dropped", s.frames_hub_dropped);
+        r.set("net/frames_dead_end", s.frames_dead_end);
+        r.set("net/bytes_launched", s.bytes_launched);
+        r.set("net/bytes_lost_injected", s.bytes_lost_injected);
+        r.set("net/bytes_dead_end", s.bytes_dead_end);
 
         // IP endpoint health aggregated over every CAB: the reassembly
         // counters are what make fragment-flood experiments (and the
@@ -294,39 +293,39 @@ impl World {
             ip.reassembly_expired += s.reassembly_expired;
             ip.reassembly_dropped += s.reassembly_dropped;
         }
-        r.publish("net/ip/delivered", ip.delivered);
-        r.publish("net/ip/fragments_in", ip.fragments_in);
-        r.publish("net/ip/fragmented_out", ip.fragmented_out);
-        r.publish("net/ip/packets_out", ip.packets_out);
-        r.publish("net/ip/bad", ip.bad);
-        r.publish("net/ip/reassembly_expired", ip.reassembly_expired);
-        r.publish("net/ip/reassembly_dropped", ip.reassembly_dropped);
+        r.set("net/ip/delivered", ip.delivered);
+        r.set("net/ip/fragments_in", ip.fragments_in);
+        r.set("net/ip/fragmented_out", ip.fragmented_out);
+        r.set("net/ip/packets_out", ip.packets_out);
+        r.set("net/ip/bad", ip.bad);
+        r.set("net/ip/reassembly_expired", ip.reassembly_expired);
+        r.set("net/ip/reassembly_dropped", ip.reassembly_dropped);
 
         // Per-link/per-node fault accounting, only while a script is
         // active: fault-free snapshots keep the legacy key set, which
         // the pinned fixture depends on.
         if self.faults.enabled() {
             let fs = &self.faults.stats;
-            r.publish("net/fault/frames_down_dropped", fs.frames_down_dropped);
-            r.publish("net/fault/bytes_down_dropped", fs.bytes_down_dropped);
-            r.publish("net/fault/fifo_flushed_frames", fs.fifo_flushed_frames);
-            r.publish("net/fault/fifo_flushed_bytes", fs.fifo_flushed_bytes);
+            r.set("net/fault/frames_down_dropped", fs.frames_down_dropped);
+            r.set("net/fault/bytes_down_dropped", fs.bytes_down_dropped);
+            r.set("net/fault/fifo_flushed_frames", fs.fifo_flushed_frames);
+            r.set("net/fault/fifo_flushed_bytes", fs.fifo_flushed_bytes);
             for (link, st) in self.faults.link_stats() {
                 let label = link.label();
                 let p = |suffix: &str| format!("net/link/{label}/{suffix}");
-                r.publish(&p("frames_lost"), st.frames_lost);
-                r.publish(&p("bytes_lost"), st.bytes_lost);
-                r.publish(&p("frames_corrupted"), st.frames_corrupted);
-                r.publish(&p("frames_down_dropped"), st.frames_down_dropped);
-                r.publish(&p("bytes_down_dropped"), st.bytes_down_dropped);
-                r.publish(&p("burst_entries"), st.burst_entries);
+                r.set(p("frames_lost"), st.frames_lost);
+                r.set(p("bytes_lost"), st.bytes_lost);
+                r.set(p("frames_corrupted"), st.frames_corrupted);
+                r.set(p("frames_down_dropped"), st.frames_down_dropped);
+                r.set(p("bytes_down_dropped"), st.bytes_down_dropped);
+                r.set(p("burst_entries"), st.burst_entries);
             }
             for (node, st) in self.faults.node_stats() {
                 let p = |suffix: &str| format!("net/node/{node}/{suffix}");
-                r.publish(&p("frames_down_dropped"), st.frames_down_dropped);
-                r.publish(&p("bytes_down_dropped"), st.bytes_down_dropped);
-                r.publish(&p("fifo_flushed_frames"), st.fifo_flushed_frames);
-                r.publish(&p("fifo_flushed_bytes"), st.fifo_flushed_bytes);
+                r.set(p("frames_down_dropped"), st.frames_down_dropped);
+                r.set(p("bytes_down_dropped"), st.bytes_down_dropped);
+                r.set(p("fifo_flushed_frames"), st.fifo_flushed_frames);
+                r.set(p("fifo_flushed_bytes"), st.fifo_flushed_bytes);
             }
         }
 
@@ -335,15 +334,15 @@ impl World {
         // as the fault keys above).
         if let Some(l) = &self.load {
             let l = l.borrow();
-            r.publish("net/load/requests_intended", l.requests_intended);
-            r.publish("net/load/requests_sent", l.requests_sent);
-            r.publish("net/load/responses", l.responses);
-            r.publish("net/load/timeouts", l.timeouts);
-            r.publish("net/load/failures", l.failures);
-            r.publish("net/load/stale_replies", l.stale_replies);
-            r.publish("net/load/late_dispatch", l.late_dispatch);
-            r.publish("net/load/bytes_sent", l.bytes_sent);
-            r.publish("net/load/bytes_received", l.bytes_received);
+            r.set("net/load/requests_intended", l.requests_intended);
+            r.set("net/load/requests_sent", l.requests_sent);
+            r.set("net/load/responses", l.responses);
+            r.set("net/load/timeouts", l.timeouts);
+            r.set("net/load/failures", l.failures);
+            r.set("net/load/stale_replies", l.stale_replies);
+            r.set("net/load/late_dispatch", l.late_dispatch);
+            r.set("net/load/bytes_sent", l.bytes_sent);
+            r.set("net/load/bytes_received", l.bytes_received);
         }
 
         // In-network collective accounting, only when some board runs
@@ -373,48 +372,48 @@ impl World {
                 agg.failures += s.failures;
                 agg.misdirected_drops += s.misdirected_drops;
             }
-            r.publish("net/collective/multicasts", agg.multicasts);
-            r.publish("net/collective/replicas", agg.replicas);
-            r.publish("net/collective/delivers", agg.delivers);
-            r.publish("net/collective/arrives_rx", agg.arrives_rx);
-            r.publish("net/collective/arrives_tx", agg.arrives_tx);
-            r.publish("net/collective/arrive_retransmits", agg.arrive_retransmits);
-            r.publish("net/collective/duplicate_arrives", agg.duplicate_arrives);
-            r.publish("net/collective/stale_arrives", agg.stale_arrives);
-            r.publish("net/collective/straggler_resends", agg.straggler_resends);
-            r.publish("net/collective/releases", agg.releases);
-            r.publish("net/collective/releases_forwarded", agg.releases_forwarded);
-            r.publish("net/collective/duplicate_releases", agg.duplicate_releases);
-            r.publish("net/collective/completions", agg.completions);
-            r.publish("net/collective/failures", agg.failures);
-            r.publish("net/collective/misdirected_drops", agg.misdirected_drops);
+            r.set("net/collective/multicasts", agg.multicasts);
+            r.set("net/collective/replicas", agg.replicas);
+            r.set("net/collective/delivers", agg.delivers);
+            r.set("net/collective/arrives_rx", agg.arrives_rx);
+            r.set("net/collective/arrives_tx", agg.arrives_tx);
+            r.set("net/collective/arrive_retransmits", agg.arrive_retransmits);
+            r.set("net/collective/duplicate_arrives", agg.duplicate_arrives);
+            r.set("net/collective/stale_arrives", agg.stale_arrives);
+            r.set("net/collective/straggler_resends", agg.straggler_resends);
+            r.set("net/collective/releases", agg.releases);
+            r.set("net/collective/releases_forwarded", agg.releases_forwarded);
+            r.set("net/collective/duplicate_releases", agg.duplicate_releases);
+            r.set("net/collective/completions", agg.completions);
+            r.set("net/collective/failures", agg.failures);
+            r.set("net/collective/misdirected_drops", agg.misdirected_drops);
         }
 
         // a nonzero value means some cost model produced a timestamp in
         // the past and the scheduler clamped it to "now"
-        r.publish("sched/clamped_past", self.sched.clamped_past());
+        r.set("sched/clamped_past", self.sched.clamped_past());
 
         for (i, cab) in self.cabs.iter().enumerate() {
             let p = |suffix: &str| format!("node/{i}/{suffix}");
-            r.publish(&p("cab/cpu_busy_ns"), cab.rt.cpu_busy.as_nanos());
-            r.publish(&p("cab/ctx_switches"), cab.rt.ctx_switches);
-            r.publish(&p("cab/interrupts_taken"), cab.rt.interrupts_taken);
-            r.publish(&p("cab/upcalls_run"), cab.rt.upcalls_run);
-            r.publish(&p("cab/host_signals"), cab.stats.host_signals);
+            r.set(p("cab/cpu_busy_ns"), cab.rt.cpu_busy.as_nanos());
+            r.set(p("cab/ctx_switches"), cab.rt.ctx_switches);
+            r.set(p("cab/interrupts_taken"), cab.rt.interrupts_taken);
+            r.set(p("cab/upcalls_run"), cab.rt.upcalls_run);
+            r.set(p("cab/host_signals"), cab.stats.host_signals);
 
-            r.publish(&p("link/tx_frames"), cab.net.tx_frames);
-            r.publish(&p("link/tx_bytes"), cab.net.tx_bytes);
-            r.publish(&p("link/no_route_drops"), cab.net.no_route_drops);
-            r.publish(&p("link/rx_frames"), cab.stats.frames_rx);
-            r.publish(&p("link/rx_bytes"), cab.stats.bytes_rx);
-            r.publish(&p("link/rx_crc_dropped"), cab.stats.frames_crc_dropped);
-            r.publish(&p("link/rx_fifo_dropped_frames"), cab.stats.frames_fifo_dropped);
-            r.publish(&p("link/rx_fifo_dropped_bytes"), cab.stats.bytes_fifo_dropped);
-            r.publish(&p("link/rx_fifo_high_bytes"), cab.stats.rx_fifo_high);
+            r.set(p("link/tx_frames"), cab.net.tx_frames);
+            r.set(p("link/tx_bytes"), cab.net.tx_bytes);
+            r.set(p("link/no_route_drops"), cab.net.no_route_drops);
+            r.set(p("link/rx_frames"), cab.stats.frames_rx);
+            r.set(p("link/rx_bytes"), cab.stats.bytes_rx);
+            r.set(p("link/rx_crc_dropped"), cab.stats.frames_crc_dropped);
+            r.set(p("link/rx_fifo_dropped_frames"), cab.stats.frames_fifo_dropped);
+            r.set(p("link/rx_fifo_dropped_bytes"), cab.stats.bytes_fifo_dropped);
+            r.set(p("link/rx_fifo_high_bytes"), cab.stats.rx_fifo_high);
             if self.faults.enabled() {
                 // misroutes only arise from injected route corruption;
                 // gating keeps fault-free snapshots on the legacy key set
-                r.publish(&p("link/rx_misrouted"), cab.stats.frames_misrouted);
+                r.set(p("link/rx_misrouted"), cab.stats.frames_misrouted);
             }
 
             let mut enq_msgs = 0u64;
@@ -431,44 +430,44 @@ impl World {
                 depth += mb.queue.len() as u64;
                 depth_high = depth_high.max(mb.depth_high);
             }
-            r.publish(&p("mbox/enqueued_msgs"), enq_msgs);
-            r.publish(&p("mbox/enqueued_bytes"), enq_bytes);
-            r.publish(&p("mbox/dequeued_msgs"), deq_msgs);
-            r.publish(&p("mbox/dequeued_bytes"), deq_bytes);
-            r.publish(&p("mbox/depth"), depth);
-            r.publish(&p("mbox/depth_high"), depth_high);
-            r.publish(&p("sigq/cab_depth_high"), cab.shared.cab_sigq_high);
-            r.publish(&p("sigq/host_depth_high"), cab.shared.host_sigq_high);
+            r.set(p("mbox/enqueued_msgs"), enq_msgs);
+            r.set(p("mbox/enqueued_bytes"), enq_bytes);
+            r.set(p("mbox/dequeued_msgs"), deq_msgs);
+            r.set(p("mbox/dequeued_bytes"), deq_bytes);
+            r.set(p("mbox/depth"), depth);
+            r.set(p("mbox/depth_high"), depth_high);
+            r.set(p("sigq/cab_depth_high"), cab.shared.cab_sigq_high);
+            r.set(p("sigq/host_depth_high"), cab.shared.host_sigq_high);
 
             let ps = &cab.proto.stats;
-            r.publish(&p("proto/frames_in"), ps.frames_in);
-            r.publish(&p("proto/crc_drops"), ps.crc_drops);
-            r.publish(&p("proto/no_mbox_drops"), ps.no_mbox_drops);
-            r.publish(&p("proto/no_space_drops"), ps.no_space_drops);
-            r.publish(&p("proto/datagrams_in"), ps.datagrams_in);
-            r.publish(&p("proto/datagrams_out"), ps.datagrams_out);
-            r.publish(&p("proto/rmp_msgs_in"), ps.rmp_msgs_in);
-            r.publish(&p("proto/rr_requests_in"), ps.rr_requests_in);
-            r.publish(&p("proto/bad_requests"), ps.bad_requests);
-            r.publish(&p("proto/ip_packets_in"), ps.ip_packets_in);
+            r.set(p("proto/frames_in"), ps.frames_in);
+            r.set(p("proto/crc_drops"), ps.crc_drops);
+            r.set(p("proto/no_mbox_drops"), ps.no_mbox_drops);
+            r.set(p("proto/no_space_drops"), ps.no_space_drops);
+            r.set(p("proto/datagrams_in"), ps.datagrams_in);
+            r.set(p("proto/datagrams_out"), ps.datagrams_out);
+            r.set(p("proto/rmp_msgs_in"), ps.rmp_msgs_in);
+            r.set(p("proto/rr_requests_in"), ps.rr_requests_in);
+            r.set(p("proto/bad_requests"), ps.bad_requests);
+            r.set(p("proto/ip_packets_in"), ps.ip_packets_in);
 
             let ts = cab.proto.tcp.total_socket_stats();
             let tss = cab.proto.tcp.stats();
-            r.publish(&p("tcp/segs_out"), ts.segs_out);
-            r.publish(&p("tcp/segs_in"), ts.segs_in);
-            r.publish(&p("tcp/bytes_out"), ts.bytes_out);
-            r.publish(&p("tcp/bytes_in"), ts.bytes_in);
-            r.publish(&p("tcp/retransmits"), ts.retransmits);
-            r.publish(&p("tcp/fast_retransmits"), ts.fast_retransmits);
-            r.publish(&p("tcp/timeouts"), ts.timeouts);
-            r.publish(&p("tcp/checksum_drops"), tss.checksum_drops);
-            r.publish(&p("tcp/no_socket_drops"), tss.no_socket_drops);
+            r.set(p("tcp/segs_out"), ts.segs_out);
+            r.set(p("tcp/segs_in"), ts.segs_in);
+            r.set(p("tcp/bytes_out"), ts.bytes_out);
+            r.set(p("tcp/bytes_in"), ts.bytes_in);
+            r.set(p("tcp/retransmits"), ts.retransmits);
+            r.set(p("tcp/fast_retransmits"), ts.fast_retransmits);
+            r.set(p("tcp/timeouts"), ts.timeouts);
+            r.set(p("tcp/checksum_drops"), tss.checksum_drops);
+            r.set(p("tcp/no_socket_drops"), tss.no_socket_drops);
             // SACK counters exist only when the feature can be on:
             // gating keeps the default-config fixture key set (and
             // therefore its bytes) unchanged.
             if self.config.tcp.sack {
-                r.publish(&p("tcp/sack_blocks_in"), ts.sack_blocks_in);
-                r.publish(&p("tcp/sack_retransmits"), ts.sack_retransmits);
+                r.set(p("tcp/sack_blocks_in"), ts.sack_blocks_in);
+                r.set(p("tcp/sack_retransmits"), ts.sack_retransmits);
             }
 
             let mut frags_sent = 0u64;
@@ -482,54 +481,51 @@ impl World {
                 msgs_delivered += st.messages_delivered;
                 msgs_failed += st.messages_failed;
             }
-            r.publish(&p("rmp/fragments_sent"), frags_sent);
-            r.publish(&p("rmp/retransmits"), rmp_retx);
-            r.publish(&p("rmp/messages_delivered"), msgs_delivered);
-            r.publish(&p("rmp/messages_failed"), msgs_failed);
+            r.set(p("rmp/fragments_sent"), frags_sent);
+            r.set(p("rmp/retransmits"), rmp_retx);
+            r.set(p("rmp/messages_delivered"), msgs_delivered);
+            r.set(p("rmp/messages_failed"), msgs_failed);
             let rs = cab.proto.rmp_rx.stats();
-            r.publish(&p("rmp/fragments_in"), rs.fragments_in);
-            r.publish(&p("rmp/duplicates"), rs.duplicates);
-            r.publish(&p("rmp/delivered"), rs.delivered);
-            r.publish(&p("rmp/acks_sent"), rs.acks_sent);
+            r.set(p("rmp/fragments_in"), rs.fragments_in);
+            r.set(p("rmp/duplicates"), rs.duplicates);
+            r.set(p("rmp/delivered"), rs.delivered);
+            r.set(p("rmp/acks_sent"), rs.acks_sent);
         }
 
         for (i, host) in self.hosts.iter().enumerate() {
             let p = |suffix: &str| format!("node/{i}/host/{suffix}");
-            r.publish(&p("cpu_busy_ns"), host.stats.cpu_busy.as_nanos());
-            r.publish(&p("proc_switches"), host.stats.proc_switches);
-            r.publish(&p("cab_interrupts"), host.stats.cab_interrupts);
-            r.publish(&p("vme_words"), host.stats.vme_words);
+            r.set(p("cpu_busy_ns"), host.stats.cpu_busy.as_nanos());
+            r.set(p("proc_switches"), host.stats.proc_switches);
+            r.set(p("cab_interrupts"), host.stats.cab_interrupts);
+            r.set(p("vme_words"), host.stats.vme_words);
         }
 
         for (h, hub) in self.hubs.iter().enumerate() {
             let hs = hub.stats();
             let p = |suffix: &str| format!("hub/{h}/{suffix}");
-            r.publish(&p("rx_frames"), hs.rx_frames);
-            r.publish(&p("rx_bytes"), hs.rx_bytes);
-            r.publish(&p("forwarded_frames"), hs.forwarded + hs.forwarded_circuit);
-            r.publish(&p("forwarded_circuit"), hs.forwarded_circuit);
-            r.publish(&p("forwarded_bytes"), hs.forwarded_bytes);
-            r.publish(
-                &p("dropped_frames"),
+            r.set(p("rx_frames"), hs.rx_frames);
+            r.set(p("rx_bytes"), hs.rx_bytes);
+            r.set(p("forwarded_frames"), hs.forwarded + hs.forwarded_circuit);
+            r.set(p("forwarded_circuit"), hs.forwarded_circuit);
+            r.set(p("forwarded_bytes"), hs.forwarded_bytes);
+            r.set(
+                p("dropped_frames"),
                 hs.dropped_bad_route + hs.dropped_bad_port + hs.dropped_backlog,
             );
-            r.publish(&p("dropped_bytes"), hs.dropped_bytes);
+            r.set(p("dropped_bytes"), hs.dropped_bytes);
             if self.config.hub.backpressure.is_some() {
                 // xon/xoff hold count; gated so legacy snapshots keep
                 // their key set byte-identical
-                r.publish(&p("held_frames"), hs.held_frames);
+                r.set(p("held_frames"), hs.held_frames);
             }
             for port in 0..nectar_hub::PORTS {
                 let st = hub.port_stats(port);
                 if st.tx_frames == 0 {
                     continue; // quiet ports would bloat the snapshot
                 }
-                r.publish(&format!("hub/{h}/port/{port}/tx_frames"), st.tx_frames);
-                r.publish(&format!("hub/{h}/port/{port}/tx_bytes"), st.tx_bytes);
-                r.publish(
-                    &format!("hub/{h}/port/{port}/backlog_high_ns"),
-                    st.backlog_high.as_nanos(),
-                );
+                r.set(format!("hub/{h}/port/{port}/tx_frames"), st.tx_frames);
+                r.set(format!("hub/{h}/port/{port}/tx_bytes"), st.tx_bytes);
+                r.set(format!("hub/{h}/port/{port}/backlog_high_ns"), st.backlog_high.as_nanos());
             }
         }
 
@@ -559,11 +555,11 @@ impl World {
             }
             for s in 0..stages {
                 let p = |suffix: &str| format!("net/fabric/stage/{s}/{suffix}");
-                r.publish(&p("rx_frames"), rx[s]);
-                r.publish(&p("forwarded_frames"), forwarded[s]);
-                r.publish(&p("dropped_frames"), dropped[s]);
-                r.publish(&p("held_frames"), held[s]);
-                r.publish(&p("backlog_high_ns"), backlog_high[s]);
+                r.set(p("rx_frames"), rx[s]);
+                r.set(p("forwarded_frames"), forwarded[s]);
+                r.set(p("dropped_frames"), dropped[s]);
+                r.set(p("held_frames"), held[s]);
+                r.set(p("backlog_high_ns"), backlog_high[s]);
             }
         }
     }

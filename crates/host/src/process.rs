@@ -13,6 +13,8 @@
 //! charging host CPU time and VME word costs, and returns a
 //! [`HostStep`].
 
+use nectar_cab::proto::Transport;
+use nectar_cab::reqs::{self, RrReplyReq, SendReq, UdpSendReq};
 use nectar_cab::shared::{CabShared, HostCondId, MboxId, MsgRef, SigEntry, SyncId, WouldBlock};
 use nectar_sim::{SimDuration, SimTime, Trace};
 
@@ -212,6 +214,38 @@ impl<'a> HostCx<'a> {
             }
             Err(_) => None,
         }
+    }
+
+    // ------------------------------------------------------------------
+    // Nectarine, host side (§5): the same calls as `nectar_cab::proto`,
+    // carried out by writing a request into the transport's service
+    // mailbox
+    // ------------------------------------------------------------------
+
+    /// Send one message over `transport`. `dst` is (CAB, mailbox) —
+    /// (CAB, port) for UDP — and `src` the sender's own mailbox or
+    /// port, where the peer replies.
+    pub fn send(
+        &mut self,
+        transport: Transport,
+        dst: (u16, u16),
+        src: u16,
+        payload: &[u8],
+    ) -> Result<u32, WouldBlock> {
+        let nectar = SendReq { dst_cab: dst.0, dst_mbox: dst.1, src_mbox: src };
+        let udp = UdpSendReq { dst_cab: dst.0, src_port: src, dst_port: dst.1 };
+        let (mbox, req) = match transport {
+            Transport::Datagram => (reqs::MB_DG_SEND, nectar.encode(payload)),
+            Transport::Rmp => (reqs::MB_RMP_SEND, nectar.encode(payload)),
+            Transport::ReqResp => (reqs::MB_RR_SEND, nectar.encode(payload)),
+            Transport::Udp => (reqs::MB_UDP_SEND, udp.encode(payload)),
+        };
+        self.put_message(mbox, &req)
+    }
+
+    /// Answer a request-response call read from a service mailbox.
+    pub fn rr_reply(&mut self, req: RrReplyReq, payload: &[u8]) -> Result<u32, WouldBlock> {
+        self.put_message(reqs::MB_RR_REPLY, &req.encode(payload))
     }
 
     // ------------------------------------------------------------------

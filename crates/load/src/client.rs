@@ -30,15 +30,12 @@
 //! response bytes can only be attributed to a single outstanding
 //! request per connection.
 
-use nectar::scenario::{encode_reply_addr, handle_tcp_events_inline};
+use nectar::scenario::encode_reply_addr;
 use nectar::world::SharedLoadLedger;
-use nectar_cab::proto::{self, rmp_submit, rr_call};
-use nectar_cab::reqs::SendReq;
+use nectar_cab::proto;
 use nectar_cab::{CabThread, Cx, HostOpMode, MboxId, Step};
 use nectar_sim::{Pcg32, SimDuration, SimTime};
 use nectar_stack::tcp::SocketId;
-use nectar_wire::datalink::DatalinkProto;
-use nectar_wire::nectar::DatagramHeader;
 
 use crate::recorder::SharedRecorder;
 use crate::workload::{Arrival, SizeDist};
@@ -146,15 +143,20 @@ impl LoadClient {
         }
     }
 
-    fn payload(&mut self, cab_id: u16, ep: usize, seq: u32) -> Vec<u8> {
-        let reply_id = if self.spec.transport == LoadTransport::Udp {
+    /// What the echo service replies to: this client's UDP port, or its
+    /// mailbox.
+    fn reply_id(&self) -> u16 {
+        if self.spec.transport == LoadTransport::Udp {
             self.spec.udp_port
         } else {
             self.my_mbox
-        };
+        }
+    }
+
+    fn payload(&mut self, cab_id: u16, ep: usize, seq: u32) -> Vec<u8> {
         let size = self.spec.size.draw(&mut self.eps[ep].rng);
         let mut p = Vec::with_capacity(size);
-        p.extend_from_slice(&encode_reply_addr(cab_id, reply_id));
+        p.extend_from_slice(&encode_reply_addr(cab_id, self.reply_id()));
         p.extend_from_slice(&seq.to_be_bytes());
         while p.len() < size {
             p.push((p.len() * 13) as u8);
@@ -171,79 +173,42 @@ impl LoadClient {
     }
 
     /// Dispatch endpoint `ep`'s request for the current intended slot.
-    /// Returns `false` if the transport refused it (counted as a
-    /// failure).
-    fn dispatch(&mut self, cx: &mut Cx<'_>, ep: usize, seq: u32) -> bool {
-        let (cab, id) = self.spec.server;
+    /// Returns the payload length, or `None` if the transport refused
+    /// it (counted as a failure).
+    fn dispatch(&mut self, cx: &mut Cx<'_>, ep: usize, seq: u32) -> Option<usize> {
         let payload = self.payload(cx.cab_id, ep, seq);
         let t = self.spec.transport;
-        let len = payload.len() as u64;
-        let ok = match t {
-            LoadTransport::Datagram => {
-                let pkt = DatagramHeader { dst_mbox: id, src_mbox: self.my_mbox }.build(&payload);
-                cx.charge(cx.costs.datagram_proc);
-                cx.datalink_send(cab, DatalinkProto::Datagram, 0, &pkt);
+        let ok = match t.message() {
+            Some(m) => proto::send(cx, m, self.spec.server, self.reply_id(), &payload),
+            None if self.conn.is_some() => {
+                self.tcp_unsent.extend_from_slice(&payload);
+                self.tcp_pump(cx);
                 true
             }
-            LoadTransport::Rmp => {
-                let req = SendReq { dst_cab: cab, dst_mbox: id, src_mbox: self.my_mbox };
-                rmp_submit(cx, req, &payload);
-                true
-            }
-            LoadTransport::ReqResp => {
-                let req = SendReq { dst_cab: cab, dst_mbox: id, src_mbox: self.my_mbox };
-                rr_call(cx, req, &payload) != 0
-            }
-            LoadTransport::Udp => {
-                cx.charge(cx.costs.udp_proc);
-                let src = cx.proto.addr();
-                let dst = proto::ip_for_cab(cab);
-                let dgram = cx.proto.udp.output(src, self.spec.udp_port, dst, id, &payload);
-                cx.charge(cx.costs.checksum(dgram.len()));
-                proto::ip_output(cx, dst, nectar_wire::ipv4::IpProtocol::UDP, &dgram);
-                true
-            }
-            LoadTransport::Tcp => match self.conn {
-                Some(conn) => {
-                    let now = cx.now();
-                    cx.charge(cx.costs.tcp_proc);
-                    let (n, events) = cx.proto.tcp.send(now, conn, &payload);
-                    handle_tcp_events_inline(cx, events);
-                    if n < payload.len() {
-                        self.tcp_unsent = payload[n..].to_vec();
-                    }
-                    true
-                }
-                None => false,
-            },
+            None => false,
         };
-        if ok {
-            let mut led = self.ledger.borrow_mut();
-            led.requests_sent += 1;
-            led.bytes_sent += len;
-            let mut rec = self.rec.borrow_mut();
-            let r = rec.record_mut(t);
-            r.requests_sent += 1;
-            r.bytes_sent += len;
-        } else {
+        if !ok {
             self.ledger.borrow_mut().failures += 1;
             self.rec.borrow_mut().record_mut(t).failures += 1;
+            return None;
         }
-        ok
+        let len = payload.len() as u64;
+        let mut led = self.ledger.borrow_mut();
+        led.requests_sent += 1;
+        led.bytes_sent += len;
+        let mut rec = self.rec.borrow_mut();
+        let r = rec.record_mut(t);
+        r.requests_sent += 1;
+        r.bytes_sent += len;
+        Some(payload.len())
     }
 
     /// Push any still-unsent TCP request bytes into the socket.
     fn tcp_pump(&mut self, cx: &mut Cx<'_>) {
-        if self.tcp_unsent.is_empty() {
-            return;
-        }
-        let Some(conn) = self.conn else { return };
-        let now = cx.now();
-        let chunk = std::mem::take(&mut self.tcp_unsent);
-        let (n, events) = cx.proto.tcp.send(now, conn, &chunk);
-        handle_tcp_events_inline(cx, events);
-        if n < chunk.len() {
-            self.tcp_unsent = chunk[n..].to_vec();
+        if let (Some(conn), false) = (self.conn, self.tcp_unsent.is_empty()) {
+            let now = cx.now();
+            let n = proto::tcp_send(cx, now, conn, &self.tcp_unsent);
+            self.tcp_unsent.drain(..n);
         }
     }
 
@@ -376,20 +341,15 @@ impl LoadClient {
                     }
                     let seq = self.seq;
                     self.seq = self.seq.wrapping_add(1);
-                    // expected echo size is fixed by the payload draw
-                    // inside dispatch; recompute after it runs
-                    let sent_before = self.rec.borrow().record(self.spec.transport).bytes_sent;
-                    let ok = self.dispatch(cx, ep, seq);
+                    let sent = self.dispatch(cx, ep, seq);
                     // open loop: the schedule advances from the
                     // intended start, regardless of outcome; a refused
                     // dispatch consumes its slot under either regime
-                    if self.spec.arrival.is_open() || !ok {
+                    if self.spec.arrival.is_open() || sent.is_none() {
                         let e = &mut self.eps[ep];
                         e.next_intended = self.spec.arrival.next_after(intended, now, &mut e.rng);
                     }
-                    if ok {
-                        let sent_after = self.rec.borrow().record(self.spec.transport).bytes_sent;
-                        let expect = (sent_after - sent_before) as usize;
+                    if let Some(expect) = sent {
                         self.eps[ep].state = EpState::Waiting {
                             intended,
                             seq,
@@ -431,7 +391,7 @@ impl CabThread for LoadClient {
                             cx.proto.tcp_conns.entry(id).or_default().recv_mbox =
                                 Some(self.my_mbox);
                             self.conn = Some(id);
-                            handle_tcp_events_inline(cx, events);
+                            proto::tcp_events(cx, events);
                             self.state = State::Connecting;
                             return Step::Block(cx.proto.tcp_cond);
                         }

@@ -6,7 +6,7 @@
 //! forked from the plan seed in that same order — so two fleets built
 //! from the same plan evolve bit-identically.
 
-use nectar::scenario::{CabEcho, CabTcpEchoServer, CabUdpEcho, Transport};
+use nectar::scenario::{CabEcho, CabTcpEchoServer, Transport};
 use nectar::world::{SharedLoadLedger, World};
 use nectar::{ClosSpec, Topology};
 use nectar_cab::HostOpMode;
@@ -22,6 +22,11 @@ pub const UDP_LOAD_PORT: u16 = 7;
 pub const TCP_LOAD_PORT: u16 = 5000;
 /// Each UDP client binds `UDP_CLIENT_PORT_BASE + global index`.
 pub const UDP_CLIENT_PORT_BASE: u16 = 9000;
+/// The UDP echo service drains this many datagrams a burst whatever the
+/// CAB's `burst_limit` — the constant the fleet's own UDP echo thread
+/// had before `CabEcho` absorbed it; following `burst_limit` like the
+/// other echoes would move every UDP row of `BENCH_load.json`.
+const UDP_ECHO_BURST: usize = 8;
 
 /// A declarative fleet: how many clients per transport, how they
 /// arrive, and how long they run.
@@ -113,23 +118,15 @@ pub fn deploy_fleet(world: &mut World, plan: &FleetPlan) -> Fleet {
     for (si, (t, _)) in plan.mix.iter().enumerate() {
         let s = si as u16;
         let cab = &mut world.cabs[si];
-        let addr = match t {
-            LoadTransport::Datagram | LoadTransport::Rmp | LoadTransport::ReqResp => {
+        let addr = match t.message() {
+            Some(transport) => {
                 let mbox = cab.shared.create_mailbox(false, HostOpMode::SharedMemory);
-                let transport = match t {
-                    LoadTransport::Datagram => Transport::Datagram,
-                    LoadTransport::Rmp => Transport::Rmp,
-                    _ => Transport::ReqResp,
-                };
-                cab.fork_app(Box::new(CabEcho { transport, recv_mbox: mbox }));
-                (s, mbox)
+                let mut echo = CabEcho::new(transport, mbox, UDP_LOAD_PORT);
+                echo.burst = (transport == Transport::Udp).then_some(UDP_ECHO_BURST);
+                cab.fork_app(Box::new(echo));
+                (s, transport.addr(mbox, UDP_LOAD_PORT))
             }
-            LoadTransport::Udp => {
-                let mbox = cab.shared.create_mailbox(false, HostOpMode::SharedMemory);
-                cab.fork_app(Box::new(CabUdpEcho::new(UDP_LOAD_PORT, mbox)));
-                (s, UDP_LOAD_PORT)
-            }
-            LoadTransport::Tcp => {
+            None => {
                 let tc = cab.proto.tcp_cond;
                 let accept = cab.shared.create_mailbox_on(false, HostOpMode::SharedMemory, tc);
                 cab.fork_app(Box::new(CabTcpEchoServer::new(TCP_LOAD_PORT, accept)));

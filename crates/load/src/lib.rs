@@ -66,6 +66,19 @@ impl LoadTransport {
         }
     }
 
+    /// The Nectarine message transport behind this load transport;
+    /// `None` for TCP, which is a connection.
+    pub fn message(self) -> Option<nectar::scenario::Transport> {
+        use nectar::scenario::Transport;
+        match self {
+            LoadTransport::Datagram => Some(Transport::Datagram),
+            LoadTransport::Rmp => Some(Transport::Rmp),
+            LoadTransport::ReqResp => Some(Transport::ReqResp),
+            LoadTransport::Udp => Some(Transport::Udp),
+            LoadTransport::Tcp => None,
+        }
+    }
+
     /// Stable lower-case name used in JSON and markdown output.
     pub fn name(self) -> &'static str {
         match self {

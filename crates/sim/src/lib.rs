@@ -22,9 +22,9 @@ pub mod stats;
 pub mod time;
 pub mod trace;
 
-pub use metrics::{CpuMeter, Gauge, MetricCounter, MetricsRegistry, MetricsSnapshot};
+pub use metrics::MetricsSnapshot;
 pub use queue::{EventCall, EventFn, SchedStats, Scheduler, TimerId};
 pub use rng::Pcg32;
-pub use stats::{BucketHist, Counter, Histogram, RateMeter};
+pub use stats::{BucketHist, Histogram, RateMeter};
 pub use time::{SimDuration, SimTime};
 pub use trace::{Trace, TraceEvent};

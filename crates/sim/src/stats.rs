@@ -2,29 +2,10 @@
 //!
 //! The paper reports medians/representative latencies (Table 1), a stage
 //! breakdown (Figure 6) and throughput series (Figures 7 and 8). These
-//! types collect exactly that: counters, latency histograms with
-//! percentiles, and byte-rate meters that convert to the paper's unit
-//! (Mbit/s).
+//! types collect exactly that: latency histograms with percentiles and
+//! byte-rate meters that convert to the paper's unit (Mbit/s).
 
 use crate::time::{SimDuration, SimTime};
-
-/// A plain monotonically increasing counter.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct Counter(pub u64);
-
-impl Counter {
-    pub fn incr(&mut self) {
-        self.0 += 1;
-    }
-
-    pub fn add(&mut self, n: u64) {
-        self.0 += n;
-    }
-
-    pub fn get(&self) -> u64 {
-        self.0
-    }
-}
 
 /// A latency histogram storing exact samples.
 ///
@@ -307,14 +288,6 @@ impl RateMeter {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counter_basics() {
-        let mut c = Counter::default();
-        c.incr();
-        c.add(4);
-        assert_eq!(c.get(), 5);
-    }
 
     #[test]
     fn histogram_percentiles() {

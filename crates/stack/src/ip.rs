@@ -13,7 +13,7 @@
 //! template fields and returns the packets (possibly fragmented to the
 //! MTU) ready for the datalink layer.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 
 use nectar_sim::{SimDuration, SimTime};
@@ -71,8 +71,7 @@ struct Reassembly {
     /// IP header + 8 payload bytes of fragment zero for ICMP errors.
     quote: Option<Vec<u8>>,
     deadline: SimTime,
-    /// Creation order, for deterministic oldest-first eviction
-    /// (HashMap iteration order must never decide who gets dropped).
+    /// Creation order, for oldest-first eviction.
     arrival: u64,
 }
 
@@ -182,7 +181,7 @@ pub struct IpStats {
 pub struct IpEndpoint {
     addr: Ipv4Addr,
     next_ident: u16,
-    reassembly: HashMap<(Ipv4Addr, u16, u8), Reassembly>,
+    reassembly: BTreeMap<(Ipv4Addr, u16, u8), Reassembly>,
     reassembly_timeout: SimDuration,
     reassembly_max_contexts: usize,
     reassembly_max_bytes: usize,
@@ -196,7 +195,7 @@ impl IpEndpoint {
         IpEndpoint {
             addr,
             next_ident: 1,
-            reassembly: HashMap::new(),
+            reassembly: BTreeMap::new(),
             reassembly_timeout: DEFAULT_REASSEMBLY_TIMEOUT,
             reassembly_max_contexts: DEFAULT_REASSEMBLY_MAX_CONTEXTS,
             reassembly_max_bytes: DEFAULT_REASSEMBLY_MAX_BYTES,
@@ -322,8 +321,8 @@ impl IpEndpoint {
         }
     }
 
-    /// Evict oldest-first until both reassembly caps hold. Eviction
-    /// order is the deterministic arrival stamp, never HashMap order.
+    /// Evict oldest-first (by arrival stamp) until both reassembly caps
+    /// hold.
     fn enforce_reassembly_caps(&mut self) {
         loop {
             let over_contexts = self.reassembly.len() > self.reassembly_max_contexts;
@@ -340,8 +339,9 @@ impl IpEndpoint {
         }
     }
 
-    /// Expire overdue reassembly contexts. Returns expiry records so the
-    /// caller can emit ICMP Time Exceeded where fragment zero arrived.
+    /// Expire overdue reassembly contexts. Returns expiry records, in
+    /// (source, ident, protocol) order, so the caller can emit ICMP Time
+    /// Exceeded where fragment zero arrived.
     pub fn poll_expired(&mut self, now: SimTime) -> Vec<ReassemblyExpiry> {
         let mut expired = Vec::new();
         self.reassembly.retain(|&(src, _, _), entry| {
@@ -352,8 +352,6 @@ impl IpEndpoint {
                 true
             }
         });
-        // Determinism: HashMap iteration order is arbitrary; sort by src.
-        expired.sort_by_key(|e| e.src);
         self.stats.reassembly_expired += expired.len() as u64;
         expired
     }
@@ -498,6 +496,30 @@ mod tests {
         assert_eq!(quote.len(), HEADER_LEN + 8);
         assert!(rx.next_wakeup().is_none());
         assert_eq!(rx.stats().reassembly_expired, 1);
+    }
+
+    #[test]
+    fn contexts_from_one_source_expire_in_ident_order() {
+        let mut tx = IpEndpoint::new(a(1));
+        let mut rx = IpEndpoint::new(a(2));
+        rx.set_reassembly_timeout(SimDuration::from_millis(10));
+        // fragment zero of eight datagrams from one source, newest first
+        let mut firsts: Vec<Vec<u8>> = (0..8)
+            .map(|_| tx.output(a(2), IpProtocol::UDP, &vec![1u8; 2000], 576).remove(0))
+            .collect();
+        firsts.reverse();
+        for p in &firsts {
+            assert_eq!(rx.input(now(), p), IpInput::FragmentHeld);
+        }
+        let expired = rx.poll_expired(now() + SimDuration::from_millis(10));
+        let idents: Vec<u16> = expired
+            .iter()
+            .map(|e| {
+                let quote = e.original.as_ref().unwrap();
+                u16::from_be_bytes([quote[4], quote[5]])
+            })
+            .collect();
+        assert_eq!(idents, (1..=8).collect::<Vec<u16>>());
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! remote procedure call … is less than 500 µsec" measure a round trip
 //! through this protocol.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use nectar_sim::{SimDuration, SimTime};
 use nectar_wire::nectar::{ReqRespHeader, ReqRespKind};
@@ -64,7 +64,7 @@ pub struct RrClient {
     server_mbox: u16,
     reply_mbox: u16,
     cfg: RrConfig,
-    pending: HashMap<u32, PendingCall>,
+    pending: BTreeMap<u32, PendingCall>,
     next_id: u32,
     stats: RrClientStats,
 }
@@ -76,7 +76,7 @@ impl RrClient {
             server_mbox,
             reply_mbox,
             cfg,
-            pending: HashMap::new(),
+            pending: BTreeMap::new(),
             next_id: 1,
             stats: RrClientStats::default(),
         }
@@ -162,9 +162,6 @@ impl RrClient {
                 }
             }
         }
-        // deterministic order
-        failed.sort_unstable();
-        resend.sort_unstable();
         for id in failed {
             self.pending.remove(&id);
             self.stats.failures += 1;
@@ -219,7 +216,7 @@ struct ClientSlot {
 /// mailbox.
 #[derive(Debug, Default)]
 pub struct RrServer {
-    clients: HashMap<ClientKey, ClientSlot>,
+    clients: BTreeMap<ClientKey, ClientSlot>,
     stats: RrServerStats,
 }
 

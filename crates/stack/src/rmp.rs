@@ -21,7 +21,7 @@
 //! default `window = 1` is byte-identical to the paper's stop-and-wait
 //! schedule, which is what the committed fixtures pin.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
 use nectar_sim::{SimDuration, SimTime};
 use nectar_wire::nectar::{RmpHeader, RmpKind};
@@ -333,7 +333,7 @@ struct RecvChannel {
     /// Messages being reassembled, keyed by msg_seq. Under stop-and-wait
     /// only `expected_seq` ever appears here; a windowed sender may run
     /// up to `RECV_HORIZON` ahead.
-    pending: HashMap<u32, PendingMsg>,
+    pending: BTreeMap<u32, PendingMsg>,
     /// msg_seq of the last message handed up, tracked independently of
     /// `expected_seq` so the conformance oracle can cross-check the
     /// exactly-once, in-order delivery bookkeeping.
@@ -354,7 +354,7 @@ pub struct RmpReceiverStats {
 /// (source CAB, source mailbox, destination mailbox) triple.
 #[derive(Debug, Default)]
 pub struct RmpReceiver {
-    channels: HashMap<(u16, u16, u16), RecvChannel>,
+    channels: BTreeMap<(u16, u16, u16), RecvChannel>,
     stats: RmpReceiverStats,
 }
 

@@ -2,7 +2,7 @@
 //! table, listening ports, ISN generation, and RST generation for
 //! segments that match no connection.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 use std::net::Ipv4Addr;
 
 use nectar_sim::{Pcg32, SimTime};
@@ -48,8 +48,8 @@ pub struct TcpStack {
     addr: Ipv4Addr,
     cfg: TcpConfig,
     sockets: BTreeMap<SocketId, TcpSocket>,
-    by_tuple: HashMap<(u16, Ipv4Addr, u16), SocketId>,
-    listeners: HashSet<u16>,
+    by_tuple: BTreeMap<(u16, Ipv4Addr, u16), SocketId>,
+    listeners: BTreeSet<u16>,
     next_id: SocketId,
     next_ephemeral: u16,
     isn_rng: Pcg32,
@@ -64,8 +64,8 @@ impl TcpStack {
             addr,
             cfg,
             sockets: BTreeMap::new(),
-            by_tuple: HashMap::new(),
-            listeners: HashSet::new(),
+            by_tuple: BTreeMap::new(),
+            listeners: BTreeSet::new(),
             next_id: 1,
             next_ephemeral: 32768,
             isn_rng: Pcg32::new(seed, 0x7cb),

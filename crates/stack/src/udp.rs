@@ -5,7 +5,7 @@
 //! engine on each datagram, and enqueues the payload to the bound
 //! application mailbox. Table 1's UDP row goes through this path.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 
 use nectar_wire::ipv4::Ipv4Header;
@@ -37,14 +37,14 @@ pub struct UdpStats {
 /// The UDP endpoint: a port table plus build/parse plumbing.
 #[derive(Debug, Default)]
 pub struct UdpEndpoint {
-    bindings: HashMap<u16, u32>,
+    bindings: BTreeMap<u16, u32>,
     next_ephemeral: u16,
     stats: UdpStats,
 }
 
 impl UdpEndpoint {
     pub fn new() -> Self {
-        UdpEndpoint { bindings: HashMap::new(), next_ephemeral: 49152, stats: UdpStats::default() }
+        UdpEndpoint { bindings: BTreeMap::new(), next_ephemeral: 49152, stats: UdpStats::default() }
     }
 
     pub fn stats(&self) -> &UdpStats {

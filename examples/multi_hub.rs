@@ -25,8 +25,7 @@ fn main() {
     let mut services = Vec::new();
     for i in 0..26 {
         let svc = world.cabs[i].shared.create_mailbox(false, HostOpMode::SharedMemory);
-        world.cabs[i]
-            .fork_app(Box::new(CabEcho { transport: Transport::Datagram, recv_mbox: svc }));
+        world.cabs[i].fork_app(Box::new(CabEcho::new(Transport::Datagram, svc, 0)));
         services.push(svc);
     }
     // CAB 0 pings every other CAB, one destination at a time so the
@@ -37,7 +36,7 @@ fn main() {
     for dst in 1..26u16 {
         let reply = world.cabs[0].shared.create_mailbox(false, HostOpMode::SharedMemory);
         let (p, rtts, done) =
-            CabPinger::new(Transport::Datagram, (dst, services[dst as usize]), reply, 32, 5);
+            CabPinger::new(Transport::Datagram, (dst, services[dst as usize]), reply, 0, 32, 5);
         world.cabs[0].fork_app(Box::new(p));
         // kick CAB 0 so the new thread is scheduled
         deadline += SimDuration::from_millis(100);

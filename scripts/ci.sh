@@ -5,9 +5,19 @@
 #
 #   scripts/ci.sh            # fmt --check + clippy -D warnings + tests
 #   scripts/ci.sh --fix      # apply formatting instead of checking it
-#   scripts/ci.sh --full     # also run the full chaos sweep (40 cases)
+#   scripts/ci.sh --full     # also run the full chaos sweep (40 cases) and
+#                            # regenerate the three full BENCH_*.json
+#                            # artifacts, which must match the committed ones
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+# determinism by construction: simulator source keeps no hash-ordered
+# container, so no iteration order can leak the host's RandomState
+# into a run (ROADMAP 5(d)).
+if grep -rnE 'Hash(Map|Set)' crates/*/src; then
+    echo "ci: HashMap/HashSet in crates/*/src — use BTreeMap/BTreeSet or a Vec"
+    exit 1
+fi
 
 if [[ "${1:-}" == "--fix" ]]; then
     cargo fmt --all
@@ -60,6 +70,17 @@ NECTAR_ORACLE=1 NECTAR_CHAOS_CASES="$chaos_cases" cargo test -q -p nectar-integr
 smoke_dir="$(mktemp -d)"
 trap 'rm -rf "$smoke_dir"' EXIT
 
+# --full regenerates the full artifacts, so they must also be the
+# committed ones: two runs agreeing with each other does not notice a
+# refactor that moved every number.
+mode="${1:-}"
+matches_committed() {
+    if [[ "$mode" == "--full" ]]; then
+        cmp "$1" "$(basename "$1")" \
+            || { echo "ci: regenerated $(basename "$1") differs from the committed artifact"; exit 1; }
+    fi
+}
+
 # load smoke: the quick capacity sweep (small fleet, tens of ms of sim
 # time) must produce a well-formed BENCH_load.json, and — the
 # determinism contract — two runs must emit byte-identical files.
@@ -75,6 +96,7 @@ NECTAR_BENCH_DIR="$smoke_dir/load2" \
     cargo bench -p nectar-bench --bench load_sweep -- "${load_args[@]+"${load_args[@]}"}"
 cmp "$smoke_dir/load1/BENCH_load.json" "$smoke_dir/load2/BENCH_load.json" \
     || { echo "ci: BENCH_load.json differs between same-seed runs"; exit 1; }
+matches_committed "$smoke_dir/load1/BENCH_load.json"
 python3 - "$smoke_dir/load1/BENCH_load.json" <<'EOF'
 import json, sys
 with open(sys.argv[1]) as f:
@@ -113,6 +135,7 @@ NECTAR_BENCH_DIR="$smoke_dir/scale2" \
     cargo bench -p nectar-bench --bench scale -- "${scale_args[@]+"${scale_args[@]}"}"
 cmp "$smoke_dir/scale1/BENCH_scale.json" "$smoke_dir/scale2/BENCH_scale.json" \
     || { echo "ci: BENCH_scale.json differs between same-seed runs"; exit 1; }
+matches_committed "$smoke_dir/scale1/BENCH_scale.json"
 python3 - "$smoke_dir/scale1/BENCH_scale.json" <<'EOF'
 import json, sys
 with open(sys.argv[1]) as f:
@@ -158,6 +181,7 @@ NECTAR_BENCH_DIR="$smoke_dir/coll2" \
     cargo bench -p nectar-bench --bench collective -- "${coll_args[@]+"${coll_args[@]}"}"
 cmp "$smoke_dir/coll1/BENCH_collective.json" "$smoke_dir/coll2/BENCH_collective.json" \
     || { echo "ci: BENCH_collective.json differs between same-seed runs"; exit 1; }
+matches_committed "$smoke_dir/coll1/BENCH_collective.json"
 python3 - "$smoke_dir/coll1/BENCH_collective.json" <<'EOF'
 import json, sys
 with open(sys.argv[1]) as f:

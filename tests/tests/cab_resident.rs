@@ -14,20 +14,9 @@ fn cab_ping(transport: Transport, size: usize, count: u32) -> (f64, bool) {
     let (mut world, mut sim) = World::single_hub(Config::default(), 2);
     let svc = world.cabs[1].shared.create_mailbox(false, HostOpMode::SharedMemory);
     let reply = world.cabs[0].shared.create_mailbox(false, HostOpMode::SharedMemory);
-    world.cabs[1].fork_app(Box::new(CabEcho { transport, recv_mbox: svc }));
-    let server = match transport {
-        Transport::Udp => (1u16, 7u16),
-        _ => (1u16, svc),
-    };
-    if transport == Transport::Udp {
-        // bind the echo service port on CAB 1 to the service mailbox
-        // (the CabEcho UDP arm replies from port 7)
-        let m = nectar_cab::reqs::udp_bind_encode(7, svc);
-        let msg = world.cabs[1].shared.begin_put(nectar_cab::reqs::MB_UDP_CTL, m.len()).unwrap();
-        world.cabs[1].shared.msg_write(&msg, 0, &m);
-        world.cabs[1].shared.end_put(nectar_cab::reqs::MB_UDP_CTL, msg);
-    }
-    let (ping, rtts, done) = CabPinger::new(transport, server, reply, size, count);
+    world.cabs[1].fork_app(Box::new(CabEcho::new(transport, svc, 7)));
+    let server = (1u16, transport.addr(svc, 7));
+    let (ping, rtts, done) = CabPinger::new(transport, server, reply, 9000, size, count);
     world.cabs[0].fork_app(Box::new(ping));
     world.run_until_done(&mut sim, SimTime::ZERO + SimDuration::from_secs(30), |_| done.get());
     let median = rtts.borrow_mut().median().as_micros_f64();
@@ -66,6 +55,26 @@ fn cab_to_cab_udp_latency() {
     assert!(done);
     println!("cab-cab udp RTT = {median:.1} us");
     assert!(median < 600.0, "median={median}");
+}
+
+/// Each UDP pinger binds the reply port it was given. With one port
+/// for all of them, the second bind on a CAB takes over the first
+/// pinger's replies and the first never finishes.
+#[test]
+fn two_udp_pingers_on_one_cab_both_finish() {
+    let (mut world, mut sim) = World::single_hub(Config::default(), 2);
+    let svc = world.cabs[1].shared.create_mailbox(false, HostOpMode::SharedMemory);
+    world.cabs[1].fork_app(Box::new(CabEcho::new(Transport::Udp, svc, 7)));
+    let mut dones = Vec::new();
+    for port in [9000, 9001] {
+        let reply = world.cabs[0].shared.create_mailbox(false, HostOpMode::SharedMemory);
+        let (ping, _, done) = CabPinger::new(Transport::Udp, (1, 7), reply, port, 32, 10);
+        world.cabs[0].fork_app(Box::new(ping));
+        dones.push(done);
+    }
+    let deadline = SimTime::ZERO + SimDuration::from_secs(5);
+    world.run_until_done(&mut sim, deadline, |_| dones.iter().all(|d| d.get()));
+    assert!(dones.iter().all(|d| d.get()), "a pinger lost its replies");
 }
 
 #[test]

@@ -26,10 +26,9 @@ fn circuit_reduces_hub_transit_latency() {
             );
         }
         let svc = world.cabs[1].shared.create_mailbox(false, HostOpMode::SharedMemory);
-        world.cabs[1]
-            .fork_app(Box::new(CabEcho { transport: Transport::Datagram, recv_mbox: svc }));
+        world.cabs[1].fork_app(Box::new(CabEcho::new(Transport::Datagram, svc, 0)));
         let reply = world.cabs[0].shared.create_mailbox(false, HostOpMode::SharedMemory);
-        let (p, rtts, done) = CabPinger::new(Transport::Datagram, (1, svc), reply, 32, 20);
+        let (p, rtts, done) = CabPinger::new(Transport::Datagram, (1, svc), reply, 0, 32, 20);
         world.cabs[0].fork_app(Box::new(p));
         world.run_until_done(&mut sim, SimTime::ZERO + SimDuration::from_secs(10), |_| done.get());
         assert!(done.get());
@@ -61,9 +60,9 @@ fn circuit_blocks_unrelated_packet_traffic_on_that_output() {
         HubReply::Ok
     );
     let svc = world.cabs[1].shared.create_mailbox(false, HostOpMode::SharedMemory);
-    world.cabs[1].fork_app(Box::new(CabEcho { transport: Transport::Datagram, recv_mbox: svc }));
+    world.cabs[1].fork_app(Box::new(CabEcho::new(Transport::Datagram, svc, 0)));
     let reply = world.cabs[0].shared.create_mailbox(false, HostOpMode::SharedMemory);
-    let (p, _, done) = CabPinger::new(Transport::Datagram, (1, svc), reply, 32, 1);
+    let (p, _, done) = CabPinger::new(Transport::Datagram, (1, svc), reply, 0, 32, 1);
     world.cabs[0].fork_app(Box::new(p));
     world.run_until(&mut sim, SimTime::ZERO + SimDuration::from_secs(1));
     assert!(!done.get(), "datagram should be dropped while the circuit holds the port");
@@ -72,7 +71,7 @@ fn circuit_blocks_unrelated_packet_traffic_on_that_output() {
     assert_eq!(world.hubs[0].execute(HubCommand::CloseCircuit { in_port: 2 }), HubReply::Ok);
     // a fresh reply mailbox: the first pinger still blocks on the old one
     let reply2 = world.cabs[0].shared.create_mailbox(false, HostOpMode::SharedMemory);
-    let (p2, _, done2) = CabPinger::new(Transport::Datagram, (1, svc), reply2, 32, 1);
+    let (p2, _, done2) = CabPinger::new(Transport::Datagram, (1, svc), reply2, 0, 32, 1);
     world.cabs[0].fork_app(Box::new(p2));
     let t = sim.now();
     sim.at(t, |w, s| nectar::world::kick_cab(w, s, 0));

@@ -24,8 +24,7 @@ fn run_all_pairs(config: Config) -> World {
     let mut services = Vec::new();
     for i in 0..26 {
         let svc = world.cabs[i].shared.create_mailbox(false, HostOpMode::SharedMemory);
-        world.cabs[i]
-            .fork_app(Box::new(CabEcho { transport: Transport::Datagram, recv_mbox: svc }));
+        world.cabs[i].fork_app(Box::new(CabEcho::new(Transport::Datagram, svc, 0)));
         services.push(svc);
     }
     let mut dones = Vec::new();
@@ -33,7 +32,7 @@ fn run_all_pairs(config: Config) -> World {
         let dst = (i + 13) % 26;
         let reply = world.cabs[i as usize].shared.create_mailbox(false, HostOpMode::SharedMemory);
         let (p, _, done) =
-            CabPinger::new(Transport::Datagram, (dst, services[dst as usize]), reply, 32, 5);
+            CabPinger::new(Transport::Datagram, (dst, services[dst as usize]), reply, 0, 32, 5);
         world.cabs[i as usize].fork_app(Box::new(p));
         dones.push((i, done));
     }

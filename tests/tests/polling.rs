@@ -44,7 +44,7 @@ fn run_fleet(transport: LoadTransport, window_ms: u64) -> (u64, u64) {
 }
 
 /// 4× the traffic, same fleet: the empty-poll count may not scale with
-/// it. Covers CabEcho (datagram/rmp/reqresp), CabUdpEcho and the
+/// it. Covers CabEcho (datagram/reqresp/udp) and the
 /// multiplexed LoadClient in one sweep — any of them regressing to
 /// poll-by-failed-Begin_Get makes the count track the response count.
 #[test]

@@ -23,8 +23,7 @@ fn production_deployment_26_hosts_2_hubs() {
     let mut services = Vec::new();
     for i in 0..26 {
         let svc = world.cabs[i].shared.create_mailbox(false, HostOpMode::SharedMemory);
-        world.cabs[i]
-            .fork_app(Box::new(CabEcho { transport: Transport::Datagram, recv_mbox: svc }));
+        world.cabs[i].fork_app(Box::new(CabEcho::new(Transport::Datagram, svc, 0)));
         services.push(svc);
     }
     let mut dones = Vec::new();
@@ -32,7 +31,7 @@ fn production_deployment_26_hosts_2_hubs() {
         let dst = (i + 13) % 26;
         let reply = world.cabs[i as usize].shared.create_mailbox(false, HostOpMode::SharedMemory);
         let (p, _, done) =
-            CabPinger::new(Transport::Datagram, (dst, services[dst as usize]), reply, 32, 5);
+            CabPinger::new(Transport::Datagram, (dst, services[dst as usize]), reply, 0, 32, 5);
         world.cabs[i as usize].fork_app(Box::new(p));
         dones.push((i, done));
     }
@@ -52,10 +51,10 @@ fn multi_hop_chain_routing() {
     let n = world.cabs.len();
     assert_eq!(n, 12);
     let svc = world.cabs[n - 1].shared.create_mailbox(false, HostOpMode::SharedMemory);
-    world.cabs[n - 1]
-        .fork_app(Box::new(CabEcho { transport: Transport::Datagram, recv_mbox: svc }));
+    world.cabs[n - 1].fork_app(Box::new(CabEcho::new(Transport::Datagram, svc, 0)));
     let reply = world.cabs[0].shared.create_mailbox(false, HostOpMode::SharedMemory);
-    let (p, rtts, done) = CabPinger::new(Transport::Datagram, ((n - 1) as u16, svc), reply, 32, 10);
+    let (p, rtts, done) =
+        CabPinger::new(Transport::Datagram, ((n - 1) as u16, svc), reply, 0, 32, 10);
     world.cabs[0].fork_app(Box::new(p));
     world.run_until_done(&mut sim, until(10), |_| done.get());
     assert!(done.get());
@@ -300,9 +299,9 @@ fn mixed_concurrent_traffic() {
     world.cabs[0].fork_app(Box::new(streamer));
 
     let svc = world.cabs[1].shared.create_mailbox(false, HostOpMode::SharedMemory);
-    world.cabs[1].fork_app(Box::new(CabEcho { transport: Transport::Datagram, recv_mbox: svc }));
+    world.cabs[1].fork_app(Box::new(CabEcho::new(Transport::Datagram, svc, 0)));
     let reply = world.cabs[0].shared.create_mailbox(false, HostOpMode::SharedMemory);
-    let (p, rtts, ping_done) = CabPinger::new(Transport::Datagram, (1, svc), reply, 32, 20);
+    let (p, rtts, ping_done) = CabPinger::new(Transport::Datagram, (1, svc), reply, 0, 32, 20);
     world.cabs[0].fork_app(Box::new(p));
 
     world.run_until_done(&mut sim, until(30), |_| stream_done.get() && ping_done.get());
@@ -322,7 +321,7 @@ fn rpc_mode_mailbox_datagram_roundtrip() {
     use nectar_cab::shared::SigEntry;
     let (mut world, mut sim) = World::single_hub(Config::default(), 2);
     let dst = world.cabs[1].shared.create_mailbox(false, HostOpMode::SharedMemory);
-    world.cabs[1].fork_app(Box::new(CabEcho { transport: Transport::Datagram, recv_mbox: dst }));
+    world.cabs[1].fork_app(Box::new(CabEcho::new(Transport::Datagram, dst, 0)));
 
     // hand-drive the host side: RPC Begin_Put into MB_DG_SEND
     let reply_sync = world.cabs[0].shared.sync_alloc();
