@@ -25,6 +25,7 @@
 //! (whose side is `nectar_host::HostCx::send`), so each transport's
 //! header, cost charges and addressing are written once.
 
+use std::borrow::Cow;
 use std::collections::{BTreeMap, VecDeque};
 use std::net::Ipv4Addr;
 
@@ -89,6 +90,40 @@ impl Transport {
     }
 }
 
+/// Send data accepted in chunks and not yet admitted into a socket's
+/// send buffer. A partly admitted chunk stays in place and only the
+/// read offset moves: the unsent tail is never re-copied.
+#[derive(Debug, Default)]
+pub struct SendQueue {
+    chunks: VecDeque<Vec<u8>>,
+    /// Bytes of the front chunk already admitted.
+    offset: usize,
+}
+
+impl SendQueue {
+    pub fn push_back(&mut self, chunk: Vec<u8>) {
+        self.chunks.push_back(chunk);
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.chunks.is_empty()
+    }
+
+    /// The unadmitted rest of the oldest chunk.
+    pub fn front(&self) -> Option<&[u8]> {
+        self.chunks.front().map(|c| &c[self.offset..])
+    }
+
+    /// The socket admitted `n` bytes of [`Self::front`].
+    pub fn advance(&mut self, n: usize) {
+        self.offset += n;
+        if self.chunks.front().is_some_and(|c| self.offset >= c.len()) {
+            self.chunks.pop_front();
+            self.offset = 0;
+        }
+    }
+}
+
 /// Per-connection TCP bookkeeping on the CAB side.
 #[derive(Debug, Default)]
 pub struct TcpConn {
@@ -99,7 +134,7 @@ pub struct TcpConn {
     pub reply_sync: Option<u16>,
     /// Data accepted from send requests but not yet admitted into the
     /// socket's send buffer (window/buffer full).
-    pub pending: VecDeque<Vec<u8>>,
+    pub pending: SendQueue,
     /// Listening port this connection arrived on (passive opens).
     pub port: Option<u16>,
     pub established: bool,
@@ -253,19 +288,30 @@ pub fn init_protocols(
 /// a counter) when the mailbox does not exist or the heap is full —
 /// the unreliable-layer semantics of the datagram path.
 pub fn deliver_to_mbox(cx: &mut Cx<'_>, mbox: MboxId, prefix: &[u8], payload: &[u8]) -> bool {
+    deliver_with(cx, mbox, prefix.len() + payload.len(), |cx, m| {
+        cx.shared.msg_write(m, 0, prefix);
+        cx.shared.msg_write(m, prefix.len(), payload);
+    })
+}
+
+/// Deliver one `len`-byte message into `mbox`, written in place by
+/// `fill` — so a source that cannot be borrowed across the call (a
+/// socket's receive ring inside `cx.proto`) still reaches the mailbox
+/// without an intermediate buffer. Payload movement is DMA / pointer
+/// work, not a CPU copy, and is not charged.
+fn deliver_with(
+    cx: &mut Cx<'_>,
+    mbox: MboxId,
+    len: usize,
+    fill: impl FnOnce(&mut Cx<'_>, &crate::shared::MsgRef),
+) -> bool {
     if mbox as usize >= cx.shared.mailboxes.len() {
         cx.proto.stats.no_mbox_drops += 1;
         return false;
     }
-    match cx.begin_put(mbox, prefix.len() + payload.len()) {
+    match cx.begin_put(mbox, len) {
         Ok(m) => {
-            // payload movement is DMA / pointer work, not a CPU copy
-            if !prefix.is_empty() {
-                cx.shared.msg_write(&m, 0, prefix);
-            }
-            if !payload.is_empty() {
-                cx.shared.msg_write(&m, prefix.len(), payload);
-            }
+            fill(cx, &m);
             cx.end_put(mbox, m);
             true
         }
@@ -277,22 +323,24 @@ pub fn deliver_to_mbox(cx: &mut Cx<'_>, mbox: MboxId, prefix: &[u8], payload: &[
 }
 
 /// IP_Output (§4.1): wrap a transport payload and hand the resulting
-/// packets to the datalink layer.
+/// packets to the datalink layer, each as its header beside the data
+/// it carries — the frame is where the two first become contiguous.
 pub fn ip_output(cx: &mut Cx<'_>, dst: Ipv4Addr, protocol: IpProtocol, payload: &[u8]) {
     cx.charge(cx.costs.ip_proc);
     cx.charge(cx.costs.ip_header_checksum);
     let mtu = cx.proto.mtu;
-    let packets = cx.proto.ip.output(dst, protocol, payload, mtu);
+    let packets = cx.proto.ip.packetize(dst, protocol, payload.len(), mtu);
     let Some(dst_cab) = cab_for_ip(dst) else {
         cx.proto.stats.no_mbox_drops += 1;
         return;
     };
-    for p in packets {
+    for (header, range) in packets {
+        let (header, data) = (header.to_bytes(), &payload[range]);
         if dst_cab == cx.cab_id {
             // loopback: straight back into input processing
-            process_ip_input(cx, &p);
+            process_ip_input(cx, &[&header, data].concat());
         } else {
-            cx.datalink_send(dst_cab, DatalinkProto::Ip, 0, &p);
+            cx.datalink_send_parts(dst_cab, DatalinkProto::Ip, 0, &[&header, data]);
         }
     }
 }
@@ -306,27 +354,32 @@ pub fn process_ip_input(cx: &mut Cx<'_>, packet: &[u8]) {
     cx.proto.stats.ip_packets_in += 1;
     let now = cx.now();
     match cx.proto.ip.input(now, packet) {
-        IpInput::Delivered { header, payload } => match header.protocol {
-            IpProtocol::ICMP => {
-                let src = header.src.octets();
-                if !deliver_to_mbox(cx, reqs::MB_ICMP_IN, &src, &payload) {
-                    // dropped; counted
+        IpInput::Delivered { header, payload } => {
+            // The datagram as the higher protocol's thread parses it: a
+            // packet that arrived whole goes up as it arrived (its
+            // header was validated a moment ago), a reassembled one
+            // under the header reassembly rebuilt for it.
+            let full = || match &payload {
+                Cow::Borrowed(_) => Cow::Borrowed(&packet[..header.total_len as usize]),
+                Cow::Owned(data) => Cow::Owned(header.build_packet(data)),
+            };
+            match header.protocol {
+                IpProtocol::ICMP => {
+                    let src = header.src.octets();
+                    deliver_to_mbox(cx, reqs::MB_ICMP_IN, &src, &payload);
+                }
+                IpProtocol::TCP => {
+                    deliver_to_mbox(cx, reqs::MB_TCP_IN, &[], &full());
+                }
+                IpProtocol::UDP => {
+                    deliver_to_mbox(cx, reqs::MB_UDP_IN, &[], &full());
+                }
+                _ => {
+                    let msg = cx.proto.icmp.unreachable_for(&full(), UnreachableCode::Protocol);
+                    ip_output(cx, header.src, IpProtocol::ICMP, &msg.build());
                 }
             }
-            IpProtocol::TCP => {
-                let full = header.build_packet(&payload);
-                deliver_to_mbox(cx, reqs::MB_TCP_IN, &[], &full);
-            }
-            IpProtocol::UDP => {
-                let full = header.build_packet(&payload);
-                deliver_to_mbox(cx, reqs::MB_UDP_IN, &[], &full);
-            }
-            _ => {
-                let full = header.build_packet(&payload);
-                let msg = cx.proto.icmp.unreachable_for(&full, UnreachableCode::Protocol);
-                ip_output(cx, header.src, IpProtocol::ICMP, &msg.build());
-            }
-        },
+        }
         IpInput::FragmentHeld => {}
         IpInput::NotForUs | IpInput::Bad(_) => {
             cx.proto.stats.no_mbox_drops += 1;
@@ -343,10 +396,13 @@ pub fn process_ip_input(cx: &mut Cx<'_>, packet: &[u8]) {
 }
 
 /// Submit an RMP message on the (dst_cab, dst_mbox, src_mbox) channel
-/// and push out whatever the stop-and-wait window allows.
-pub fn rmp_submit(cx: &mut Cx<'_>, req: SendReq, payload: &[u8]) {
+/// and push out whatever the stop-and-wait window allows. The channel
+/// keeps the message until it is acknowledged, so it takes `payload`
+/// by value: the caller's one copy out of wherever the message lay is
+/// the copy the sender retransmits from.
+pub fn rmp_submit(cx: &mut Cx<'_>, req: SendReq, payload: Vec<u8>) {
     if req.dst_cab == cx.cab_id {
-        deliver_to_mbox(cx, req.dst_mbox, &[], payload);
+        deliver_to_mbox(cx, req.dst_mbox, &[], &payload);
         return;
     }
     let key = (req.dst_cab, req.dst_mbox, req.src_mbox);
@@ -356,7 +412,7 @@ pub fn rmp_submit(cx: &mut Cx<'_>, req: SendReq, payload: &[u8]) {
         .rmp_tx
         .entry(key)
         .or_insert_with(|| RmpSender::new(req.dst_cab, req.dst_mbox, req.src_mbox, cfg));
-    sender.send(payload.to_vec());
+    sender.send(payload);
     let now = cx.now();
     let mut acts = Vec::new();
     cx.proto.rmp_tx.get_mut(&key).expect("just inserted").poll(now, &mut acts);
@@ -531,7 +587,7 @@ pub fn send(
     let req = SendReq { dst_cab: dst.0, dst_mbox: dst.1, src_mbox: src };
     match transport {
         Transport::Datagram => datagram_send(cx, req, 0, payload),
-        Transport::Rmp => rmp_submit(cx, req, payload),
+        Transport::Rmp => rmp_submit(cx, req, payload.to_vec()),
         Transport::ReqResp => return rr_call(cx, req, payload) != 0,
         Transport::Udp => {
             udp_send(cx, UdpSendReq { dst_cab: dst.0, src_port: src, dst_port: dst.1 }, payload)
@@ -807,8 +863,9 @@ impl CabThread for RmpThread {
             match cx.begin_get(reqs::MB_RMP_SEND) {
                 Err(_) => break,
                 Ok(msg) => {
-                    let bytes = cx.shared.msg_bytes(&msg).to_vec();
-                    if let Some((req, payload)) = SendReq::decode(&bytes) {
+                    let decoded = SendReq::decode(cx.shared.msg_bytes(&msg))
+                        .map(|(req, payload)| (req, payload.to_vec()));
+                    if let Some((req, payload)) = decoded {
                         cx.stamp("cab_rmp_send", msg.msg_id as u64);
                         rmp_submit(cx, req, payload);
                     } else {
@@ -1130,10 +1187,17 @@ impl TcpThread {
         let Some(mbox) = cx.proto.tcp_conns.get(&id).and_then(|c| c.recv_mbox) else {
             return; // not attached yet: data waits in the socket buffer
         };
-        let data = cx.proto.tcp.recv(id, usize::MAX);
-        if !data.is_empty() {
-            cx.charge(cx.costs.tcp_proc / 4); // Enqueue-style transfer
-            deliver_to_mbox(cx, mbox, &[], &data);
+        let n = cx.proto.tcp.socket(id).map_or(0, |s| s.readable());
+        if n > 0 {
+            // Enqueue-style transfer: the socket's receive ring goes to
+            // the mailbox in place
+            cx.charge(cx.costs.tcp_proc / 4);
+            deliver_with(cx, mbox, n, |cx, m| {
+                let (a, b) = cx.proto.tcp.socket(id).expect("readable").peek(n);
+                cx.shared.msg_write(m, 0, a);
+                cx.shared.msg_write(m, a.len(), b);
+            });
+            cx.proto.tcp.consume(id, n);
             // reading opened the receive window; let the stack act
             let now = cx.now();
             let events = cx.proto.tcp.poll(now);
@@ -1167,14 +1231,16 @@ impl TcpThread {
     /// Push queued send data into the socket as the buffer drains; once
     /// everything is admitted, honour any deferred close.
     fn pump_pending(cx: &mut Cx<'_>, id: SocketId) {
-        while let Some(chunk) = cx.proto.tcp_conns.get_mut(&id).and_then(|c| c.pending.pop_front())
-        {
+        loop {
             let now = cx.now();
-            let (n, events) = cx.proto.tcp.send(now, id, &chunk);
+            let proto = &mut *cx.proto;
+            let Some(conn) = proto.tcp_conns.get_mut(&id) else { break };
+            let Some(chunk) = conn.pending.front() else { break };
+            let (n, events) = proto.tcp.send(now, id, chunk);
+            let admitted_all = n == chunk.len();
+            conn.pending.advance(n);
             tcp_events(cx, events);
-            if n < chunk.len() {
-                let rest = chunk[n..].to_vec();
-                cx.proto.tcp_conns.entry(id).or_default().pending.push_front(rest);
+            if !admitted_all {
                 return;
             }
         }
@@ -1244,18 +1310,25 @@ impl CabThread for TcpThread {
             match cx.begin_get(reqs::MB_TCP_IN) {
                 Err(_) => break,
                 Ok(msg) => {
-                    let packet = cx.shared.msg_bytes(&msg).to_vec();
-                    cx.end_get(reqs::MB_TCP_IN, msg);
+                    // The stack reads the segment in place, so the
+                    // buffer is released after it has — but End_Get's
+                    // CPU time is charged here, where it has always
+                    // fallen in the burst: the clock the stack reads
+                    // below has it in.
+                    cx.charge(cx.costs.mbox_end_get);
                     cx.charge(cx.costs.tcp_proc);
-                    if let Ok(header) = Ipv4Header::parse(&packet) {
-                        let data = &packet[nectar_wire::ipv4::HEADER_LEN..];
+                    let mut events = Vec::new();
+                    if let Ok(header) = Ipv4Header::parse(cx.shared.msg_bytes(&msg)) {
+                        let data_len = msg.len as usize - nectar_wire::ipv4::HEADER_LEN;
                         if cx.proto.tcp.config().compute_checksum {
-                            cx.charge(cx.costs.checksum(data.len()));
+                            cx.charge(cx.costs.checksum(data_len));
                         }
                         let now = cx.now();
-                        let events = cx.proto.tcp.on_packet(now, &header, data);
-                        tcp_events(cx, events);
+                        let data = &cx.shared.msg_bytes(&msg)[nectar_wire::ipv4::HEADER_LEN..];
+                        events = cx.proto.tcp.on_packet(now, &header, data);
                     }
+                    cx.shared.end_get(reqs::MB_TCP_IN, msg);
+                    tcp_events(cx, events);
                 }
             }
         }
@@ -1267,17 +1340,13 @@ impl CabThread for TcpThread {
             match cx.begin_get(reqs::MB_TCP_SEND) {
                 Err(_) => break,
                 Ok(msg) => {
-                    let bytes = cx.shared.msg_bytes(&msg).to_vec();
+                    let decoded = reqs::tcp_send_decode(cx.shared.msg_bytes(&msg))
+                        .map(|(conn, payload)| (conn, payload.to_vec()));
                     cx.end_get(reqs::MB_TCP_SEND, msg);
                     cx.charge(cx.costs.tcp_proc);
-                    if let Some((conn, payload)) = reqs::tcp_send_decode(&bytes) {
+                    if let Some((conn, payload)) = decoded {
                         let id = conn as SocketId;
-                        cx.proto
-                            .tcp_conns
-                            .entry(id)
-                            .or_default()
-                            .pending
-                            .push_back(payload.to_vec());
+                        cx.proto.tcp_conns.entry(id).or_default().pending.push_back(payload);
                         Self::pump_pending(cx, id);
                     } else {
                         cx.proto.stats.bad_requests += 1;
@@ -1289,19 +1358,43 @@ impl CabThread for TcpThread {
         let now = cx.now();
         let events = cx.proto.tcp.poll(now);
         tcp_events(cx, events);
-        let ids: Vec<SocketId> = cx
-            .proto
-            .tcp_conns
-            .iter()
-            .filter(|(_, c)| !c.pending.is_empty())
-            .map(|(&id, _)| id)
-            .collect();
-        for id in ids {
+        let mut from = 0;
+        while let Some(id) =
+            cx.proto.tcp_conns.range(from..).find(|(_, c)| !c.pending.is_empty()).map(|(&id, _)| id)
+        {
             Self::pump_pending(cx, id);
+            from = id + 1;
         }
         match cx.proto.tcp.next_wakeup() {
             Some(t) => Step::BlockTimeout(cx.proto.tcp_cond, t),
             None => Step::Block(cx.proto.tcp_cond),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn send_queue_advances_in_place_and_pops_finished_chunks() {
+        let mut q = SendQueue::default();
+        assert!(q.is_empty() && q.front().is_none());
+        q.push_back(vec![1, 2, 3, 4, 5]);
+        q.push_back(Vec::new());
+        q.push_back(vec![6, 7]);
+        // a partial admit leaves the tail where it is
+        q.advance(2);
+        assert_eq!(q.front(), Some(&[3, 4, 5][..]));
+        // nothing admitted: nothing moves
+        q.advance(0);
+        assert_eq!(q.front(), Some(&[3, 4, 5][..]));
+        // the rest of a chunk admitted: the next one starts at its head
+        q.advance(3);
+        assert_eq!(q.front(), Some(&[][..]), "an empty chunk is still a queued write");
+        q.advance(0);
+        assert_eq!(q.front(), Some(&[6, 7][..]));
+        q.advance(2);
+        assert!(q.is_empty());
     }
 }

@@ -28,7 +28,7 @@
 //! thread.
 
 use nectar_sim::{SimDuration, SimTime, Trace};
-use nectar_wire::datalink::{DatalinkProto, Frame};
+use nectar_wire::datalink::{DatalinkHeader, DatalinkProto, Frame};
 use nectar_wire::route::Route;
 
 use crate::costs::{CostModel, LinkModel};
@@ -297,29 +297,23 @@ impl<'a> Cx<'a> {
         msg_id: u32,
         payload: &[u8],
     ) -> bool {
-        self.charge(self.costs.datalink);
-        self.charge(self.costs.dma_setup);
-        let Some(Some(route)) = self.net.routes.get(dst_cab as usize) else {
-            self.net.no_route_drops += 1;
-            return false;
-        };
-        let header = nectar_wire::datalink::DatalinkHeader {
-            dst_cab,
-            src_cab: self.cab_id,
-            proto,
-            flags: 0,
-            payload_len: 0, // filled by build
-            msg_id,
-        };
-        let frame = Frame::build(route, header, payload);
-        self.stamp("cab_datalink_tx", msg_id as u64);
-        self.net.tx_frames += 1;
-        self.net.tx_bytes += frame.wire_len() as u64;
-        let ser = SimDuration::serialization(frame.wire_len(), self.net.link.fiber_bits_per_sec);
-        let first_byte = self.now().max(self.net.tx_busy_until);
-        self.net.tx_busy_until = first_byte + ser;
-        self.fx.push(CabEffect::Transmit { frame, first_byte });
-        true
+        self.datalink_send_parts(dst_cab, proto, msg_id, &[payload])
+    }
+
+    /// [`Cx::datalink_send`] of a packet that exists as `parts` — a
+    /// protocol header built beside the data it describes — gathered
+    /// into the frame as the DMA engine gathered them onto the fiber
+    /// ([`Frame::build_parts`]), with no intermediate packet.
+    pub fn datalink_send_parts(
+        &mut self,
+        dst_cab: u16,
+        proto: DatalinkProto,
+        msg_id: u32,
+        parts: &[&[u8]],
+    ) -> bool {
+        self.launch(dst_cab, proto, msg_id, |route, header| {
+            Frame::build_parts(route, header, parts)
+        })
     }
 
     /// Like [`Cx::datalink_send`], but the payload is an existing
@@ -336,21 +330,35 @@ impl<'a> Cx<'a> {
         msg_id: u32,
         payload: &nectar_wire::FrameBuf,
     ) -> bool {
+        self.launch(dst_cab, proto, msg_id, |route, header| {
+            Frame::build_shared(route, header, payload)
+        })
+    }
+
+    /// Charge the datalink + DMA setup, frame what `build` assembles
+    /// for the route to `dst_cab`, and queue it on the outgoing fiber.
+    fn launch(
+        &mut self,
+        dst_cab: u16,
+        proto: DatalinkProto,
+        msg_id: u32,
+        build: impl FnOnce(&Route, DatalinkHeader) -> Frame,
+    ) -> bool {
         self.charge(self.costs.datalink);
         self.charge(self.costs.dma_setup);
         let Some(Some(route)) = self.net.routes.get(dst_cab as usize) else {
             self.net.no_route_drops += 1;
             return false;
         };
-        let header = nectar_wire::datalink::DatalinkHeader {
+        let header = DatalinkHeader {
             dst_cab,
             src_cab: self.cab_id,
             proto,
             flags: 0,
-            payload_len: 0, // filled by build_shared
+            payload_len: 0, // filled by the build
             msg_id,
         };
-        let frame = Frame::build_shared(route, header, payload);
+        let frame = build(route, header);
         self.stamp("cab_datalink_tx", msg_id as u64);
         self.net.tx_frames += 1;
         self.net.tx_bytes += frame.wire_len() as u64;

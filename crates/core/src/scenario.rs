@@ -709,7 +709,8 @@ impl CabThread for CabPinger {
 pub struct CabRmpStreamer {
     pub dst: (u16, u16),
     pub my_mbox: MboxId,
-    pub msg_size: usize,
+    /// One full-size message, built once; every send reads from it.
+    payload: Vec<u8>,
     pub total_bytes: u64,
     sent: u64,
     pub done: SharedFlag,
@@ -723,7 +724,8 @@ impl CabRmpStreamer {
         total_bytes: u64,
     ) -> (Self, SharedFlag) {
         let done: SharedFlag = Rc::new(Cell::new(false));
-        (CabRmpStreamer { dst, my_mbox, msg_size, total_bytes, sent: 0, done: done.clone() }, done)
+        let payload = vec![0x77u8; msg_size];
+        (CabRmpStreamer { dst, my_mbox, payload, total_bytes, sent: 0, done: done.clone() }, done)
     }
 }
 
@@ -744,9 +746,8 @@ impl CabThread for CabRmpStreamer {
             // rmp_cond on delivery)
             return Step::Block(cx.proto.rmp_cond);
         }
-        let n = self.msg_size.min((self.total_bytes - self.sent) as usize);
-        let payload = vec![0x77u8; n];
-        proto::send(cx, Transport::Rmp, self.dst, self.my_mbox, &payload);
+        let n = self.payload.len().min((self.total_bytes - self.sent) as usize);
+        proto::send(cx, Transport::Rmp, self.dst, self.my_mbox, &self.payload[..n]);
         self.sent += n as u64;
         Step::Yield
     }
@@ -759,7 +760,8 @@ impl CabThread for CabRmpStreamer {
 pub struct CabTcpStreamer {
     pub dst_cab: u16,
     pub port: u16,
-    pub chunk: usize,
+    /// One full-size chunk, built once; every send reads from it.
+    payload: Vec<u8>,
     pub total_bytes: u64,
     conn: Option<nectar_stack::tcp::SocketId>,
     sent: u64,
@@ -773,7 +775,7 @@ impl CabTcpStreamer {
             CabTcpStreamer {
                 dst_cab,
                 port,
-                chunk,
+                payload: vec![0x11u8; chunk],
                 total_bytes,
                 conn: None,
                 sent: 0,
@@ -811,8 +813,8 @@ impl CabThread for CabTcpStreamer {
         if cap == 0 {
             return Step::Block(cx.proto.tcp_cond);
         }
-        let n = self.chunk.min(cap).min((self.total_bytes - self.sent) as usize);
-        self.sent += proto::tcp_send(cx, now, conn, &vec![0x11u8; n]) as u64;
+        let n = self.payload.len().min(cap).min((self.total_bytes - self.sent) as usize);
+        self.sent += proto::tcp_send(cx, now, conn, &self.payload[..n]) as u64;
         Step::Yield
     }
 }
@@ -922,7 +924,7 @@ struct TcpEchoConn {
     mbox: MboxId,
     /// Echo data accepted from the mailbox but not yet admitted into
     /// the socket's send buffer (peer window or buffer full).
-    pending: std::collections::VecDeque<Vec<u8>>,
+    pending: proto::SendQueue,
 }
 
 /// A CAB thread accepting any number of TCP connections on `port` and
@@ -976,7 +978,7 @@ impl CabThread for CabTcpEchoServer {
                 self.conns.push(TcpEchoConn {
                     id: conn as nectar_stack::tcp::SocketId,
                     mbox,
-                    pending: std::collections::VecDeque::new(),
+                    pending: proto::SendQueue::default(),
                 });
             }
         }
@@ -995,10 +997,11 @@ impl CabThread for CabTcpEchoServer {
                     c.pending.push_back(bytes);
                 }
             }
-            while let Some(chunk) = c.pending.pop_front() {
-                let n = proto::tcp_send(cx, now, c.id, &chunk);
-                if n < chunk.len() {
-                    c.pending.push_front(chunk[n..].to_vec());
+            while let Some(chunk) = c.pending.front() {
+                let n = proto::tcp_send(cx, now, c.id, chunk);
+                let admitted_all = n == chunk.len();
+                c.pending.advance(n);
+                if !admitted_all {
                     break;
                 }
             }

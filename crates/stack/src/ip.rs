@@ -9,12 +9,16 @@
 //!
 //! The send interface mirrors `IP_Output`: "higher protocols are
 //! expected to call IP_Output with a header template, a reference to
-//! the data they wish to send" — here [`IpEndpoint::output`] takes the
-//! template fields and returns the packets (possibly fragmented to the
-//! MTU) ready for the datalink layer.
+//! the data they wish to send" — here [`IpEndpoint::packetize`] takes
+//! the template fields and returns each packet's header and the range
+//! of the data it carries (possibly fragmented to the MTU), so the
+//! datalink layer gathers header and data without an intermediate
+//! packet; [`IpEndpoint::output`] is the same thing materialized.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
+use std::ops::Range;
 
 use nectar_sim::{SimDuration, SimTime};
 use nectar_wire::ipv4::{IpProtocol, Ipv4Header, HEADER_LEN};
@@ -36,10 +40,12 @@ pub const DEFAULT_REASSEMBLY_MAX_BYTES: usize = 256 * 1024;
 
 /// Outcome of feeding one received IP packet to the endpoint.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub enum IpInput {
+pub enum IpInput<'a> {
     /// A complete datagram for a higher protocol: header (of the first
-    /// fragment, with fragmentation fields cleared) plus full payload.
-    Delivered { header: Ipv4Header, payload: Vec<u8> },
+    /// fragment, with fragmentation fields cleared) plus full payload —
+    /// borrowed from the packet when it arrived whole, owned when it
+    /// was reassembled.
+    Delivered { header: Ipv4Header, payload: Cow<'a, [u8]> },
     /// A fragment was absorbed; the datagram is still incomplete.
     FragmentHeld,
     /// The packet was not for this endpoint (wrong destination); the
@@ -224,8 +230,40 @@ impl IpEndpoint {
         self.reassembly_max_bytes = bytes;
     }
 
-    /// IP_Output: wrap `payload` for `dst`, fragmenting to `mtu` (the
-    /// datalink payload limit) if needed. Returns complete IP packets.
+    /// IP_Output: one datagram of `len` payload bytes for `dst`,
+    /// fragmented to `mtu` (the datalink payload limit) if needed.
+    /// Yields each packet's header and the range of the payload it
+    /// carries; the sender emits the header beside the data.
+    pub fn packetize(
+        &mut self,
+        dst: Ipv4Addr,
+        protocol: IpProtocol,
+        len: usize,
+        mtu: usize,
+    ) -> impl Iterator<Item = (Ipv4Header, Range<usize>)> {
+        assert!(mtu > HEADER_LEN, "MTU must exceed the IP header");
+        let ident = self.next_ident;
+        self.next_ident = self.next_ident.wrapping_add(1).max(1);
+
+        let max_data = mtu - HEADER_LEN;
+        // Every non-final fragment's data length must be a multiple of 8.
+        let step = if len <= max_data { max_data } else { max_data & !7 };
+        assert!(step > 0, "MTU too small to fragment");
+        let count = len.div_ceil(step).max(1);
+        self.stats.packets_out += count as u64;
+        self.stats.fragmented_out += (count > 1) as u64;
+        let src = self.addr;
+        (0..count).map(move |i| {
+            let range = i * step..((i + 1) * step).min(len);
+            let mut h = Ipv4Header::new(src, dst, protocol, range.len());
+            h.ident = ident;
+            h.frag_offset = range.start as u16;
+            h.more_frags = range.end < len;
+            (h, range)
+        })
+    }
+
+    /// [`Self::packetize`], materialized: complete IP packets.
     pub fn output(
         &mut self,
         dst: Ipv4Addr,
@@ -233,42 +271,14 @@ impl IpEndpoint {
         payload: &[u8],
         mtu: usize,
     ) -> Vec<Vec<u8>> {
-        assert!(mtu > HEADER_LEN, "MTU must exceed the IP header");
-        let ident = self.next_ident;
-        self.next_ident = self.next_ident.wrapping_add(1).max(1);
-
-        let max_data = mtu - HEADER_LEN;
-        if payload.len() <= max_data {
-            let mut h = Ipv4Header::new(self.addr, dst, protocol, payload.len());
-            h.ident = ident;
-            self.stats.packets_out += 1;
-            return vec![h.build_packet(payload)];
-        }
-
-        // Fragment: every non-final fragment's data length must be a
-        // multiple of 8.
-        let frag_data = max_data & !7;
-        assert!(frag_data > 0, "MTU too small to fragment");
-        let mut packets = Vec::new();
-        let mut offset = 0usize;
-        while offset < payload.len() {
-            let end = (offset + frag_data).min(payload.len());
-            let chunk = &payload[offset..end];
-            let mut h = Ipv4Header::new(self.addr, dst, protocol, chunk.len());
-            h.ident = ident;
-            h.frag_offset = offset as u16;
-            h.more_frags = end < payload.len();
-            packets.push(h.build_packet(chunk));
-            offset = end;
-        }
-        self.stats.packets_out += packets.len() as u64;
-        self.stats.fragmented_out += 1;
-        packets
+        self.packetize(dst, protocol, payload.len(), mtu)
+            .map(|(h, range)| h.build_packet(&payload[range]))
+            .collect()
     }
 
     /// IP input processing: validate, absorb fragments, deliver complete
     /// datagrams.
-    pub fn input(&mut self, now: SimTime, packet: &[u8]) -> IpInput {
+    pub fn input<'a>(&mut self, now: SimTime, packet: &'a [u8]) -> IpInput<'a> {
         let header = match Ipv4Header::parse(packet) {
             Ok(h) => h,
             Err(e) => {
@@ -285,7 +295,7 @@ impl IpEndpoint {
         if !header.more_frags && header.frag_offset == 0 {
             // The common, unfragmented case.
             self.stats.delivered += 1;
-            return IpInput::Delivered { header, payload: payload.to_vec() };
+            return IpInput::Delivered { header, payload: Cow::Borrowed(payload) };
         }
 
         self.stats.fragments_in += 1;
@@ -314,7 +324,7 @@ impl IpEndpoint {
             let mut h = entry.first_header.expect("checked by complete()");
             h.total_len = (HEADER_LEN + total) as u16;
             self.stats.delivered += 1;
-            IpInput::Delivered { header: h, payload }
+            IpInput::Delivered { header: h, payload: Cow::Owned(payload) }
         } else {
             self.enforce_reassembly_caps();
             IpInput::FragmentHeld

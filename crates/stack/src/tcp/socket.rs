@@ -2,6 +2,7 @@
 
 use std::collections::VecDeque;
 use std::net::Ipv4Addr;
+use std::ops::Range;
 
 use nectar_sim::{SimDuration, SimTime};
 use nectar_wire::tcp::{SeqNum, TcpFlags, TcpHeader, MAX_WSCALE};
@@ -13,6 +14,18 @@ use crate::conform;
 /// Default MSS assumed when the peer's SYN carried no MSS option
 /// (RFC 1122 §4.2.2.6).
 const DEFAULT_PEER_MSS: u16 = 536;
+
+/// `len` bytes of `ring` starting `offset` bytes in, in place: a ring
+/// buffer's contents are at most two contiguous runs, so a range of it
+/// is at most two slices, and every reader copies by slice.
+fn ring_range(ring: &VecDeque<u8>, offset: usize, len: usize) -> (&[u8], &[u8]) {
+    let (a, b) = ring.as_slices();
+    let end = offset + len;
+    (
+        &a[offset.min(a.len())..end.min(a.len())],
+        &b[offset.saturating_sub(a.len())..end.saturating_sub(a.len())],
+    )
+}
 
 /// One TCP connection endpoint.
 #[derive(Debug)]
@@ -314,17 +327,34 @@ impl TcpSocket {
 
     /// Read up to `max` bytes of in-order received data.
     pub fn recv(&mut self, max: usize) -> Vec<u8> {
-        let n = max.min(self.recv_buf.len());
-        let out: Vec<u8> = self.recv_buf.drain(..n).collect();
+        let (a, b) = self.peek(max);
+        let mut out = Vec::with_capacity(a.len() + b.len());
+        out.extend_from_slice(a);
+        out.extend_from_slice(b);
+        self.consume(out.len());
+        out
+    }
+
+    /// The first `max` bytes of in-order received data, in place, as the
+    /// receive ring's two runs. A reader that copies them straight to
+    /// where they are going and then calls [`Self::consume`] has read
+    /// without an intermediate buffer.
+    pub fn peek(&self, max: usize) -> (&[u8], &[u8]) {
+        ring_range(&self.recv_buf, 0, max.min(self.recv_buf.len()))
+    }
+
+    /// Release the first `n` readable bytes: the second half of a
+    /// [`Self::peek`] read.
+    pub fn consume(&mut self, n: usize) {
+        let n = n.min(self.recv_buf.len());
+        self.recv_buf.drain(..n);
         // Receiver-side silly-window avoidance: only volunteer a window
         // update once at least an MSS (or half the buffer) has opened.
         let unadvertised = self.recv_window().saturating_sub(self.last_adv_wnd);
-        if unadvertised >= (self.effective_mss() as u32).min(self.cfg.recv_buf as u32 / 2)
-            && !out.is_empty()
+        if unadvertised >= (self.effective_mss() as u32).min(self.cfg.recv_buf as u32 / 2) && n > 0
         {
             self.want_window_update = true;
         }
-        out
     }
 
     /// Close the send side (queue a FIN after any buffered data).
@@ -361,7 +391,7 @@ impl TcpSocket {
             h.seq = self.snd_nxt;
             h.ack = self.rcv_nxt;
             h.flags = TcpFlags::RST | TcpFlags::ACK;
-            self.emit(h, &[], ev);
+            self.emit(h, 0..0, ev);
         }
         self.enter_closed(ev, Some(TcpEvent::Aborted(AbortReason::LocalAbort)));
         self.observe("abort");
@@ -879,7 +909,7 @@ impl TcpSocket {
                     TcpState::CloseWait => self.state = TcpState::LastAck,
                     _ => {}
                 }
-                self.emit(h, &[], ev);
+                self.emit(h, 0..0, ev);
                 self.note_ack_sent();
                 if self.rto_deadline.is_none() {
                     self.rto_deadline = Some(now + self.rto);
@@ -890,7 +920,6 @@ impl TcpSocket {
 
     fn emit_data_segment(&mut self, now: SimTime, len: usize, ev: &mut Vec<TcpEvent>) {
         let offset = self.snd_nxt.since(self.snd_buf_seq).max(0) as usize;
-        let payload: Vec<u8> = self.snd_buf.iter().skip(offset).take(len).copied().collect();
         let mut h = self.header_template();
         h.seq = self.snd_nxt;
         h.ack = self.rcv_nxt;
@@ -907,7 +936,7 @@ impl TcpSocket {
         if self.rtt_sample.is_none() && !self.backoff {
             self.rtt_sample = Some((self.snd_nxt, now));
         }
-        self.emit(h, &payload, ev);
+        self.emit(h, offset..offset + len, ev);
         self.note_ack_sent();
         if self.rto_deadline.is_none() {
             self.rto_deadline = Some(now + self.rto);
@@ -959,19 +988,18 @@ impl TcpSocket {
         let remaining = remaining.min(outstanding).min(cap);
         if remaining > 0 {
             let len = self.effective_mss().min(remaining);
-            let payload: Vec<u8> = self.snd_buf.iter().skip(offset).take(len).copied().collect();
             let mut h = self.header_template();
             h.seq = start;
             h.ack = self.rcv_nxt;
             h.flags = TcpFlags::ACK | TcpFlags::PSH;
-            self.emit(h, &payload, ev);
+            self.emit(h, offset..offset + len, ev);
             self.note_ack_sent();
         } else if self.fin_unacked() {
             let mut h = self.header_template();
             h.seq = self.fin_seq.expect("fin_unacked checked");
             h.ack = self.rcv_nxt;
             h.flags = TcpFlags::FIN | TcpFlags::ACK;
-            self.emit(h, &[], ev);
+            self.emit(h, 0..0, ev);
             self.note_ack_sent();
         }
         // Karn: retransmitted data must not be timed
@@ -1057,14 +1085,13 @@ impl TcpSocket {
         }
         self.stats.zero_window_probes += 1;
         // send one byte beyond the closed window
-        let payload = [self.snd_buf[offset]];
         let mut h = self.header_template();
         h.seq = self.snd_nxt;
         h.ack = self.rcv_nxt;
         h.flags = TcpFlags::ACK | TcpFlags::PSH;
         self.snd_nxt = self.snd_nxt.add(1);
         self.stats.bytes_out += 1;
-        self.emit(h, &payload, ev);
+        self.emit(h, offset..offset + 1, ev);
         self.note_ack_sent();
         // persist backoff
         self.rto = (self.rto * 2).min(self.cfg.rto_max);
@@ -1201,7 +1228,7 @@ impl TcpSocket {
         }
         h.mss = Some(self.cfg.mss);
         self.snd_nxt = self.iss.add(1);
-        self.emit(h, &[], ev);
+        self.emit(h, 0..0, ev);
         if with_ack {
             self.note_ack_sent();
         }
@@ -1215,7 +1242,7 @@ impl TcpSocket {
         h.seq = self.snd_nxt;
         h.ack = self.rcv_nxt;
         h.flags = TcpFlags::ACK;
-        self.emit(h, &[], ev);
+        self.emit(h, 0..0, ev);
         self.note_ack_sent();
     }
 
@@ -1242,17 +1269,22 @@ impl TcpSocket {
         let mut h = TcpHeader::new(self.local.1, self.remote.1);
         h.seq = seq;
         h.flags = TcpFlags::RST;
-        self.emit(h, &[], ev);
+        self.emit(h, 0..0, ev);
     }
 
-    fn emit(&mut self, header: TcpHeader, payload: &[u8], ev: &mut Vec<TcpEvent>) {
+    /// Emit one segment carrying the bytes of `data`, a range of
+    /// `snd_buf` (empty for a bare ACK / SYN / FIN / RST), copied by
+    /// slice straight after the header into the segment.
+    fn emit(&mut self, header: TcpHeader, data: Range<usize>, ev: &mut Vec<TcpEvent>) {
         if let Some(mut m) = self.monitor.take() {
-            m.observe_emit(self.view(), &header, payload.len());
+            m.observe_emit(self.view(), &header, data.len());
             self.monitor = Some(m);
         }
         self.stats.segs_out += 1;
         self.last_adv_wnd = (header.window as u32) << self.rcv_wscale;
-        let segment = header.build(self.local.0, self.remote.0, payload, self.cfg.compute_checksum);
+        let (a, b) = ring_range(&self.snd_buf, data.start, data.len());
+        let segment =
+            header.build_parts(self.local.0, self.remote.0, &[a, b], self.cfg.compute_checksum);
         ev.push(TcpEvent::Transmit { dst: self.remote.0, segment });
     }
 

@@ -129,25 +129,30 @@ impl TcpStack {
 
     fn wrap(&mut self, id: SocketId, ev: Vec<TcpEvent>) -> Vec<TcpStackEvent> {
         let mut out = Vec::with_capacity(ev.len());
-        for e in ev {
-            match e {
-                TcpEvent::Transmit { dst, segment } => {
-                    out.push(TcpStackEvent::Transmit { dst, segment })
-                }
-                other => out.push(TcpStackEvent::Socket { id, event: other }),
-            }
-        }
-        // un-route sockets that reached CLOSED (data may still be read;
-        // the table entry just stops routing segments to them)
-        if let Some(s) = self.sockets.get(&id) {
-            if s.state() == TcpState::Closed {
-                let tuple = (s.local().1, s.remote().0, s.remote().1);
-                if self.by_tuple.get(&tuple) == Some(&id) {
-                    self.by_tuple.remove(&tuple);
-                }
-            }
-        }
+        Self::wrap_into(&mut self.by_tuple, id, self.sockets.get(&id), ev, &mut out);
         out
+    }
+
+    /// Append socket `id`'s events to `out` as stack events, and
+    /// un-route the socket if it reached CLOSED (data may still be
+    /// read; the table entry just stops routing segments to it).
+    fn wrap_into(
+        by_tuple: &mut BTreeMap<(u16, Ipv4Addr, u16), SocketId>,
+        id: SocketId,
+        sock: Option<&TcpSocket>,
+        ev: impl IntoIterator<Item = TcpEvent>,
+        out: &mut Vec<TcpStackEvent>,
+    ) {
+        out.extend(ev.into_iter().map(|e| match e {
+            TcpEvent::Transmit { dst, segment } => TcpStackEvent::Transmit { dst, segment },
+            event => TcpStackEvent::Socket { id, event },
+        }));
+        if let Some(s) = sock.filter(|s| s.state() == TcpState::Closed) {
+            let tuple = (s.local().1, s.remote().0, s.remote().1);
+            if by_tuple.get(&tuple) == Some(&id) {
+                by_tuple.remove(&tuple);
+            }
+        }
     }
 
     /// Process a TCP segment delivered by IP.
@@ -230,6 +235,14 @@ impl TcpStack {
         self.sockets.get_mut(&id).map(|s| s.recv(max)).unwrap_or_default()
     }
 
+    /// Release `n` bytes a reader took in place through
+    /// [`TcpSocket::peek`].
+    pub fn consume(&mut self, id: SocketId, n: usize) {
+        if let Some(s) = self.sockets.get_mut(&id) {
+            s.consume(n);
+        }
+    }
+
     /// Close the send side of a socket.
     pub fn close(&mut self, now: SimTime, id: SocketId) -> Vec<TcpStackEvent> {
         let mut ev = Vec::new();
@@ -263,14 +276,12 @@ impl TcpStack {
 
     /// Fire timers on every socket.
     pub fn poll(&mut self, now: SimTime) -> Vec<TcpStackEvent> {
-        let ids: Vec<SocketId> = self.sockets.keys().copied().collect();
+        // nothing is allocated unless a socket has something to say
         let mut out = Vec::new();
-        for id in ids {
-            let mut ev = Vec::new();
-            if let Some(s) = self.sockets.get_mut(&id) {
-                s.poll(now, &mut ev);
-            }
-            out.extend(self.wrap(id, ev));
+        let mut ev = Vec::new();
+        for (&id, s) in self.sockets.iter_mut() {
+            s.poll(now, &mut ev);
+            Self::wrap_into(&mut self.by_tuple, id, Some(s), ev.drain(..), &mut out);
         }
         out
     }

@@ -91,7 +91,7 @@ fn ip_reassembly_matches_first_arrival_model() {
             }
             match outcome {
                 IpInput::Delivered { payload, .. } => {
-                    delivered = Some(payload);
+                    delivered = Some(payload.into_owned());
                     break; // context is gone; later fragments start anew
                 }
                 IpInput::FragmentHeld => {}
@@ -619,4 +619,182 @@ fn tcp_sack_never_retransmits_sacked_bytes() {
         };
         tcp_impairment_run_cfg(len, fill_seed, net_seed, loss, reorder, cfg);
     });
+}
+
+/// The TCP socket's two byte queues against a plain `Vec<u8>` model.
+///
+/// A scripted peer drives one socket through random interleavings of
+/// `send` (zero-length and larger-than-the-buffer writes included),
+/// cumulative acks landing mid-segment, SACK blocks that leave holes,
+/// duplicate acks, closed windows (persist probes), timer-driven
+/// retransmission, in-order / overlapping / out-of-order peer data and
+/// `recv(max)` / `peek` + `consume` reads. The rings are a few dozen
+/// bytes, so every case laps them many times and the two-slice case —
+/// where a slice-wise copy goes wrong — is the common one, not the
+/// rare one. Every payload the socket emits, first transmission or
+/// retransmission, must be exactly the model's bytes at that sequence
+/// offset (and carry a valid checksum when checksums are on); every
+/// read must continue the peer's stream exactly.
+#[test]
+fn tcp_byte_queues_match_vec_model_through_ring_wrap() {
+    use nectar_stack::tcp::{TcpConfig, TcpEvent, TcpSocket, TcpState};
+    use nectar_wire::ipv4::Ipv4Header;
+    use nectar_wire::tcp::{SeqNum, TcpFlags, TcpHeader};
+
+    // what the cases exercised, so a generator change that stops
+    // reaching an edge fails the test instead of hollowing it out
+    let (mut wrapped_reads, mut retransmits, mut probes, mut sack_retx, mut full_writes) =
+        (0u64, 0u64, 0u64, 0u64, 0u64);
+    let mut laps = 0usize;
+    check::cases(64, |g| {
+        let cfg = TcpConfig {
+            mss: g.usize_in(4, 96) as u16,
+            send_buf: g.usize_in(8, 160),
+            recv_buf: g.usize_in(8, 160),
+            compute_checksum: g.chance(0.5),
+            nagle: g.chance(0.5),
+            delayed_ack: g.chance(0.5),
+            sack: true,
+            max_retries: 10_000,
+            ..TcpConfig::default()
+        };
+        let (local, remote) = ((a(1), 1000), (a(2), 80));
+        // start both sequence spaces just below the 2^32 wrap
+        let isn = u32::MAX - g.usize_in(0, 300) as u32;
+        let peer_isn = u32::MAX - g.usize_in(0, 300) as u32;
+        let (out_base, in_base) = (SeqNum(isn).add(1), SeqNum(peer_isn).add(1));
+        let mut now = SimTime::ZERO;
+        let mut ev = Vec::new();
+        let mut s = TcpSocket::client(now, cfg, local, remote, isn, &mut ev);
+        let mut synack = TcpHeader::new(remote.1, local.1);
+        synack.seq = SeqNum(peer_isn);
+        synack.ack = out_base;
+        synack.flags = TcpFlags::SYN | TcpFlags::ACK;
+        synack.window = 64;
+        synack.mss = Some(g.usize_in(4, 96) as u16);
+        synack.sack_permitted = true;
+        s.on_segment(now, &synack, &[], &mut ev);
+        assert_eq!(s.state(), TcpState::Established);
+        ev.clear();
+
+        // the models: every byte `send` accepted, and the peer's stream
+        let mut out_model: Vec<u8> = Vec::new();
+        let in_model = g.bytes(2000, 4000);
+        let mut read: Vec<u8> = Vec::new();
+
+        for _ in 0..g.usize_in(100, 500) {
+            let (una, nxt, rcv_nxt) = s.seq_state();
+            let mut peer = TcpHeader::new(remote.1, local.1);
+            peer.seq = rcv_nxt;
+            peer.ack = una;
+            peer.flags = TcpFlags::ACK;
+            peer.window = *g.pick(&[0, 0, 1, 7, 64, 400]);
+            match g.usize_in(0, 10) {
+                0 | 1 => {
+                    // application write: empty, partial, or past the brim
+                    let data = g.bytes(0, 2 * cfg.send_buf);
+                    let room = s.send_capacity();
+                    let n = s.send(now, &data, &mut ev);
+                    assert_eq!(n, data.len().min(room), "send must fill the buffer exactly");
+                    full_writes += (n < data.len()) as u64;
+                    out_model.extend_from_slice(&data[..n]);
+                }
+                2 | 3 => {
+                    // cumulative ack anywhere in the flight — mid-segment
+                    // included — with SACK blocks above it leaving holes
+                    let flight = nxt.since(una) as usize;
+                    let acked = g.usize_in(0, flight + 1);
+                    peer.ack = una.add(acked);
+                    let mut lo = acked + 1;
+                    while lo < flight && peer.sack.len() < 3 && g.chance(0.6) {
+                        let l = g.usize_in(lo, flight);
+                        let r = g.usize_in(l + 1, flight + 1);
+                        peer.sack.push(una.add(l), una.add(r));
+                        lo = r + 1;
+                    }
+                    s.on_segment(now, &peer, &[], &mut ev);
+                }
+                4 => {
+                    // three duplicate acks: fast retransmit
+                    peer.window = 64;
+                    for _ in 0..4 {
+                        s.on_segment(now, &peer, &[], &mut ev);
+                    }
+                }
+                5 => {
+                    // let the next timer fire: RTO, persist probe, delack
+                    now = s.next_wakeup().unwrap_or(now + SimDuration::from_millis(1)).max(now);
+                    s.poll(now, &mut ev);
+                }
+                6 | 7 => {
+                    // peer data: in order, overlapping what we have, or
+                    // ahead of it; zero-length and window-overrunning too
+                    let have = rcv_nxt.since(in_base) as usize;
+                    let jitter = if g.chance(0.6) { 1 } else { 40 };
+                    let start =
+                        (have + g.usize_in(0, jitter)).saturating_sub(g.usize_in(0, jitter));
+                    let start = start.min(in_model.len());
+                    let end = (start + g.usize_in(0, 2 * cfg.mss as usize)).min(in_model.len());
+                    peer.seq = in_base.add(start);
+                    peer.window = 64;
+                    s.on_segment(now, &peer, &in_model[start..end], &mut ev);
+                }
+                _ => {
+                    // application read, by copy or in place
+                    // mostly partial reads: a ring that drains empty rewinds
+                    // and never wraps
+                    let max = *g.pick(&[0, 1, 3, 7, 15, 31, 63, usize::MAX]);
+                    wrapped_reads += !s.peek(max).1.is_empty() as u64;
+                    if g.chance(0.5) {
+                        read.extend(s.recv(max));
+                    } else {
+                        let (head, tail) = s.peek(max);
+                        let n = head.len() + tail.len();
+                        read.extend_from_slice(head);
+                        read.extend_from_slice(tail);
+                        s.consume(n);
+                    }
+                    assert!(read.len() <= in_model.len());
+                    assert_eq!(
+                        read,
+                        in_model[..read.len()],
+                        "recv diverged from the peer's stream"
+                    );
+                    s.poll(now, &mut ev);
+                }
+            }
+            for e in ev.drain(..) {
+                let TcpEvent::Transmit { segment, .. } = e else { continue };
+                let ip = Ipv4Header::new(local.0, remote.0, IpProtocol::TCP, segment.len());
+                let h = TcpHeader::parse(&ip, &segment, cfg.compute_checksum)
+                    .expect("emitted segment must parse and checksum");
+                let payload = &segment[h.header_len..];
+                let at = h.seq.since(out_base) as usize;
+                assert!(at + payload.len() <= out_model.len(), "segment carries unsent bytes");
+                assert_eq!(
+                    payload,
+                    &out_model[at..at + payload.len()],
+                    "segment at stream offset {at} does not carry the bytes that were sent"
+                );
+            }
+            if s.state() != TcpState::Established {
+                break;
+            }
+        }
+        // whatever is still readable continues the stream too
+        read.extend(s.recv(usize::MAX));
+        assert_eq!(read, in_model[..read.len()], "recv diverged from the peer's stream");
+        let st = s.stats();
+        retransmits += st.retransmits;
+        probes += st.zero_window_probes;
+        sack_retx += st.sack_retransmits;
+        laps += out_model.len() / cfg.send_buf + read.len() / cfg.recv_buf;
+    });
+    if std::env::var("NECTAR_CHECK_SEED").is_err() {
+        assert!(wrapped_reads > 50, "only {wrapped_reads} reads saw the receive ring wrapped");
+        assert!(laps > 200, "the rings were lapped only {laps} times");
+        assert!(retransmits > 100 && sack_retx > 20, "{retransmits} / {sack_retx} retransmits");
+        assert!(probes > 10, "only {probes} zero-window probes");
+        assert!(full_writes > 50, "only {full_writes} writes hit a full buffer");
+    }
 }

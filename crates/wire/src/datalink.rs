@@ -94,7 +94,7 @@ pub struct DatalinkHeader {
 ///
 /// * *contiguous* — `buf` holds the whole wire image (route + header +
 ///   payload + CRC trailer); `tail` is `None`. This is what
-///   [`Frame::build`] and [`Frame::from_bytes`] produce.
+///   [`Frame::build_parts`] and [`Frame::from_bytes`] produce.
 /// * *split* — `buf` holds only route + header, `tail` holds the
 ///   payload, and the CRC trailer lives in the `crc` field. This is
 ///   what [`Frame::build_shared`] produces: every multicast replica
@@ -113,13 +113,18 @@ pub struct Frame {
 }
 
 impl Frame {
-    /// Assemble a frame. The CRC is computed over header + payload, as
-    /// the CAB hardware did for outgoing fiber data.
-    pub fn build(route: &Route, header: DatalinkHeader, payload: &[u8]) -> Frame {
-        assert!(payload.len() <= u16::MAX as usize, "payload too large for frame");
+    /// Start a frame's storage: route prefix + datalink header for a
+    /// payload of `payload_len` bytes, with room for `spare` more bytes
+    /// after them. Returns the bytes and the header's offset.
+    fn head(
+        route: &Route,
+        header: DatalinkHeader,
+        payload_len: usize,
+        spare: usize,
+    ) -> (Vec<u8>, usize) {
+        assert!(payload_len <= u16::MAX as usize, "payload too large for frame");
         let r = route.len();
-        let mut bytes =
-            Vec::with_capacity(ROUTE_FIXED_LEN + r + HEADER_LEN + payload.len() + CRC_LEN);
+        let mut bytes = Vec::with_capacity(ROUTE_FIXED_LEN + r + HEADER_LEN + spare);
         bytes.push(r as u8);
         bytes.push(0); // route_pos
         bytes.extend_from_slice(route.hops());
@@ -129,9 +134,29 @@ impl Frame {
         put_u16(&mut bytes, h + 2, header.src_cab);
         bytes[h + 4] = header.proto as u8;
         bytes[h + 5] = header.flags;
-        put_u16(&mut bytes, h + 6, payload.len() as u16);
+        put_u16(&mut bytes, h + 6, payload_len as u16);
         put_u32(&mut bytes, h + 8, header.msg_id);
-        bytes.extend_from_slice(payload);
+        (bytes, h)
+    }
+
+    /// Assemble a frame whose payload is `payload`. See
+    /// [`Frame::build_parts`].
+    pub fn build(route: &Route, header: DatalinkHeader, payload: &[u8]) -> Frame {
+        Frame::build_parts(route, header, &[payload])
+    }
+
+    /// Assemble a frame whose payload is the concatenation of `parts`
+    /// (a protocol header built beside its data, say), gathering them
+    /// as the CAB's DMA engine gathered onto the fiber: route, datalink
+    /// header, every part and the CRC are written once, into the
+    /// storage the frame keeps. The CRC is computed over header +
+    /// payload, as the CAB hardware did for outgoing fiber data.
+    pub fn build_parts(route: &Route, header: DatalinkHeader, parts: &[&[u8]]) -> Frame {
+        let payload_len = parts.iter().map(|p| p.len()).sum();
+        let (mut bytes, h) = Frame::head(route, header, payload_len, payload_len + CRC_LEN);
+        for part in parts {
+            bytes.extend_from_slice(part);
+        }
         let crc = checksum::crc32(&bytes[h..]);
         bytes.extend_from_slice(&crc.to_be_bytes());
         Frame { buf: FrameBuf::new(bytes), tail: None, crc: 0, route_pos: 0 }
@@ -140,25 +165,12 @@ impl Frame {
     /// Assemble a *split* frame whose payload is a zero-copy view of
     /// `payload`: only the route + header head is allocated; the
     /// payload backing is shared (an `Rc` bump). The CRC is streamed
-    /// over header + payload exactly as [`Frame::build`] computes it,
-    /// so the two shapes are wire-identical (see
+    /// over header + payload exactly as [`Frame::build_parts`] computes
+    /// it, so the two shapes are wire-identical (see
     /// [`Frame::into_bytes`]). This is the multicast replication path:
     /// one payload allocation serves every branch of the fan-out tree.
     pub fn build_shared(route: &Route, header: DatalinkHeader, payload: &FrameBuf) -> Frame {
-        assert!(payload.len() <= u16::MAX as usize, "payload too large for frame");
-        let r = route.len();
-        let mut head = Vec::with_capacity(ROUTE_FIXED_LEN + r + HEADER_LEN);
-        head.push(r as u8);
-        head.push(0); // route_pos
-        head.extend_from_slice(route.hops());
-        let h = head.len();
-        head.resize(h + HEADER_LEN, 0);
-        put_u16(&mut head, h, header.dst_cab);
-        put_u16(&mut head, h + 2, header.src_cab);
-        head[h + 4] = header.proto as u8;
-        head[h + 5] = header.flags;
-        put_u16(&mut head, h + 6, payload.len() as u16);
-        put_u32(&mut head, h + 8, header.msg_id);
+        let (head, h) = Frame::head(route, header, payload.len(), 0);
         let mut acc = checksum::Crc32Accum::new();
         acc.write(&head[h..]);
         acc.write(payload.as_slice());

@@ -9,7 +9,9 @@
 //! that single buffer.
 //!
 //! The simulator is single-threaded per [`crate::Frame`] owner, so the
-//! backing store is an `Rc<[u8]>`, not an `Arc`.
+//! backing store is an `Rc`, not an `Arc` — and an `Rc<Vec<u8>>` rather
+//! than an `Rc<[u8]>`, because the former adopts the `Vec` a frame was
+//! assembled in while the latter would copy it into a fresh allocation.
 
 use std::fmt;
 use std::ops::{Deref, Range};
@@ -18,18 +20,18 @@ use std::rc::Rc;
 /// A cheaply-cloneable view into reference-counted frame bytes.
 #[derive(Clone)]
 pub struct FrameBuf {
-    data: Rc<[u8]>,
+    data: Rc<Vec<u8>>,
     start: u32,
     end: u32,
 }
 
 impl FrameBuf {
-    /// Take ownership of `bytes` as a new backing allocation covering
-    /// the whole buffer.
+    /// Take ownership of `bytes` as the backing allocation, covering
+    /// the whole buffer. The bytes are adopted, not copied.
     pub fn new(bytes: Vec<u8>) -> FrameBuf {
         assert!(bytes.len() <= u32::MAX as usize, "frame buffer too large");
         let end = bytes.len() as u32;
-        FrameBuf { data: Rc::from(bytes), start: 0, end }
+        FrameBuf { data: Rc::new(bytes), start: 0, end }
     }
 
     pub fn len(&self) -> usize {
@@ -111,6 +113,14 @@ mod tests {
         let b = a.clone();
         assert!(Rc::ptr_eq(&a.data, &b.data));
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn new_adopts_the_vec_without_copying() {
+        let bytes = vec![7u8; 4096];
+        let built_at = bytes.as_ptr();
+        let a = FrameBuf::new(bytes);
+        assert_eq!(a.as_slice().as_ptr(), built_at, "the frame was copied after it was built");
     }
 
     #[test]

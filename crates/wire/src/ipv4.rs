@@ -130,12 +130,20 @@ impl Ipv4Header {
         put_u16(buf, 10, c);
     }
 
+    /// The emitted header (with correct checksum) as its own array, for
+    /// senders that gather header and payload into a frame.
+    pub fn to_bytes(&self) -> [u8; HEADER_LEN] {
+        let mut bytes = [0u8; HEADER_LEN];
+        self.emit(&mut bytes);
+        bytes
+    }
+
     /// Build a complete packet: header + payload.
     pub fn build_packet(&self, payload: &[u8]) -> Vec<u8> {
         debug_assert_eq!(self.payload_len(), payload.len());
-        let mut pkt = vec![0u8; HEADER_LEN + payload.len()];
-        self.emit(&mut pkt);
-        pkt[HEADER_LEN..].copy_from_slice(payload);
+        let mut pkt = Vec::with_capacity(HEADER_LEN + payload.len());
+        pkt.extend_from_slice(&self.to_bytes());
+        pkt.extend_from_slice(payload);
         pkt
     }
 

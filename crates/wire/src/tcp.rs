@@ -316,15 +316,29 @@ impl TcpHeader {
         })
     }
 
-    /// Build a full TCP segment (header + payload). If `compute_checksum`
-    /// is false the checksum field is left zero (the experimental
-    /// checksum-off mode; the CAB's hardware CRC still protects the
-    /// frame).
+    /// Build a full TCP segment (header + payload). See
+    /// [`TcpHeader::build_parts`].
     pub fn build(
         &self,
         src: Ipv4Addr,
         dst: Ipv4Addr,
         payload: &[u8],
+        compute_checksum: bool,
+    ) -> Vec<u8> {
+        self.build_parts(src, dst, &[payload], compute_checksum)
+    }
+
+    /// Build a full TCP segment whose payload is the concatenation of
+    /// `parts` — the two halves of a send ring, say — written straight
+    /// after the header into the segment's storage. If
+    /// `compute_checksum` is false the checksum field is left zero (the
+    /// experimental checksum-off mode; the CAB's hardware CRC still
+    /// protects the frame).
+    pub fn build_parts(
+        &self,
+        src: Ipv4Addr,
+        dst: Ipv4Addr,
+        parts: &[&[u8]],
         compute_checksum: bool,
     ) -> Vec<u8> {
         let mut opts = [0u8; 40];
@@ -362,8 +376,9 @@ impl TcpHeader {
             o += 1;
         }
         let header_len = HEADER_LEN + o;
-        let total = header_len + payload.len();
-        let mut seg = vec![0u8; total];
+        let total = header_len + parts.iter().map(|p| p.len()).sum::<usize>();
+        let mut seg = Vec::with_capacity(total);
+        seg.resize(header_len, 0);
         put_u16(&mut seg, 0, self.src_port);
         put_u16(&mut seg, 2, self.dst_port);
         put_u32(&mut seg, 4, self.seq.0);
@@ -373,7 +388,9 @@ impl TcpHeader {
         put_u16(&mut seg, 14, self.window);
         put_u16(&mut seg, 18, self.urgent);
         seg[HEADER_LEN..header_len].copy_from_slice(&opts[..o]);
-        seg[header_len..].copy_from_slice(payload);
+        for part in parts {
+            seg.extend_from_slice(part);
+        }
         if compute_checksum {
             let ip = Ipv4Header::new(src, dst, IpProtocol::TCP, total);
             let mut acc = ip.pseudo_header_checksum(total);

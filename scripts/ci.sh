@@ -4,6 +4,7 @@
 # dependencies, so no registry access is needed.
 #
 #   scripts/ci.sh            # fmt --check + clippy -D warnings + tests
+#                            # + the copy census on a release build
 #   scripts/ci.sh --fix      # apply formatting instead of checking it
 #   scripts/ci.sh --full     # also run the full chaos sweep (40 cases) and
 #                            # regenerate the three full BENCH_*.json
@@ -19,6 +20,14 @@ if grep -rnE 'Hash(Map|Set)' crates/*/src; then
     exit 1
 fi
 
+# the TCP byte queues copy by slice: a payload walked through an
+# iterator one byte at a time was 40 % of stream_twohub's wall time
+# (EXPERIMENTS.md "byte path").
+if grep -rnE '\.copied\(\)\.collect|drain\([^)]*\)\.collect' crates/stack/src/tcp; then
+    echo "ci: per-byte payload copy in crates/stack/src/tcp — copy by slice (as_slices, extend_from_slice)"
+    exit 1
+fi
+
 if [[ "${1:-}" == "--fix" ]]; then
     cargo fmt --all
 else
@@ -28,6 +37,14 @@ fi
 cargo clippy --workspace --all-targets -- -D warnings
 
 cargo test --workspace -q
+
+# copy census on optimised code: heap bytes allocated per payload byte
+# delivered and allocations per message on the two-HUB stream mix, as
+# counts that repeat exactly (DESIGN.md §9). The workspace pass above
+# already ran it unoptimised; this one puts the trajectory in the log.
+echo "ci: copy census (tests/tests/copy_budget.rs, release)"
+cargo test --release -q -p nectar-integration --test copy_budget -- --nocapture \
+    | grep '^copy_budget:'
 
 # benchmark/ is its own package outside the workspace but path-depends
 # on these crates: prove it still compiles against them and that its
