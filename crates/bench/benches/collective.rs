@@ -23,7 +23,8 @@ use nectar::collective::{deploy_barrier_fleet, CollectiveGroup};
 use nectar::config::Config;
 use nectar::topology::{ClosSpec, Topology};
 use nectar::world::World;
-use nectar_sim::{SimDuration, SimTime};
+use nectar_sim::json::Json::{self, Arr, Obj, Row, S, U};
+use nectar_sim::{par_map, SimDuration, SimTime};
 use nectar_stack::collective::{CollectiveConfig, CollectiveEngine};
 use nectar_wire::collective::CombineOp;
 
@@ -63,7 +64,6 @@ enum Shape {
     Chain,
 }
 
-#[derive(Clone, Default)]
 struct ShapeResult {
     shape: &'static str,
     depth: u64,
@@ -128,7 +128,22 @@ fn run_shape(cfg: &FleetCfg, shape: Shape) -> ShapeResult {
         root_arrives_rx,
         arrive_retransmits: retrans,
         replicas,
-        reduced_value: expected,
+        reduced_value: handles[0].last_value.get(),
+    }
+}
+
+impl ShapeResult {
+    fn fields(&self) -> Vec<(&'static str, Json<'static>)> {
+        vec![
+            ("shape", S(self.shape)),
+            ("depth", U(self.depth)),
+            ("total_ns", U(self.total_ns)),
+            ("per_epoch_ns", U(self.per_epoch_ns)),
+            ("root_arrives_rx", U(self.root_arrives_rx)),
+            ("arrive_retransmits", U(self.arrive_retransmits)),
+            ("replicas", U(self.replicas)),
+            ("reduced_value", U(self.reduced_value)),
+        ]
     }
 }
 
@@ -148,10 +163,8 @@ impl FleetResult {
     }
 }
 
-fn run_fleet(cfg: &FleetCfg) -> FleetResult {
+fn fleet_result(cfg: &FleetCfg, tree: ShapeResult, chain: ShapeResult) -> FleetResult {
     let topo = cfg.topology();
-    let tree = run_shape(cfg, Shape::Tree);
-    let chain = run_shape(cfg, Shape::Chain);
     println!(
         "  {}: tree {} µs/epoch (depth {}), chain {} µs/epoch (depth {}), root heard {} arrives",
         cfg.label,
@@ -171,48 +184,59 @@ fn run_fleet(cfg: &FleetCfg) -> FleetResult {
     }
 }
 
-fn shape_json(s: &ShapeResult) -> String {
-    format!(
-        "{{\"shape\":\"{}\",\"depth\":{},\"total_ns\":{},\"per_epoch_ns\":{},\
-         \"root_arrives_rx\":{},\"arrive_retransmits\":{},\"replicas\":{},\
-         \"reduced_value\":{}}}",
-        s.shape,
-        s.depth,
-        s.total_ns,
-        s.per_epoch_ns,
-        s.root_arrives_rx,
-        s.arrive_retransmits,
-        s.replicas,
-        s.reduced_value
-    )
+/// What the artifact claims, checked before it is written.
+fn check(fleets: &[FleetResult]) {
+    assert!(fleets.len() >= 2, "only {} fleet sizes", fleets.len());
+    assert!(fleets.windows(2).all(|w| w[0].fleet < w[1].fleet), "fleets not strictly growing");
+    let largest = fleets.last().expect("at least two fleets");
+    assert!(largest.fleet >= 256, "largest fleet {} below the 256-member bar", largest.fleet);
+    for f in fleets {
+        for s in [&f.tree, &f.chain] {
+            let sum = f.fleet * (f.fleet + 1) / 2;
+            assert_eq!(s.reduced_value, sum, "{}/{}: wrong reduction value", f.label, s.shape);
+        }
+        assert!(f.tree.depth < f.chain.depth, "{}: tree not log-depth", f.label);
+        // interior combining: the root hears one Arrive per child per
+        // epoch, never one per descendant
+        assert!(
+            f.tree.root_arrives_rx <= FANOUT as u64 * EPOCHS as u64,
+            "{}: root heard uncombined arrives",
+            f.label
+        );
+    }
+    // the headline claim: at ≥256 members the log-depth tree must beat
+    // the linear gather outright
+    for f in fleets.iter().filter(|f| f.fleet >= 256) {
+        assert!(
+            f.tree.per_epoch_ns < f.chain.per_epoch_ns,
+            "{}: tree ({} ns) no faster than chain ({} ns)",
+            f.label,
+            f.tree.per_epoch_ns,
+            f.chain.per_epoch_ns
+        );
+    }
 }
 
 fn to_json(quick: bool, fleets: &[FleetResult]) -> String {
-    let mut out = String::new();
-    out.push_str(&format!(
-        "{{\n\"seed\": {},\n\"mode\": \"{}\",\n\"epochs\": {},\n\"fanout\": {},\n\"fleets\": [\n",
-        SEED,
-        if quick { "quick" } else { "full" },
-        EPOCHS,
-        FANOUT
-    ));
-    for (i, f) in fleets.iter().enumerate() {
-        let sep = if i + 1 < fleets.len() { "," } else { "" };
-        out.push_str(&format!(
-            "  {{\"label\": \"{}\", \"fleet\": {}, \"hubs\": {}, \"stages\": {}, \
-             \"tree_vs_chain_permille\": {},\n   \"tree\": {},\n   \"chain\": {}}}{}\n",
-            f.label,
-            f.fleet,
-            f.hubs,
-            f.stages,
-            f.tree_vs_chain_permille(),
-            shape_json(&f.tree),
-            shape_json(&f.chain),
-            sep
-        ));
-    }
-    out.push_str("]\n}\n");
-    out
+    let fleet = |f: &FleetResult| {
+        Obj(vec![
+            ("label", S(f.label)),
+            ("fleet", U(f.fleet)),
+            ("hubs", U(f.hubs)),
+            ("stages", U(f.stages)),
+            ("tree_vs_chain_permille", U(f.tree_vs_chain_permille())),
+            ("tree", Row(f.tree.fields())),
+            ("chain", Row(f.chain.fields())),
+        ])
+    };
+    Obj(vec![
+        ("seed", U(SEED)),
+        ("mode", S(if quick { "quick" } else { "full" })),
+        ("epochs", U(EPOCHS as u64)),
+        ("fanout", U(FANOUT as u64)),
+        ("fleets", Arr(fleets.iter().map(fleet).collect())),
+    ])
+    .render()
 }
 
 fn main() {
@@ -226,7 +250,17 @@ fn main() {
         FANOUT,
         EPOCHS
     );
-    let results: Vec<FleetResult> = sizes.iter().map(run_fleet).collect();
+    // every (fleet, shape) run is its own world: run them in parallel
+    let grid: Vec<(&FleetCfg, Shape)> =
+        sizes.iter().flat_map(|cfg| [(cfg, Shape::Tree), (cfg, Shape::Chain)]).collect();
+    let mut shapes = par_map(&grid, |&(cfg, shape)| run_shape(cfg, shape)).into_iter();
+    let results: Vec<FleetResult> = sizes
+        .iter()
+        .map(|cfg| {
+            let (tree, chain) = (shapes.next().expect("tree"), shapes.next().expect("chain"));
+            fleet_result(cfg, tree, chain)
+        })
+        .collect();
 
     println!("| fleet | hubs | tree µs/epoch | tree depth | chain µs/epoch | chain depth | tree/chain ‰ |");
     println!("|---|---:|---:|---:|---:|---:|---:|");
@@ -243,17 +277,6 @@ fn main() {
         );
     }
 
-    // the headline claim: at ≥256 members the log-depth tree must beat
-    // the linear gather outright
-    for f in results.iter().filter(|f| f.fleet >= 256) {
-        assert!(
-            f.tree.per_epoch_ns < f.chain.per_epoch_ns,
-            "{}: tree ({} ns) no faster than chain ({} ns)",
-            f.label,
-            f.tree.per_epoch_ns,
-            f.chain.per_epoch_ns
-        );
-    }
-
+    check(&results);
     nectar_bench::write_artifact("BENCH_collective.json", &to_json(quick, &results));
 }

@@ -27,7 +27,7 @@ fn main() {
     ] {
         let vals: Vec<f64> =
             sizes.iter().map(|&s| cab_throughput(cfg, proto, s, volume_for(s))).collect();
-        print_series(label, &sizes, &vals);
+        print_series(label, &vals);
     }
     println!();
     println!("paper anchors: RMP(8KiB) ~90; TCP ~= RMP/2 at large sizes; doubling up to 256B");

@@ -66,7 +66,7 @@ fn main() {
             .iter()
             .map(|&s| host_throughput(Config::default(), proto, s, volume_for(s)))
             .collect();
-        print_series(label, &sizes, &vals);
+        print_series(label, &vals);
     }
     println!();
     println!("comparison points (8 KiB-class transfers):");

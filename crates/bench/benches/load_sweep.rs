@@ -6,8 +6,9 @@
 //! Each transport is driven by an open-loop Poisson client fleet at
 //! increasing aggregate request rates; every point reports goodput and
 //! p50/p90/p99/p99.9 latency measured from each request's *intended*
-//! start time, and the sweep locates the capacity knee (last step still
-//! served at ≥95% of offered). Results land in `BENCH_load.json` (in
+//! start time, and the sweep locates the capacity knee (the last step
+//! that served requests with its CO-corrected p99 inside the SLO —
+//! `nectar_load::sweep::knee`). Results land in `BENCH_load.json` (in
 //! `$NECTAR_BENCH_DIR` when set, else the workspace root) plus a
 //! markdown table on stdout. `--quick` (or `NECTAR_LOAD_QUICK=1`) runs
 //! the two-transport CI smoke configuration.
@@ -16,9 +17,37 @@
 //! derived only, so two runs with the same seed produce byte-identical
 //! files — CI double-runs the quick sweep and diffs the bytes.
 
-use nectar_load::sweep::{run_sweep, variants_json, SweepConfig};
+use nectar_load::sweep::{run_sweep, variants_json, SweepConfig, SweepResult};
 
 const SEED: u64 = 0x10ad_5eed;
+
+/// What the artifact claims, checked before it is written: every
+/// transport of both variants served requests and has a knee, and the
+/// fast path never moves a knee down.
+fn check(base: &SweepResult, fast: &SweepResult) {
+    assert_eq!((base.variant, fast.variant), ("baseline", "fastpath"));
+    for r in [base, fast] {
+        assert!(!r.sweeps.is_empty(), "{}: no transports", r.variant);
+        for s in &r.sweeps {
+            let name = s.transport.name();
+            assert!(
+                s.points.iter().any(|p| p.responses > 0),
+                "{}/{name}: served nothing",
+                r.variant
+            );
+            assert!(s.knee_rps() > 0, "{}/{name}: no capacity knee", r.variant);
+        }
+    }
+    for (b, f) in base.sweeps.iter().zip(&fast.sweeps) {
+        assert!(
+            f.knee_rps() >= b.knee_rps(),
+            "{}: fastpath knee regressed ({} < {})",
+            b.transport.name(),
+            f.knee_rps(),
+            b.knee_rps()
+        );
+    }
+}
 
 fn main() {
     let quick =
@@ -42,22 +71,10 @@ fn main() {
         }
         results.push(result);
     }
-    // knee movement summary: the fast path must not regress a knee
     for (b, f) in results[0].sweeps.iter().zip(&results[1].sweeps) {
-        println!(
-            "  {}: knee {} -> {} rps ({})",
-            b.transport.name(),
-            b.knee_rps(),
-            f.knee_rps(),
-            if f.knee_rps() > b.knee_rps() {
-                "up"
-            } else if f.knee_rps() == b.knee_rps() {
-                "flat"
-            } else {
-                "DOWN"
-            }
-        );
+        println!("  {}: knee {} -> {} rps", b.transport.name(), b.knee_rps(), f.knee_rps());
     }
 
+    check(&results[0], &results[1]);
     nectar_bench::write_artifact("BENCH_load.json", &variants_json(&results));
 }

@@ -7,12 +7,13 @@
 //! Each fabric size runs a single-transport (req/resp) fleet — at the
 //! largest size 10k+ lightweight endpoints multiplexed over a few
 //! hundred client threads — through increasing aggregate offered
-//! load. Every point reports CO-correct p50/p99 and the per-stage
-//! hotspot rollup (`net/fabric/stage/*`); the sweep locates the SLO
-//! knee per size. One chaos point then re-runs the largest fabric
-//! with the fault engine and the conformance oracle armed. Results
-//! land in `BENCH_scale.json` (in `$NECTAR_BENCH_DIR` when set, else
-//! the workspace root).
+//! load. Every point is a `nectar_load::sweep::measure_point` row plus
+//! the frames the fabric held, with the per-stage hotspot rollup
+//! (`net/fabric/stage/*`) read from the world it ran in; the sweep
+//! locates the SLO knee per size. One chaos point then re-runs the
+//! largest fabric with the fault engine and the conformance oracle
+//! armed. Results land in `BENCH_scale.json` (in `$NECTAR_BENCH_DIR`
+//! when set, else the workspace root).
 //!
 //! Determinism contract: every reported quantity is integer-valued
 //! and schedule-derived, so same-seed runs render byte-identical
@@ -22,8 +23,10 @@ use nectar::config::Config;
 use nectar::fault::{FaultScript, LinkPlan};
 use nectar::world::World;
 use nectar_hub::Backpressure;
-use nectar_load::{deploy_fleet, Arrival, FleetPlan, LoadTransport, SizeDist};
-use nectar_sim::{SimDuration, SimTime};
+use nectar_load::sweep::{knee, measure_point, schedule};
+use nectar_load::{deploy_fleet, FleetPlan, LoadPoint, LoadTransport, SizeDist};
+use nectar_sim::json::Json::{self, Arr, Obj, Row, B, S, U};
+use nectar_sim::{par_map, SimDuration};
 
 const SEED: u64 = 0x5ca1e;
 /// A load point whose CO-corrected p99 exceeds this is saturated.
@@ -105,57 +108,42 @@ impl SizeCfg {
     fn plan(&self, offered_rps: u64) -> FleetPlan {
         let per_server = self.endpoints / self.servers;
         assert_eq!(per_server * self.servers, self.endpoints, "endpoints split evenly");
-        let gap_ns = (self.endpoints as u64)
-            .saturating_mul(1_000_000_000)
-            .checked_div(offered_rps)
-            .unwrap_or(u64::MAX)
-            .max(1);
+        let (arrival, start, stop) = schedule(self.endpoints, offered_rps, self.measure);
         FleetPlan {
             seed: SEED ^ ((self.endpoints as u64) << 40) ^ offered_rps,
             mix: vec![(LoadTransport::ReqResp, per_server); self.servers],
             clients_per_cab: 1,
             endpoints_per_client: self.endpoints_per_client,
-            arrival: Arrival::Open { mean_gap: SimDuration::from_nanos(gap_ns) },
+            arrival,
             size: SizeDist::Fixed(128),
             timeout: SimDuration::from_millis(50),
-            // same warmup rationale as the load sweep: let the deploy
-            // transient drain before the first intended start
-            start: SimTime::ZERO + SimDuration::from_millis(20),
-            stop: SimTime::ZERO + SimDuration::from_millis(20) + self.measure,
+            start,
+            stop,
         }
     }
 }
 
 /// The world configuration every scale point runs under: defaults plus
-/// xon/xoff trunk backpressure — the regime that publishes the
-/// per-stage `net/fabric/stage/*` hotspot rollup.
+/// xon/xoff trunk backpressure, so an oversubscribed stage holds frames
+/// (the rollup's `held_frames`) instead of dropping them.
 fn scale_config(seed: u64, oracle: bool) -> Config {
     let mut config = Config { seed, oracle: Some(oracle), ..Config::default() };
     config.hub.backpressure = Some(Backpressure::default());
     config
 }
 
-#[derive(Clone, Default)]
-struct Point {
-    offered_rps: u64,
-    achieved_rps: u64,
-    responses: u64,
-    timeouts: u64,
-    failures: u64,
-    p50_ns: u64,
-    p99_ns: u64,
-    held_frames: u64,
-    drops: u64,
-}
+/// Columns of the `net/fabric/stage/<s>/*` rollup, in artifact order.
+const STAGE_COLS: [&str; 5] =
+    ["rx_frames", "forwarded_frames", "dropped_frames", "held_frames", "backlog_high_ns"];
 
-#[derive(Clone, Default)]
-struct StageRow {
-    stage: usize,
-    rx_frames: u64,
-    forwarded_frames: u64,
-    dropped_frames: u64,
+/// One load point through the shared engine, plus what only this sweep
+/// reads from the world it ran in.
+struct Measured {
+    point: LoadPoint,
+    /// Frames the fabric held under xon/xoff.
     held_frames: u64,
-    backlog_high_ns: u64,
+    /// The stage rollup, a row of [`STAGE_COLS`] per stage.
+    stages: Vec<[u64; 5]>,
 }
 
 struct SizeResult {
@@ -165,84 +153,51 @@ struct SizeResult {
     cabs: u64,
     endpoints: u64,
     client_threads: u64,
-    points: Vec<Point>,
-    /// `net/fabric/stage/*` rollup at the heaviest offered step.
-    stages_hot: Vec<StageRow>,
+    points: Vec<Measured>,
     knee: Option<usize>,
 }
 
 impl SizeResult {
     fn knee_rps(&self) -> u64 {
-        self.knee.map(|i| self.points[i].offered_rps).unwrap_or(0)
+        self.knee.map(|i| self.points[i].point.offered_rps).unwrap_or(0)
     }
 
     fn p99_at_knee(&self) -> u64 {
-        self.knee.map(|i| self.points[i].p99_ns).unwrap_or(0)
+        self.knee.map(|i| self.points[i].point.p99_ns).unwrap_or(0)
+    }
+
+    /// The stage rollup at the heaviest offered step.
+    fn stages_hot(&self) -> &[[u64; 5]] {
+        self.points.last().map_or(&[], |m| &m.stages)
     }
 }
 
-fn run_point(size: &SizeCfg, offered_rps: u64) -> (Point, Vec<StageRow>) {
+fn run_point(size: &SizeCfg, offered_rps: u64) -> Measured {
     let plan = size.plan(offered_rps);
-    let config = scale_config(plan.seed, false);
-    let (mut world, mut sim) = World::new(config, plan.topology());
-    let fleet = deploy_fleet(&mut world, &plan);
-    world.run_until(&mut sim, plan.stop + plan.timeout + SimDuration::from_millis(20));
-
-    let rec = fleet.recorder.borrow();
-    let r = rec.record(LoadTransport::ReqResp);
-    let measure_ns = size.measure.as_nanos().max(1);
+    let (point, world) = measure_point(&plan, scale_config(plan.seed, false), offered_rps);
     let snap = world.metrics();
-    let g = |k: String| snap.get(&k).unwrap_or(0);
-    let stages = world.topo.stages();
-    let rows: Vec<StageRow> = (0..stages)
-        .map(|s| StageRow {
-            stage: s,
-            rx_frames: g(format!("net/fabric/stage/{s}/rx_frames")),
-            forwarded_frames: g(format!("net/fabric/stage/{s}/forwarded_frames")),
-            dropped_frames: g(format!("net/fabric/stage/{s}/dropped_frames")),
-            held_frames: g(format!("net/fabric/stage/{s}/held_frames")),
-            backlog_high_ns: g(format!("net/fabric/stage/{s}/backlog_high_ns")),
-        })
-        .collect();
-    let point = Point {
-        offered_rps,
-        achieved_rps: (r.responses as u128 * 1_000_000_000 / measure_ns as u128) as u64,
-        responses: r.responses,
-        timeouts: r.timeouts,
-        failures: r.failures,
-        p50_ns: r.latency.percentile_nanos(0.50),
-        p99_ns: r.latency.percentile_nanos(0.99),
-        held_frames: rows.iter().map(|row: &StageRow| row.held_frames).sum(),
-        drops: world.stats.frames_hub_dropped,
-    };
-    (point, rows)
+    let stage = |s| STAGE_COLS.map(|k| snap.get(&format!("net/fabric/stage/{s}/{k}")).unwrap_or(0));
+    Measured {
+        point,
+        held_frames: snap.sum_matching("net/fabric/stage/", "/held_frames"),
+        stages: (0..world.topo.stages()).map(stage).collect(),
+    }
 }
 
-fn run_size(size: &SizeCfg) -> SizeResult {
+fn size_result(size: &SizeCfg, points: Vec<Measured>) -> SizeResult {
     let plan = size.plan(size.offered_rps[0]);
     let topo = plan.topology();
-    let mut points = Vec::new();
-    let mut stages_hot = Vec::new();
-    for &rps in &size.offered_rps {
-        let (p, rows) = run_point(size, rps);
+    for Measured { point: p, held_frames, .. } in &points {
         println!(
             "  {} @ {} rps: achieved {} rps, p99 {} µs, held {} frames",
             size.label,
-            rps,
+            p.offered_rps,
             p.achieved_rps,
             p.p99_ns / 1_000,
-            p.held_frames
+            held_frames
         );
-        points.push(p);
-        stages_hot = rows; // keep the heaviest (last) step's rollup
     }
-    let slo = SLO_P99.as_nanos();
-    let knee = points
-        .iter()
-        .enumerate()
-        .rev()
-        .find(|(_, p)| p.responses > 0 && p.p99_ns <= slo)
-        .map(|(i, _)| i);
+    let load_points: Vec<LoadPoint> = points.iter().map(|m| m.point).collect();
     SizeResult {
         label: size.label,
         hubs: topo.hubs as u64,
@@ -250,28 +205,16 @@ fn run_size(size: &SizeCfg) -> SizeResult {
         cabs: topo.cabs() as u64,
         endpoints: size.endpoints as u64,
         client_threads: plan.client_threads() as u64,
+        knee: knee(&load_points, SLO_P99.as_nanos()),
         points,
-        stages_hot,
-        knee,
     }
-}
-
-struct ChaosResult {
-    label: &'static str,
-    loss_permille: u64,
-    hubs: u64,
-    intended: u64,
-    responses: u64,
-    timeouts: u64,
-    failures: u64,
-    conserved: bool,
-    oracle_armed: bool,
 }
 
 /// One chaos point at the largest fabric size: uniform per-fiber
 /// loss, conformance oracle armed, conservation identity checked on
-/// the load ledger.
-fn run_chaos(size: &SizeCfg) -> ChaosResult {
+/// the load ledger. Returns the artifact's `chaos` row; what the row
+/// claims is asserted here, where the values are still typed.
+fn run_chaos(size: &SizeCfg) -> Json<'static> {
     const LOSS: f64 = 0.02;
     let mid = size.offered_rps[size.offered_rps.len() / 2];
     let plan = size.plan(mid);
@@ -287,101 +230,76 @@ fn run_chaos(size: &SizeCfg) -> ChaosResult {
     world.install_fault_script(&mut sim, &script);
     let fleet = deploy_fleet(&mut world, &plan);
     world.run_until(&mut sim, plan.stop + SimDuration::from_secs(1));
-    assert!(
-        nectar_stack::conform::enabled(),
-        "oracle was disarmed mid-run; the chaos-clean claim is vacuous"
-    );
+    let oracle_armed = nectar_stack::conform::enabled();
+    assert!(oracle_armed, "oracle was disarmed mid-run; the chaos-clean claim is vacuous");
 
     let led = *fleet.ledger.borrow();
     let conserved = led.responses + led.timeouts + led.failures == led.requests_intended;
     assert!(conserved, "chaos ledger leaked requests");
     assert!(led.responses > 0, "chaos fleet made no progress under {LOSS} loss");
-    ChaosResult {
-        label: size.label,
-        loss_permille: (LOSS * 1000.0) as u64,
-        hubs: topo.hubs as u64,
-        intended: led.requests_intended,
-        responses: led.responses,
-        timeouts: led.timeouts,
-        failures: led.failures,
-        conserved,
-        oracle_armed: true,
+    println!(
+        "  chaos ledger: intended={} responses={} timeouts={} failures={} (conserved)",
+        led.requests_intended, led.responses, led.timeouts, led.failures
+    );
+    Row(vec![
+        ("label", S(size.label)),
+        ("loss_permille", U((LOSS * 1000.0) as u64)),
+        ("hubs", U(topo.hubs as u64)),
+        ("intended", U(led.requests_intended)),
+        ("responses", U(led.responses)),
+        ("timeouts", U(led.timeouts)),
+        ("failures", U(led.failures)),
+        ("conserved", B(conserved)),
+        ("oracle_armed", B(oracle_armed)),
+    ])
+}
+
+/// What the artifact claims about the sizes, checked before it is
+/// written (the chaos row's claims are asserted in [`run_chaos`]).
+fn check(sizes: &[SizeResult]) {
+    assert!(sizes.len() >= 3, "only {} fabric sizes", sizes.len());
+    assert!(sizes.windows(2).all(|w| w[0].hubs < w[1].hubs), "fabric sizes not strictly growing");
+    assert!(sizes.iter().any(|s| s.stages >= 2), "no multi-stage Clos size in the sweep");
+    for s in sizes {
+        assert!(s.knee_rps() > 0, "{}: no capacity knee", s.label);
+        assert!(s.points.iter().any(|m| m.point.responses > 0), "{}: served nothing", s.label);
+        assert_eq!(s.stages_hot().len() as u64, s.stages, "{}: rollup misses stages", s.label);
     }
 }
 
-fn to_json(quick: bool, sizes: &[SizeResult], chaos: &ChaosResult) -> String {
-    let mut out = String::new();
-    out.push_str(&format!(
-        "{{\n\"seed\": {},\n\"mode\": \"{}\",\n\"slo_p99_ns\": {},\n\"sizes\": [\n",
-        SEED,
-        if quick { "quick" } else { "full" },
-        SLO_P99.as_nanos()
-    ));
-    for (i, s) in sizes.iter().enumerate() {
-        out.push_str(&format!(
-            "  {{\"label\": \"{}\", \"hubs\": {}, \"stages\": {}, \"cabs\": {}, \
-             \"endpoints\": {}, \"client_threads\": {}, \"knee_rps\": {}, \
-             \"p99_ns_at_knee\": {},\n   \"points\": [\n",
-            s.label,
-            s.hubs,
-            s.stages,
-            s.cabs,
-            s.endpoints,
-            s.client_threads,
-            s.knee_rps(),
-            s.p99_at_knee()
-        ));
-        for (j, p) in s.points.iter().enumerate() {
-            let sep = if j + 1 < s.points.len() { "," } else { "" };
-            out.push_str(&format!(
-                "    {{\"offered_rps\":{},\"achieved_rps\":{},\"responses\":{},\
-                 \"timeouts\":{},\"failures\":{},\"p50_ns\":{},\"p99_ns\":{},\
-                 \"held_frames\":{},\"drops\":{}}}{}\n",
-                p.offered_rps,
-                p.achieved_rps,
-                p.responses,
-                p.timeouts,
-                p.failures,
-                p.p50_ns,
-                p.p99_ns,
-                p.held_frames,
-                p.drops,
-                sep
-            ));
-        }
-        out.push_str("   ],\n   \"stage_hotspots\": [\n");
-        for (j, r) in s.stages_hot.iter().enumerate() {
-            let sep = if j + 1 < s.stages_hot.len() { "," } else { "" };
-            out.push_str(&format!(
-                "    {{\"stage\":{},\"rx_frames\":{},\"forwarded_frames\":{},\
-                 \"dropped_frames\":{},\"held_frames\":{},\"backlog_high_ns\":{}}}{}\n",
-                r.stage,
-                r.rx_frames,
-                r.forwarded_frames,
-                r.dropped_frames,
-                r.held_frames,
-                r.backlog_high_ns,
-                sep
-            ));
-        }
-        let sep = if i + 1 < sizes.len() { "," } else { "" };
-        out.push_str(&format!("   ]}}{}\n", sep));
-    }
-    out.push_str(&format!(
-        "],\n\"chaos\": {{\"label\": \"{}\", \"loss_permille\": {}, \
-         \"hubs\": {}, \"intended\": {}, \"responses\": {}, \"timeouts\": {}, \
-         \"failures\": {}, \"conserved\": {}, \"oracle_armed\": {}}}\n}}\n",
-        chaos.label,
-        chaos.loss_permille,
-        chaos.hubs,
-        chaos.intended,
-        chaos.responses,
-        chaos.timeouts,
-        chaos.failures,
-        chaos.conserved,
-        chaos.oracle_armed
-    ));
-    out
+fn to_json(quick: bool, sizes: &[SizeResult], chaos: Json) -> String {
+    let point = |m: &Measured| {
+        let mut row = m.point.fields();
+        row.push(("held_frames", U(m.held_frames)));
+        Row(row)
+    };
+    let hotspot = |(stage, cols): (usize, &[u64; 5])| {
+        let mut row = vec![("stage", U(stage as u64))];
+        row.extend(STAGE_COLS.iter().zip(cols).map(|(&k, &v)| (k, U(v))));
+        Row(row)
+    };
+    let size = |s: &SizeResult| {
+        Obj(vec![
+            ("label", S(s.label)),
+            ("hubs", U(s.hubs)),
+            ("stages", U(s.stages)),
+            ("cabs", U(s.cabs)),
+            ("endpoints", U(s.endpoints)),
+            ("client_threads", U(s.client_threads)),
+            ("knee_rps", U(s.knee_rps())),
+            ("p99_ns_at_knee", U(s.p99_at_knee())),
+            ("points", Arr(s.points.iter().map(point).collect())),
+            ("stage_hotspots", Arr(s.stages_hot().iter().enumerate().map(hotspot).collect())),
+        ])
+    };
+    Obj(vec![
+        ("seed", U(SEED)),
+        ("mode", S(if quick { "quick" } else { "full" })),
+        ("slo_p99_ns", U(SLO_P99.as_nanos())),
+        ("sizes", Arr(sizes.iter().map(size).collect())),
+        ("chaos", chaos),
+    ])
+    .render()
 }
 
 fn main() {
@@ -393,7 +311,14 @@ fn main() {
         sizes.len(),
         sizes.iter().map(|s| s.endpoints).max().unwrap_or(0)
     );
-    let results: Vec<SizeResult> = sizes.iter().map(run_size).collect();
+    // every point of every size is its own world: run them in parallel
+    let grid: Vec<(&SizeCfg, u64)> =
+        sizes.iter().flat_map(|s| s.offered_rps.iter().map(move |&rps| (s, rps))).collect();
+    let mut measured = par_map(&grid, |&(size, rps)| run_point(size, rps)).into_iter();
+    let results: Vec<SizeResult> = sizes
+        .iter()
+        .map(|s| size_result(s, measured.by_ref().take(s.offered_rps.len()).collect()))
+        .collect();
 
     println!("| size | hubs | stages | cabs | endpoints | knee rps | p99 µs @ knee |");
     println!("|---|---:|---:|---:|---:|---:|---:|");
@@ -413,10 +338,7 @@ fn main() {
     let largest = sizes.last().expect("at least one size");
     println!("chaos: {} under {}%-loss fabric, oracle armed", largest.label, 2);
     let chaos = run_chaos(largest);
-    println!(
-        "  chaos ledger: intended={} responses={} timeouts={} failures={} (conserved)",
-        chaos.intended, chaos.responses, chaos.timeouts, chaos.failures
-    );
 
-    nectar_bench::write_artifact("BENCH_scale.json", &to_json(quick, &results, &chaos));
+    check(&results);
+    nectar_bench::write_artifact("BENCH_scale.json", &to_json(quick, &results, chaos));
 }

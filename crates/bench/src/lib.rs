@@ -114,7 +114,7 @@ pub fn cab_throughput(mut config: Config, proto: StreamProto, msg_size: usize, t
         config.tcp.compute_checksum = false;
     }
     let (mut world, mut sim) = World::single_hub(config, 2);
-    match proto {
+    let (meter, received, done) = match proto {
         StreamProto::Rmp => {
             let sink_mbox = world.cabs[1].shared.create_mailbox(false, HostOpMode::SharedMemory);
             let src_mbox = world.cabs[0].shared.create_mailbox(false, HostOpMode::SharedMemory);
@@ -122,11 +122,7 @@ pub fn cab_throughput(mut config: Config, proto: StreamProto, msg_size: usize, t
             world.cabs[1].fork_app(Box::new(sink));
             let (streamer, _) = CabRmpStreamer::new((1, sink_mbox), src_mbox, msg_size, total);
             world.cabs[0].fork_app(Box::new(streamer));
-            world.run_until_done(&mut sim, until(600), |_| done.get());
-            assert!(done.get(), "RMP sink got {}/{total} at size {msg_size}", received.get());
-            emit_snapshot(&format!("cab_throughput_{proto:?}_{msg_size}"), &world);
-            let m = meter.borrow().mbits_per_sec_to_last();
-            m
+            (meter, received, done)
         }
         StreamProto::Tcp | StreamProto::TcpNoChecksum => {
             let accept = world.cabs[1].shared.create_mailbox(false, HostOpMode::SharedMemory);
@@ -136,13 +132,14 @@ pub fn cab_throughput(mut config: Config, proto: StreamProto, msg_size: usize, t
             world.cabs[1].fork_app(Box::new(sink));
             let (streamer, _) = CabTcpStreamer::new(1, TCP_PORT, msg_size, total);
             world.cabs[0].fork_app(Box::new(streamer));
-            world.run_until_done(&mut sim, until(600), |_| done.get());
-            assert!(done.get(), "TCP sink got {}/{total} at size {msg_size}", received.get());
-            emit_snapshot(&format!("cab_throughput_{proto:?}_{msg_size}"), &world);
-            let m = meter.borrow().mbits_per_sec_to_last();
-            m
+            (meter, received, done)
         }
-    }
+    };
+    world.run_until_done(&mut sim, until(600), |_| done.get());
+    assert!(done.get(), "{proto:?} sink got {}/{total} at size {msg_size}", received.get());
+    emit_snapshot(&format!("cab_throughput_{proto:?}_{msg_size}"), &world);
+    let m = meter.borrow().mbits_per_sec_to_last();
+    m
 }
 
 /// Host-to-host streaming throughput at one message size (Figure 8).
@@ -151,7 +148,7 @@ pub fn host_throughput(mut config: Config, proto: StreamProto, msg_size: usize, 
         config.tcp.compute_checksum = false;
     }
     let (mut world, mut sim) = World::single_hub(config, 2);
-    match proto {
+    let (meter, received, done) = match proto {
         StreamProto::Rmp => {
             let sink_mbox = world.cabs[1].shared.create_mailbox(true, HostOpMode::SharedMemory);
             let src_mbox = world.cabs[0].shared.create_mailbox(true, HostOpMode::SharedMemory);
@@ -159,11 +156,7 @@ pub fn host_throughput(mut config: Config, proto: StreamProto, msg_size: usize, 
             world.hosts[1].spawn(Box::new(sink));
             let (streamer, _) = HostRmpStreamer::new((1, sink_mbox), src_mbox, msg_size, total);
             world.hosts[0].spawn(Box::new(streamer));
-            world.run_until_done(&mut sim, until(600), |_| done.get());
-            assert!(done.get(), "host RMP sink got {}/{total}", received.get());
-            emit_snapshot(&format!("host_throughput_{proto:?}_{msg_size}"), &world);
-            let m = meter.borrow().mbits_per_sec_to_last();
-            m
+            (meter, received, done)
         }
         StreamProto::Tcp | StreamProto::TcpNoChecksum => {
             let accept = world.cabs[1].shared.create_mailbox(true, HostOpMode::SharedMemory);
@@ -180,13 +173,14 @@ pub fn host_throughput(mut config: Config, proto: StreamProto, msg_size: usize, 
             let src_mbox = world.cabs[0].shared.create_mailbox(true, HostOpMode::SharedMemory);
             let (streamer, _) = HostTcpStreamer::new(1, TCP_PORT, src_mbox, msg_size, total);
             world.hosts[0].spawn(Box::new(streamer));
-            world.run_until_done(&mut sim, until(600), |_| done.get());
-            assert!(done.get(), "host TCP sink got {}/{total}", received.get());
-            emit_snapshot(&format!("host_throughput_{proto:?}_{msg_size}"), &world);
-            let m = meter.borrow().mbits_per_sec_to_last();
-            m
+            (meter, received, done)
         }
-    }
+    };
+    world.run_until_done(&mut sim, until(600), |_| done.get());
+    assert!(done.get(), "host {proto:?} sink got {}/{total}", received.get());
+    emit_snapshot(&format!("host_throughput_{proto:?}_{msg_size}"), &world);
+    let m = meter.borrow().mbits_per_sec_to_last();
+    m
 }
 
 /// The message-size sweep of Figures 7 and 8.
@@ -201,13 +195,12 @@ pub fn volume_for(msg_size: usize) -> u64 {
 }
 
 /// Pretty-print one figure series.
-pub fn print_series(label: &str, sizes: &[usize], values: &[f64]) {
+pub fn print_series(label: &str, values: &[f64]) {
     print!("{label:>16} |");
     for v in values {
         print!(" {v:>7.2}");
     }
     println!();
-    let _ = sizes;
 }
 
 pub fn print_size_header(sizes: &[usize]) {

@@ -150,10 +150,6 @@ impl Cab {
         self.proto.coll.install_group(group, parent, children);
     }
 
-    pub fn collective_enabled(&self) -> bool {
-        self.coll_tid.is_some()
-    }
-
     /// Fork an application thread (§5.3: "application-specific code can
     /// be executed on the CAB").
     pub fn fork_app(&mut self, t: Box<dyn CabThread>) -> ThreadId {

@@ -27,8 +27,7 @@
 //!
 //! Every injected fault is counted per link/node and surfaced through
 //! [`crate::world::World::metrics`] under `net/link/<a>-<b>/…` and
-//! `net/node/<n>/…` keys (only when a script is active, so fault-free
-//! snapshots keep the legacy key set).
+//! `net/node/<n>/…` keys, one group per link or node a script touches.
 
 use std::collections::BTreeMap;
 use std::fmt;

@@ -301,37 +301,32 @@ impl World {
         r.set("net/ip/reassembly_expired", ip.reassembly_expired);
         r.set("net/ip/reassembly_dropped", ip.reassembly_dropped);
 
-        // Per-link/per-node fault accounting, only while a script is
-        // active: fault-free snapshots keep the legacy key set, which
-        // the pinned fixture depends on.
-        if self.faults.enabled() {
-            let fs = &self.faults.stats;
-            r.set("net/fault/frames_down_dropped", fs.frames_down_dropped);
-            r.set("net/fault/bytes_down_dropped", fs.bytes_down_dropped);
-            r.set("net/fault/fifo_flushed_frames", fs.fifo_flushed_frames);
-            r.set("net/fault/fifo_flushed_bytes", fs.fifo_flushed_bytes);
-            for (link, st) in self.faults.link_stats() {
-                let label = link.label();
-                let p = |suffix: &str| format!("net/link/{label}/{suffix}");
-                r.set(p("frames_lost"), st.frames_lost);
-                r.set(p("bytes_lost"), st.bytes_lost);
-                r.set(p("frames_corrupted"), st.frames_corrupted);
-                r.set(p("frames_down_dropped"), st.frames_down_dropped);
-                r.set(p("bytes_down_dropped"), st.bytes_down_dropped);
-                r.set(p("burst_entries"), st.burst_entries);
-            }
-            for (node, st) in self.faults.node_stats() {
-                let p = |suffix: &str| format!("net/node/{node}/{suffix}");
-                r.set(p("frames_down_dropped"), st.frames_down_dropped);
-                r.set(p("bytes_down_dropped"), st.bytes_down_dropped);
-                r.set(p("fifo_flushed_frames"), st.fifo_flushed_frames);
-                r.set(p("fifo_flushed_bytes"), st.fifo_flushed_bytes);
-            }
+        // Fault accounting: engine totals, then one group per link and
+        // per node a script ever touched (none without a script).
+        let fs = &self.faults.stats;
+        r.set("net/fault/frames_down_dropped", fs.frames_down_dropped);
+        r.set("net/fault/bytes_down_dropped", fs.bytes_down_dropped);
+        r.set("net/fault/fifo_flushed_frames", fs.fifo_flushed_frames);
+        r.set("net/fault/fifo_flushed_bytes", fs.fifo_flushed_bytes);
+        for (link, st) in self.faults.link_stats() {
+            let label = link.label();
+            let p = |suffix: &str| format!("net/link/{label}/{suffix}");
+            r.set(p("frames_lost"), st.frames_lost);
+            r.set(p("bytes_lost"), st.bytes_lost);
+            r.set(p("frames_corrupted"), st.frames_corrupted);
+            r.set(p("frames_down_dropped"), st.frames_down_dropped);
+            r.set(p("bytes_down_dropped"), st.bytes_down_dropped);
+            r.set(p("burst_entries"), st.burst_entries);
+        }
+        for (node, st) in self.faults.node_stats() {
+            let p = |suffix: &str| format!("net/node/{node}/{suffix}");
+            r.set(p("frames_down_dropped"), st.frames_down_dropped);
+            r.set(p("bytes_down_dropped"), st.bytes_down_dropped);
+            r.set(p("fifo_flushed_frames"), st.fifo_flushed_frames);
+            r.set(p("fifo_flushed_bytes"), st.fifo_flushed_bytes);
         }
 
-        // Workload-driver accounting, only while a ledger is attached:
-        // plain worlds keep the legacy key set (same gating rationale
-        // as the fault keys above).
+        // Workload-driver accounting, when a load ledger is attached.
         if let Some(l) = &self.load {
             let l = l.borrow();
             r.set("net/load/requests_intended", l.requests_intended);
@@ -345,49 +340,44 @@ impl World {
             r.set("net/load/bytes_received", l.bytes_received);
         }
 
-        // In-network collective accounting, only when some board runs
-        // the collective subsystem: plain worlds keep the legacy key
-        // set (same gating rationale as the fault keys above). Every
-        // `replicas` entry is a real datalink transmit, so fan-out is
-        // explicit in the frame-conservation ledger: each replica
-        // counts once in `net/frames_launched` and once at its
-        // receiver.
-        if self.cabs.iter().any(|c| c.collective_enabled()) {
-            let mut agg = nectar_stack::collective::CollectiveStats::default();
-            for cab in &self.cabs {
-                let s = cab.proto.coll.stats();
-                agg.multicasts += s.multicasts;
-                agg.replicas += s.replicas;
-                agg.delivers += s.delivers;
-                agg.arrives_rx += s.arrives_rx;
-                agg.arrives_tx += s.arrives_tx;
-                agg.arrive_retransmits += s.arrive_retransmits;
-                agg.duplicate_arrives += s.duplicate_arrives;
-                agg.stale_arrives += s.stale_arrives;
-                agg.straggler_resends += s.straggler_resends;
-                agg.releases += s.releases;
-                agg.releases_forwarded += s.releases_forwarded;
-                agg.duplicate_releases += s.duplicate_releases;
-                agg.completions += s.completions;
-                agg.failures += s.failures;
-                agg.misdirected_drops += s.misdirected_drops;
-            }
-            r.set("net/collective/multicasts", agg.multicasts);
-            r.set("net/collective/replicas", agg.replicas);
-            r.set("net/collective/delivers", agg.delivers);
-            r.set("net/collective/arrives_rx", agg.arrives_rx);
-            r.set("net/collective/arrives_tx", agg.arrives_tx);
-            r.set("net/collective/arrive_retransmits", agg.arrive_retransmits);
-            r.set("net/collective/duplicate_arrives", agg.duplicate_arrives);
-            r.set("net/collective/stale_arrives", agg.stale_arrives);
-            r.set("net/collective/straggler_resends", agg.straggler_resends);
-            r.set("net/collective/releases", agg.releases);
-            r.set("net/collective/releases_forwarded", agg.releases_forwarded);
-            r.set("net/collective/duplicate_releases", agg.duplicate_releases);
-            r.set("net/collective/completions", agg.completions);
-            r.set("net/collective/failures", agg.failures);
-            r.set("net/collective/misdirected_drops", agg.misdirected_drops);
+        // In-network collective accounting. Every `replicas` entry is a
+        // real datalink transmit, so fan-out is explicit in the
+        // frame-conservation ledger: each replica counts once in
+        // `net/frames_launched` and once at its receiver.
+        let mut agg = nectar_stack::collective::CollectiveStats::default();
+        for cab in &self.cabs {
+            let s = cab.proto.coll.stats();
+            agg.multicasts += s.multicasts;
+            agg.replicas += s.replicas;
+            agg.delivers += s.delivers;
+            agg.arrives_rx += s.arrives_rx;
+            agg.arrives_tx += s.arrives_tx;
+            agg.arrive_retransmits += s.arrive_retransmits;
+            agg.duplicate_arrives += s.duplicate_arrives;
+            agg.stale_arrives += s.stale_arrives;
+            agg.straggler_resends += s.straggler_resends;
+            agg.releases += s.releases;
+            agg.releases_forwarded += s.releases_forwarded;
+            agg.duplicate_releases += s.duplicate_releases;
+            agg.completions += s.completions;
+            agg.failures += s.failures;
+            agg.misdirected_drops += s.misdirected_drops;
         }
+        r.set("net/collective/multicasts", agg.multicasts);
+        r.set("net/collective/replicas", agg.replicas);
+        r.set("net/collective/delivers", agg.delivers);
+        r.set("net/collective/arrives_rx", agg.arrives_rx);
+        r.set("net/collective/arrives_tx", agg.arrives_tx);
+        r.set("net/collective/arrive_retransmits", agg.arrive_retransmits);
+        r.set("net/collective/duplicate_arrives", agg.duplicate_arrives);
+        r.set("net/collective/stale_arrives", agg.stale_arrives);
+        r.set("net/collective/straggler_resends", agg.straggler_resends);
+        r.set("net/collective/releases", agg.releases);
+        r.set("net/collective/releases_forwarded", agg.releases_forwarded);
+        r.set("net/collective/duplicate_releases", agg.duplicate_releases);
+        r.set("net/collective/completions", agg.completions);
+        r.set("net/collective/failures", agg.failures);
+        r.set("net/collective/misdirected_drops", agg.misdirected_drops);
 
         // a nonzero value means some cost model produced a timestamp in
         // the past and the scheduler clamped it to "now"
@@ -410,11 +400,8 @@ impl World {
             r.set(p("link/rx_fifo_dropped_frames"), cab.stats.frames_fifo_dropped);
             r.set(p("link/rx_fifo_dropped_bytes"), cab.stats.bytes_fifo_dropped);
             r.set(p("link/rx_fifo_high_bytes"), cab.stats.rx_fifo_high);
-            if self.faults.enabled() {
-                // misroutes only arise from injected route corruption;
-                // gating keeps fault-free snapshots on the legacy key set
-                r.set(p("link/rx_misrouted"), cab.stats.frames_misrouted);
-            }
+            // misroutes only arise from injected route corruption
+            r.set(p("link/rx_misrouted"), cab.stats.frames_misrouted);
 
             let mut enq_msgs = 0u64;
             let mut enq_bytes = 0u64;
@@ -462,13 +449,8 @@ impl World {
             r.set(p("tcp/timeouts"), ts.timeouts);
             r.set(p("tcp/checksum_drops"), tss.checksum_drops);
             r.set(p("tcp/no_socket_drops"), tss.no_socket_drops);
-            // SACK counters exist only when the feature can be on:
-            // gating keeps the default-config fixture key set (and
-            // therefore its bytes) unchanged.
-            if self.config.tcp.sack {
-                r.set(p("tcp/sack_blocks_in"), ts.sack_blocks_in);
-                r.set(p("tcp/sack_retransmits"), ts.sack_retransmits);
-            }
+            r.set(p("tcp/sack_blocks_in"), ts.sack_blocks_in);
+            r.set(p("tcp/sack_retransmits"), ts.sack_retransmits);
 
             let mut frags_sent = 0u64;
             let mut rmp_retx = 0u64;
@@ -513,11 +495,7 @@ impl World {
                 hs.dropped_bad_route + hs.dropped_bad_port + hs.dropped_backlog,
             );
             r.set(p("dropped_bytes"), hs.dropped_bytes);
-            if self.config.hub.backpressure.is_some() {
-                // xon/xoff hold count; gated so legacy snapshots keep
-                // their key set byte-identical
-                r.set(p("held_frames"), hs.held_frames);
-            }
+            r.set(p("held_frames"), hs.held_frames); // xon/xoff holds
             for port in 0..nectar_hub::PORTS {
                 let st = hub.port_stats(port);
                 if st.tx_frames == 0 {
@@ -529,38 +507,28 @@ impl World {
             }
         }
 
-        // Per-stage fabric hotspot rollup, published while xon/xoff
-        // backpressure is armed (how the scale fabric runs): which Clos
-        // stage is saturating, without scraping hundreds of per-HUB
-        // keys. Fixture worlds run with backpressure off and keep the
-        // legacy key set.
-        if self.config.hub.backpressure.is_some() {
-            let stages = self.topo.stages();
-            let mut rx = vec![0u64; stages];
-            let mut forwarded = vec![0u64; stages];
-            let mut dropped = vec![0u64; stages];
-            let mut held = vec![0u64; stages];
-            let mut backlog_high = vec![0u64; stages];
-            for (h, hub) in self.hubs.iter().enumerate() {
-                let stage = self.topo.stage(h as u16) as usize;
-                let hs = hub.stats();
-                rx[stage] += hs.rx_frames;
-                forwarded[stage] += hs.forwarded + hs.forwarded_circuit;
-                dropped[stage] += hs.dropped_bad_route + hs.dropped_bad_port + hs.dropped_backlog;
-                held[stage] += hs.held_frames;
-                for port in 0..nectar_hub::PORTS {
-                    backlog_high[stage] =
-                        backlog_high[stage].max(hub.port_stats(port).backlog_high.as_nanos());
-                }
+        // Per-stage fabric hotspot rollup: which Clos stage is
+        // saturating, without scraping hundreds of per-HUB keys.
+        let mut stages = vec![[0u64; 5]; self.topo.stages()];
+        for (h, hub) in self.hubs.iter().enumerate() {
+            let [rx, forwarded, dropped, held, backlog_high] =
+                &mut stages[self.topo.stage(h as u16) as usize];
+            let hs = hub.stats();
+            *rx += hs.rx_frames;
+            *forwarded += hs.forwarded + hs.forwarded_circuit;
+            *dropped += hs.dropped_bad_route + hs.dropped_bad_port + hs.dropped_backlog;
+            *held += hs.held_frames;
+            for port in 0..nectar_hub::PORTS {
+                *backlog_high = (*backlog_high).max(hub.port_stats(port).backlog_high.as_nanos());
             }
-            for s in 0..stages {
-                let p = |suffix: &str| format!("net/fabric/stage/{s}/{suffix}");
-                r.set(p("rx_frames"), rx[s]);
-                r.set(p("forwarded_frames"), forwarded[s]);
-                r.set(p("dropped_frames"), dropped[s]);
-                r.set(p("held_frames"), held[s]);
-                r.set(p("backlog_high_ns"), backlog_high[s]);
-            }
+        }
+        for (s, [rx, forwarded, dropped, held, backlog_high]) in stages.into_iter().enumerate() {
+            let p = |suffix: &str| format!("net/fabric/stage/{s}/{suffix}");
+            r.set(p("rx_frames"), rx);
+            r.set(p("forwarded_frames"), forwarded);
+            r.set(p("dropped_frames"), dropped);
+            r.set(p("held_frames"), held);
+            r.set(p("backlog_high_ns"), backlog_high);
         }
     }
 }

@@ -11,6 +11,10 @@
 //! the fleet falls behind, latency measured from intended start grows
 //! with the backlog and p99 blows past any reasonable SLO.
 //!
+//! [`measure_point`] is the one place a load point is computed from a
+//! [`FleetPlan`] and [`knee`] the one knee rule; [`run_sweep`] and the
+//! scale bench (`BENCH_scale.json`) are both callers.
+//!
 //! Every reported quantity is integer-valued and every world is built
 //! from a seed that is a pure function of the sweep seed, transport
 //! and load step, so the rendered JSON is byte-identical across
@@ -19,7 +23,8 @@
 
 use nectar::config::Config;
 use nectar::world::World;
-use nectar_sim::{SimDuration, SimTime};
+use nectar_sim::json::Json::{self, Arr, Obj, Row, S, U};
+use nectar_sim::{par_map, SimDuration, SimTime};
 
 use crate::fleet::{deploy_fleet, FleetPlan};
 use crate::workload::{Arrival, SizeDist};
@@ -170,67 +175,68 @@ pub struct SweepResult {
     pub sweeps: Vec<TransportSweep>,
 }
 
-/// Run one load point: a fresh world, a single-transport fleet at the
-/// given aggregate offered rate, measured over `cfg.measure`.
-pub fn run_point(cfg: &SweepConfig, t: LoadTransport, offered_rps: u64) -> LoadPoint {
-    // per-client mean gap so the aggregate open-loop rate is `offered`
-    let gap_ns = (cfg.clients as u64)
+/// Simulated time every load point waits before its first intended
+/// start: the whole fleet connects at t=0, and the TCP handshake storm
+/// alone leaves ~10ms of server backlog. Measuring from t=1ms would
+/// fold that setup transient into the p99 of every mid-load point.
+const WARMUP: SimDuration = SimDuration::from_millis(20);
+
+/// The open-loop schedule of one load point, as the `arrival`, `start`
+/// and `stop` of its [`FleetPlan`]: a per-endpoint mean gap that makes
+/// the aggregate rate over `endpoints` equal `offered_rps`, and
+/// `measure` of intended starts after the warm-up.
+pub fn schedule(
+    endpoints: usize,
+    offered_rps: u64,
+    measure: SimDuration,
+) -> (Arrival, SimTime, SimTime) {
+    let gap_ns = (endpoints as u64)
         .saturating_mul(1_000_000_000)
         .checked_div(offered_rps)
         .unwrap_or(u64::MAX)
         .max(1);
-    let plan = FleetPlan {
-        seed: cfg.seed ^ ((t.index() as u64) << 56) ^ offered_rps,
-        mix: vec![(t, cfg.clients)],
-        clients_per_cab: cfg.clients_per_cab,
-        endpoints_per_client: cfg.endpoints_per_client,
-        arrival: Arrival::Open { mean_gap: SimDuration::from_nanos(gap_ns) },
-        size: cfg.size,
-        timeout: cfg.timeout,
-        // 20ms warmup before the first intended start: the whole fleet
-        // connects at t=0, and the TCP handshake storm alone leaves
-        // ~10ms of server backlog. Measuring from t=1ms would fold
-        // that setup transient into the p99 of every mid-load point.
-        start: SimTime::ZERO + SimDuration::from_millis(20),
-        stop: SimTime::ZERO + SimDuration::from_millis(20) + cfg.measure,
-    };
-    let config = Config { seed: plan.seed, oracle: Some(cfg.oracle), ..cfg.base };
+    let start = SimTime::ZERO + WARMUP;
+    (Arrival::Open { mean_gap: SimDuration::from_nanos(gap_ns) }, start, start + measure)
+}
+
+/// Measure one load point: a fresh world under `config`, the plan's
+/// single-transport fleet run over its `start..stop` window and on
+/// until in-flight requests resolve or time out. The world is returned
+/// for callers that read more out of it (the scale sweep's per-stage
+/// rollup). `offered_rps` is the rate the plan's [`schedule`] was built
+/// for.
+pub fn measure_point(plan: &FleetPlan, config: Config, offered_rps: u64) -> (LoadPoint, World) {
+    let t = plan.mix[0].0;
+    assert!(plan.mix.iter().all(|&(m, _)| m == t), "a load point drives one transport");
     let (mut world, mut sim) = World::new(config, plan.topology());
-    let fleet = deploy_fleet(&mut world, &plan);
-    // run past the stop time so in-flight requests resolve or time out
-    let drain = cfg.timeout + SimDuration::from_millis(20);
-    world.run_until(&mut sim, plan.stop + drain);
+    let fleet = deploy_fleet(&mut world, plan);
+    world.run_until(&mut sim, plan.stop + plan.timeout + SimDuration::from_millis(20));
 
     let rec = fleet.recorder.borrow();
     let r = rec.record(t);
-    let measure_ns = cfg.measure.as_nanos().max(1);
-    let achieved_rps = (r.responses as u128 * 1_000_000_000 / measure_ns as u128) as u64;
-    let goodput_bps = (r.bytes_received as u128 * 8 * 1_000_000_000 / measure_ns as u128) as u64;
+    let measure_ns = (plan.stop - plan.start).as_nanos().max(1);
+    let per_sec = |n: u64| (n as u128 * 1_000_000_000 / measure_ns as u128) as u64;
 
     let mut retransmits = 0u64;
     let mut drops = world.stats.frames_hub_dropped;
     for cab in &world.cabs {
         drops += cab.stats.frames_fifo_dropped + cab.stats.frames_crc_dropped;
-        match t {
+        retransmits += match t {
             LoadTransport::Rmp => {
-                retransmits +=
-                    cab.proto.rmp_tx.values().map(|tx| tx.stats().retransmits).sum::<u64>();
+                cab.proto.rmp_tx.values().map(|tx| tx.stats().retransmits).sum::<u64>()
             }
             LoadTransport::ReqResp => {
-                retransmits +=
-                    cab.proto.rr_clients.values().map(|c| c.stats().retransmits).sum::<u64>();
+                cab.proto.rr_clients.values().map(|c| c.stats().retransmits).sum::<u64>()
             }
-            LoadTransport::Tcp => {
-                retransmits += cab.proto.tcp.total_socket_stats().retransmits;
-            }
-            LoadTransport::Datagram | LoadTransport::Udp => {}
-        }
+            LoadTransport::Tcp => cab.proto.tcp.total_socket_stats().retransmits,
+            LoadTransport::Datagram | LoadTransport::Udp => 0,
+        };
     }
 
-    LoadPoint {
+    let point = LoadPoint {
         offered_rps,
-        achieved_rps,
-        goodput_bps,
+        achieved_rps: per_sec(r.responses),
+        goodput_bps: per_sec(r.bytes_received * 8),
         p50_ns: r.latency.percentile_nanos(0.50),
         p90_ns: r.latency.percentile_nanos(0.90),
         p99_ns: r.latency.percentile_nanos(0.99),
@@ -242,24 +248,54 @@ pub fn run_point(cfg: &SweepConfig, t: LoadTransport, offered_rps: u64) -> LoadP
         late_dispatch: r.late_dispatch,
         retransmits,
         drops,
-    }
+    };
+    (point, world)
 }
 
-/// Run the whole sweep: every transport through every load step.
+/// The capacity knee: the last point that served requests with its
+/// CO-corrected p99 inside the SLO. A point that meets the SLO after
+/// one that missed it still counts — the scan is from the heavy end.
+pub fn knee(points: &[LoadPoint], slo_p99_ns: u64) -> Option<usize> {
+    points.iter().rposition(|p| p.responses > 0 && p.p99_ns <= slo_p99_ns)
+}
+
+/// Run one load point of a sweep: a single-transport fleet at the
+/// given aggregate offered rate, measured over `cfg.measure`.
+pub fn run_point(cfg: &SweepConfig, t: LoadTransport, offered_rps: u64) -> LoadPoint {
+    let (arrival, start, stop) = schedule(cfg.clients, offered_rps, cfg.measure);
+    let plan = FleetPlan {
+        seed: cfg.seed ^ ((t.index() as u64) << 56) ^ offered_rps,
+        mix: vec![(t, cfg.clients)],
+        clients_per_cab: cfg.clients_per_cab,
+        endpoints_per_client: cfg.endpoints_per_client,
+        arrival,
+        size: cfg.size,
+        timeout: cfg.timeout,
+        start,
+        stop,
+    };
+    let config = Config { seed: plan.seed, oracle: Some(cfg.oracle), ..cfg.base };
+    measure_point(&plan, config, offered_rps).0
+}
+
+/// Run the whole sweep: every transport through every load step, the
+/// points — independent worlds — in parallel.
 pub fn run_sweep(cfg: &SweepConfig) -> SweepResult {
-    let mut sweeps = Vec::with_capacity(cfg.transports.len());
-    for &t in &cfg.transports {
-        let points: Vec<LoadPoint> =
-            cfg.offered_rps.iter().map(|&rps| run_point(cfg, t, rps)).collect();
-        let slo = cfg.slo_p99.as_nanos();
-        let knee = points
-            .iter()
-            .enumerate()
-            .rev()
-            .find(|(_, p)| p.responses > 0 && p.p99_ns <= slo)
-            .map(|(i, _)| i);
-        sweeps.push(TransportSweep { transport: t, points, knee });
-    }
+    let grid: Vec<(LoadTransport, u64)> = cfg
+        .transports
+        .iter()
+        .flat_map(|&t| cfg.offered_rps.iter().map(move |&rps| (t, rps)))
+        .collect();
+    let mut measured = par_map(&grid, |&(t, rps)| run_point(cfg, t, rps)).into_iter();
+    let sweeps = cfg
+        .transports
+        .iter()
+        .map(|&transport| {
+            let points: Vec<LoadPoint> = measured.by_ref().take(cfg.offered_rps.len()).collect();
+            let knee = knee(&points, cfg.slo_p99.as_nanos());
+            TransportSweep { transport, points, knee }
+        })
+        .collect();
     SweepResult {
         seed: cfg.seed,
         variant: cfg.variant,
@@ -271,71 +307,53 @@ pub fn run_sweep(cfg: &SweepConfig) -> SweepResult {
 }
 
 /// Render several sweep variants (e.g. baseline + fastpath) into one
-/// deterministic JSON artifact — the `BENCH_load.json` layout.
+/// deterministic JSON artifact — the `BENCH_load.json` layout: fixed
+/// key order, integers only, so two same-seed sweeps render
+/// byte-identical strings.
 pub fn variants_json(results: &[SweepResult]) -> String {
-    let mut out = String::from("{\n\"variants\": [\n");
-    for (i, r) in results.iter().enumerate() {
-        out.push_str(r.to_json().trim_end());
-        out.push_str(if i + 1 < results.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("]\n}\n");
-    out
+    let transport = |s: &TransportSweep| {
+        Obj(vec![
+            ("transport", S(s.transport.name())),
+            ("knee_rps", U(s.knee_rps())),
+            ("points", Arr(s.points.iter().map(|p| Row(p.fields())).collect())),
+        ])
+    };
+    let variant = |r: &SweepResult| {
+        Obj(vec![
+            ("seed", U(r.seed)),
+            ("variant", S(r.variant)),
+            ("clients", U(r.clients)),
+            ("measure_ns", U(r.measure_ns)),
+            ("slo_p99_ns", U(r.slo_p99_ns)),
+            ("transports", Arr(r.sweeps.iter().map(transport).collect())),
+        ])
+    };
+    Obj(vec![("variants", Arr(results.iter().map(variant).collect()))]).render()
 }
 
 impl LoadPoint {
-    fn to_json(self) -> String {
-        format!(
-            concat!(
-                "{{\"offered_rps\":{},\"achieved_rps\":{},\"goodput_bps\":{},",
-                "\"p50_ns\":{},\"p90_ns\":{},\"p99_ns\":{},\"p999_ns\":{},",
-                "\"responses\":{},\"timeouts\":{},\"failures\":{},",
-                "\"stale_replies\":{},\"late_dispatch\":{},",
-                "\"retransmits\":{},\"drops\":{}}}"
-            ),
-            self.offered_rps,
-            self.achieved_rps,
-            self.goodput_bps,
-            self.p50_ns,
-            self.p90_ns,
-            self.p99_ns,
-            self.p999_ns,
-            self.responses,
-            self.timeouts,
-            self.failures,
-            self.stale_replies,
-            self.late_dispatch,
-            self.retransmits,
-            self.drops,
-        )
+    /// The point as the fields of one artifact row, in column order.
+    pub fn fields(&self) -> Vec<(&'static str, Json<'static>)> {
+        vec![
+            ("offered_rps", U(self.offered_rps)),
+            ("achieved_rps", U(self.achieved_rps)),
+            ("goodput_bps", U(self.goodput_bps)),
+            ("p50_ns", U(self.p50_ns)),
+            ("p90_ns", U(self.p90_ns)),
+            ("p99_ns", U(self.p99_ns)),
+            ("p999_ns", U(self.p999_ns)),
+            ("responses", U(self.responses)),
+            ("timeouts", U(self.timeouts)),
+            ("failures", U(self.failures)),
+            ("stale_replies", U(self.stale_replies)),
+            ("late_dispatch", U(self.late_dispatch)),
+            ("retransmits", U(self.retransmits)),
+            ("drops", U(self.drops)),
+        ]
     }
 }
 
 impl SweepResult {
-    /// Deterministic JSON: fixed key order, integers only. Two
-    /// same-seed sweeps render byte-identical strings.
-    pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
-            "{{\n  \"seed\": {},\n  \"variant\": \"{}\",\n  \"clients\": {},\n  \"measure_ns\": {},\n  \"slo_p99_ns\": {},\n  \"transports\": [\n",
-            self.seed, self.variant, self.clients, self.measure_ns, self.slo_p99_ns
-        ));
-        for (i, s) in self.sweeps.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"transport\": \"{}\", \"knee_rps\": {}, \"points\": [\n",
-                s.transport.name(),
-                s.knee_rps()
-            ));
-            for (j, p) in s.points.iter().enumerate() {
-                let sep = if j + 1 < s.points.len() { "," } else { "" };
-                out.push_str(&format!("      {}{}\n", p.to_json(), sep));
-            }
-            let sep = if i + 1 < self.sweeps.len() { "," } else { "" };
-            out.push_str(&format!("    ]}}{}\n", sep));
-        }
-        out.push_str("  ]\n}\n");
-        out
-    }
-
     /// A human-readable SLO table (latencies in microseconds).
     pub fn to_markdown(&self) -> String {
         let mut out = String::new();
@@ -411,25 +429,88 @@ mod tests {
             base: Config::default(),
             variant: "baseline",
         };
-        let a = run_sweep(&cfg).to_json();
-        let b = run_sweep(&cfg).to_json();
-        assert_eq!(a, b);
-        assert!(a.contains("\"transport\": \"udp\""));
-        assert!(a.contains("\"variant\": \"baseline\""));
+        let fast = cfg.clone().fastpath();
+        let run = || {
+            let results = [run_sweep(&cfg), run_sweep(&fast)];
+            assert_eq!(results.each_ref().map(|r| r.variant), ["baseline", "fastpath"]);
+            variants_json(&results)
+        };
+        assert_eq!(run(), run());
+    }
+
+    fn point(offered_rps: u64, responses: u64, p99_ns: u64) -> LoadPoint {
+        LoadPoint { offered_rps, responses, p99_ns, ..LoadPoint::default() }
+    }
+
+    #[test]
+    fn knee_is_the_last_served_point_inside_the_slo() {
+        let slo = 10_000;
+        // none meet the SLO, or the ones that would served nothing
+        assert_eq!(knee(&[point(1, 5, slo + 1), point(2, 0, 0)], slo), None);
+        assert_eq!(knee(&[], slo), None);
+        // all meet it: the heaviest step
+        assert_eq!(knee(&[point(1, 5, 10), point(2, 5, 20), point(3, 5, slo)], slo), Some(2));
+        // a point back inside the SLO after one that missed still counts
+        assert_eq!(knee(&[point(1, 5, 10), point(2, 5, slo + 1), point(3, 5, 30)], slo), Some(2));
+        assert_eq!(knee(&[point(1, 5, 10), point(2, 5, slo + 1)], slo), Some(0));
     }
 
     #[test]
     fn variants_json_wraps_both_sweeps() {
-        let mut cfg = SweepConfig::quick(3);
-        cfg.transports = vec![LoadTransport::Udp];
-        cfg.offered_rps = vec![500];
-        cfg.measure = SimDuration::from_millis(10);
-        cfg.oracle = false;
-        let base = run_sweep(&cfg);
-        let fast = run_sweep(&cfg.clone().fastpath());
-        let json = variants_json(&[base, fast]);
-        assert!(json.contains("\"variants\": ["));
-        assert!(json.contains("\"variant\": \"baseline\""));
-        assert!(json.contains("\"variant\": \"fastpath\""));
+        let result = |variant, knee| SweepResult {
+            seed: 7,
+            variant,
+            clients: 3,
+            measure_ns: 10_000_000,
+            slo_p99_ns: 5_000_000,
+            sweeps: vec![TransportSweep {
+                transport: LoadTransport::Udp,
+                points: vec![
+                    LoadPoint { achieved_rps: 498, drops: 1, ..point(500, 5, 400_000) },
+                    LoadPoint { goodput_bps: 9, retransmits: 2, ..point(2_000, 19, 6_000_000) },
+                ],
+                knee,
+            }],
+        };
+        let want = r#"{
+  "variants": [
+    {
+      "seed": 7,
+      "variant": "baseline",
+      "clients": 3,
+      "measure_ns": 10000000,
+      "slo_p99_ns": 5000000,
+      "transports": [
+        {
+          "transport": "udp",
+          "knee_rps": 500,
+          "points": [
+            {"offered_rps":500,"achieved_rps":498,"goodput_bps":0,"p50_ns":0,"p90_ns":0,"p99_ns":400000,"p999_ns":0,"responses":5,"timeouts":0,"failures":0,"stale_replies":0,"late_dispatch":0,"retransmits":0,"drops":1},
+            {"offered_rps":2000,"achieved_rps":0,"goodput_bps":9,"p50_ns":0,"p90_ns":0,"p99_ns":6000000,"p999_ns":0,"responses":19,"timeouts":0,"failures":0,"stale_replies":0,"late_dispatch":0,"retransmits":2,"drops":0}
+          ]
+        }
+      ]
+    },
+    {
+      "seed": 7,
+      "variant": "fastpath",
+      "clients": 3,
+      "measure_ns": 10000000,
+      "slo_p99_ns": 5000000,
+      "transports": [
+        {
+          "transport": "udp",
+          "knee_rps": 0,
+          "points": [
+            {"offered_rps":500,"achieved_rps":498,"goodput_bps":0,"p50_ns":0,"p90_ns":0,"p99_ns":400000,"p999_ns":0,"responses":5,"timeouts":0,"failures":0,"stale_replies":0,"late_dispatch":0,"retransmits":0,"drops":1},
+            {"offered_rps":2000,"achieved_rps":0,"goodput_bps":9,"p50_ns":0,"p90_ns":0,"p99_ns":6000000,"p999_ns":0,"responses":19,"timeouts":0,"failures":0,"stale_replies":0,"late_dispatch":0,"retransmits":2,"drops":0}
+          ]
+        }
+      ]
+    }
+  ]
+}
+"#;
+        assert_eq!(variants_json(&[result("baseline", Some(0)), result("fastpath", None)]), want);
     }
 }

@@ -15,7 +15,9 @@
 //! property tests replay scenarios from seeds.
 
 pub mod check;
+pub mod json;
 pub mod metrics;
+pub mod par;
 pub mod queue;
 pub mod rng;
 pub mod stats;
@@ -23,6 +25,7 @@ pub mod time;
 pub mod trace;
 
 pub use metrics::MetricsSnapshot;
+pub use par::par_map;
 pub use queue::{EventCall, EventFn, SchedStats, Scheduler, TimerId};
 pub use rng::Pcg32;
 pub use stats::{BucketHist, Histogram, RateMeter};

@@ -19,6 +19,8 @@
 
 use std::collections::BTreeMap;
 
+use crate::json::Json;
+
 /// An ordered, integer-valued metrics snapshot. Keys follow the
 /// workspace naming scheme (`node/<id>/link/tx_bytes`,
 /// `hub/<id>/port/<p>/backlog_high_ns`, `net/frames_launched`, …);
@@ -70,34 +72,7 @@ impl MetricsSnapshot {
     /// per line, integer values only. Byte-identical across same-seed
     /// runs and across platforms.
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(32 * self.values.len() + 4);
-        out.push_str("{\n");
-        let mut first = true;
-        for (k, v) in &self.values {
-            if !first {
-                out.push_str(",\n");
-            }
-            first = false;
-            out.push_str("  \"");
-            json_escape_into(&mut out, k);
-            out.push_str("\": ");
-            out.push_str(&v.to_string());
-        }
-        out.push_str("\n}\n");
-        out
-    }
-}
-
-fn json_escape_into(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
+        Json::Obj(self.values.iter().map(|(k, &v)| (k.as_str(), Json::U(v))).collect()).render()
     }
 }
 

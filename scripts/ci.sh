@@ -28,6 +28,15 @@ if grep -rnE '\.copied\(\)\.collect|drain\([^)]*\)\.collect' crates/stack/src/tc
     exit 1
 fi
 
+# one JSON writer: every snapshot and BENCH_*.json artifact is rendered
+# by crates/sim/src/json.rs, so an escaped key literal (\"name\":) in
+# any other source file is a hand-rolled emitter coming back.
+if grep -rnE '\\"[a-z_0-9]+\\":' crates/*/src crates/bench/benches \
+    | grep -v '^crates/sim/src/json\.rs:'; then
+    echo "ci: JSON built by hand outside crates/sim/src/json.rs — use nectar_sim::json::Json"
+    exit 1
+fi
+
 if [[ "${1:-}" == "--fix" ]]; then
     cargo fmt --all
 else
@@ -87,148 +96,42 @@ NECTAR_ORACLE=1 NECTAR_CHAOS_CASES="$chaos_cases" cargo test -q -p nectar-integr
 smoke_dir="$(mktemp -d)"
 trap 'rm -rf "$smoke_dir"' EXIT
 
-# --full regenerates the full artifacts, so they must also be the
-# committed ones: two runs agreeing with each other does not notice a
-# refactor that moved every number.
+# Bench-artifact smokes. Each bench asserts what its artifact claims on
+# its typed results and exits nonzero before writing if a claim fails;
+# here two same-seed runs must emit byte-identical files — the
+# determinism contract. Default mode runs each bench's --quick
+# configuration; --full runs the full one, whose artifact must also be
+# the committed one: two runs agreeing with each other does not notice
+# a refactor that moved every number.
 mode="${1:-}"
-matches_committed() {
+bench_args=(--quick)
+if [[ "$mode" == "--full" ]]; then
+    bench_args=()
+fi
+artifact_smoke() { # <bench target> <artifact>
+    echo "ci: $1 smoke (double run, byte-compared)"
+    for run in 1 2; do
+        NECTAR_BENCH_DIR="$smoke_dir/$1$run" \
+            cargo bench -p nectar-bench --bench "$1" -- "${bench_args[@]+"${bench_args[@]}"}"
+    done
+    cmp "$smoke_dir/${1}1/$2" "$smoke_dir/${1}2/$2" \
+        || { echo "ci: $2 differs between same-seed runs"; exit 1; }
     if [[ "$mode" == "--full" ]]; then
-        cmp "$1" "$(basename "$1")" \
-            || { echo "ci: regenerated $(basename "$1") differs from the committed artifact"; exit 1; }
+        cmp "$smoke_dir/${1}1/$2" "$2" \
+            || { echo "ci: regenerated $2 differs from the committed artifact"; exit 1; }
     fi
 }
-
-# load smoke: the quick capacity sweep (small fleet, tens of ms of sim
-# time) must produce a well-formed BENCH_load.json, and — the
-# determinism contract — two runs must emit byte-identical files.
-# --full runs the whole five-transport sweep instead.
-load_args=(--quick)
-if [[ "${1:-}" == "--full" ]]; then
-    load_args=()
-fi
-echo "ci: load sweep smoke (double run, byte-compared)"
-NECTAR_BENCH_DIR="$smoke_dir/load1" \
-    cargo bench -p nectar-bench --bench load_sweep -- "${load_args[@]+"${load_args[@]}"}"
-NECTAR_BENCH_DIR="$smoke_dir/load2" \
-    cargo bench -p nectar-bench --bench load_sweep -- "${load_args[@]+"${load_args[@]}"}"
-cmp "$smoke_dir/load1/BENCH_load.json" "$smoke_dir/load2/BENCH_load.json" \
-    || { echo "ci: BENCH_load.json differs between same-seed runs"; exit 1; }
-matches_committed "$smoke_dir/load1/BENCH_load.json"
-python3 - "$smoke_dir/load1/BENCH_load.json" <<'EOF'
-import json, sys
-with open(sys.argv[1]) as f:
-    r = json.load(f)
-assert r["variants"], "BENCH_load.json: no variants"
-names = [v["variant"] for v in r["variants"]]
-assert names == ["baseline", "fastpath"], f"unexpected variants: {names}"
-for v in r["variants"]:
-    assert v["transports"], f"{v['variant']}: no transports"
-    for t in v["transports"]:
-        assert t["points"], f"{v['variant']}/{t['transport']}: no load points"
-        assert any(p["responses"] > 0 for p in t["points"]), \
-            f"{v['variant']}/{t['transport']}: served nothing"
-        assert t["knee_rps"] > 0, f"{v['variant']}/{t['transport']}: no capacity knee"
-base, fast = r["variants"]
-for tb, tf in zip(base["transports"], fast["transports"]):
-    assert tf["knee_rps"] >= tb["knee_rps"], \
-        f"{tb['transport']}: fastpath knee regressed ({tf['knee_rps']} < {tb['knee_rps']})"
-for v in r["variants"]:
-    print(f"ci: load artifact ok [{v['variant']}]:", ", ".join(
-        f"{t['transport']} knee {t['knee_rps']} rps" for t in v["transports"]))
-EOF
-
-# scale smoke: the quick scale sweep (two-hub + two folded-Clos sizes,
-# backpressure armed, chaos point under 2% loss) must emit a
-# well-formed BENCH_scale.json, byte-identical across two runs. --full
-# runs the 10k-endpoint three-stage sweep instead.
-scale_args=(--quick)
-if [[ "${1:-}" == "--full" ]]; then
-    scale_args=()
-fi
-echo "ci: scale sweep smoke (double run, byte-compared)"
-NECTAR_BENCH_DIR="$smoke_dir/scale1" \
-    cargo bench -p nectar-bench --bench scale -- "${scale_args[@]+"${scale_args[@]}"}"
-NECTAR_BENCH_DIR="$smoke_dir/scale2" \
-    cargo bench -p nectar-bench --bench scale -- "${scale_args[@]+"${scale_args[@]}"}"
-cmp "$smoke_dir/scale1/BENCH_scale.json" "$smoke_dir/scale2/BENCH_scale.json" \
-    || { echo "ci: BENCH_scale.json differs between same-seed runs"; exit 1; }
-matches_committed "$smoke_dir/scale1/BENCH_scale.json"
-python3 - "$smoke_dir/scale1/BENCH_scale.json" <<'EOF'
-import json, sys
-with open(sys.argv[1]) as f:
-    r = json.load(f)
-sizes = r["sizes"]
-assert len(sizes) >= 3, f"BENCH_scale.json: only {len(sizes)} fabric sizes"
-hubs = [s["hubs"] for s in sizes]
-assert hubs == sorted(hubs) and len(set(hubs)) == len(hubs), \
-    f"fabric sizes not strictly growing: {hubs}"
-assert any(s["stages"] >= 2 for s in sizes), "no multi-stage Clos size in the sweep"
-for s in sizes:
-    assert s["knee_rps"] > 0, f"{s['label']}: no capacity knee"
-    assert s["points"] and any(p["responses"] > 0 for p in s["points"]), \
-        f"{s['label']}: served nothing"
-    assert len(s["stage_hotspots"]) == s["stages"], \
-        f"{s['label']}: hotspot rollup covers {len(s['stage_hotspots'])}/{s['stages']} stages"
-    for row in s["stage_hotspots"]:
-        for key in ("rx_frames", "forwarded_frames", "dropped_frames",
-                    "held_frames", "backlog_high_ns"):
-            assert key in row, f"{s['label']}: stage hotspot missing {key}"
-c = r["chaos"]
-assert c["oracle_armed"] is True, "chaos ran without the conformance oracle"
-assert c["conserved"] is True, "chaos ledger leaked requests"
-assert c["responses"] > 0, "chaos fleet made no progress"
-assert c["hubs"] == sizes[-1]["hubs"], "chaos did not run at the largest size"
-print("ci: scale artifact ok:", ", ".join(
-    f"{s['label']} ({s['hubs']} hubs) knee {s['knee_rps']} rps" for s in sizes),
-    f"| chaos {c['responses']}/{c['intended']} under loss, conserved")
-EOF
-
-# collective smoke: the quick tree-vs-chain sweep (16 and 256 members)
-# must emit a well-formed BENCH_collective.json, byte-identical across
-# two runs, and the combining tree must beat the linear gather at the
-# largest fleet swept. --full adds the 2048-member folded-Clos size.
-coll_args=(--quick)
-if [[ "${1:-}" == "--full" ]]; then
-    coll_args=()
-fi
-echo "ci: collective sweep smoke (double run, byte-compared)"
-NECTAR_BENCH_DIR="$smoke_dir/coll1" \
-    cargo bench -p nectar-bench --bench collective -- "${coll_args[@]+"${coll_args[@]}"}"
-NECTAR_BENCH_DIR="$smoke_dir/coll2" \
-    cargo bench -p nectar-bench --bench collective -- "${coll_args[@]+"${coll_args[@]}"}"
-cmp "$smoke_dir/coll1/BENCH_collective.json" "$smoke_dir/coll2/BENCH_collective.json" \
-    || { echo "ci: BENCH_collective.json differs between same-seed runs"; exit 1; }
-matches_committed "$smoke_dir/coll1/BENCH_collective.json"
-python3 - "$smoke_dir/coll1/BENCH_collective.json" <<'EOF'
-import json, sys
-with open(sys.argv[1]) as f:
-    r = json.load(f)
-fleets = r["fleets"]
-assert len(fleets) >= 2, f"BENCH_collective.json: only {len(fleets)} fleet sizes"
-sizes = [f["fleet"] for f in fleets]
-assert sizes == sorted(sizes) and len(set(sizes)) == len(sizes), \
-    f"fleet sizes not strictly growing: {sizes}"
-assert sizes[-1] >= 256, f"largest fleet {sizes[-1]} below the 256-member bar"
-for f in fleets:
-    for shape in ("tree", "chain"):
-        s = f[shape]
-        assert s["per_epoch_ns"] > 0, f"{f['label']}/{shape}: no latency recorded"
-        n = f["fleet"]
-        assert s["reduced_value"] == n * (n + 1) // 2, \
-            f"{f['label']}/{shape}: wrong reduction value"
-    assert f["tree"]["depth"] < f["chain"]["depth"], \
-        f"{f['label']}: tree not log-depth"
-    # interior combining: the root hears one Arrive per child per
-    # epoch, never one per descendant
-    assert f["tree"]["root_arrives_rx"] <= r["fanout"] * r["epochs"], \
-        f"{f['label']}: root heard uncombined arrives"
-largest = fleets[-1]
-assert largest["tree"]["per_epoch_ns"] < largest["chain"]["per_epoch_ns"], \
-    f"{largest['label']}: combining tree no faster than the linear gather"
-print("ci: collective artifact ok:", ", ".join(
-    f"{f['label']} tree {f['tree']['per_epoch_ns'] // 1000} µs "
-    f"vs chain {f['chain']['per_epoch_ns'] // 1000} µs" for f in fleets))
-EOF
+# capacity sweep: every transport of both variants served and has a
+# knee, the fast path moves no knee down (--full: all five transports)
+artifact_smoke load_sweep BENCH_load.json
+# scale sweep, backpressure armed: growing fabrics with a multi-stage
+# one, a knee and a full hotspot rollup per size, a chaos point under
+# 2% loss conserved with the oracle armed (--full: 10k endpoints)
+artifact_smoke scale BENCH_scale.json
+# tree vs chain: right reduction value, log-depth tree, interior
+# combining at the root, tree beats the linear gather from 256 members
+# up (--full adds the 2048-member folded Clos)
+artifact_smoke collective BENCH_collective.json
 
 # event-growth guard: one live self-wake per node means steady traffic
 # costs a steady number of events. The repo benchmark's traced

@@ -11,6 +11,7 @@
 use nectar::config::Config;
 use nectar::fault::{FaultScript, LinkPlan};
 use nectar::world::World;
+use nectar_load::sweep::{run_sweep, variants_json};
 use nectar_load::{deploy_fleet, Arrival, FleetPlan, LoadTransport, SizeDist, SweepConfig};
 use nectar_sim::{SimDuration, SimTime};
 
@@ -160,9 +161,13 @@ fn small_fleet_survives_faults_with_oracle_armed() {
 #[test]
 fn quick_sweep_is_deterministic_and_finds_knees() {
     let cfg = SweepConfig::quick(0x5eed);
-    let r1 = nectar_load::sweep::run_sweep(&cfg);
-    let r2 = nectar_load::sweep::run_sweep(&cfg);
-    assert_eq!(r1.to_json(), r2.to_json(), "sweep JSON diverged across same-seed runs");
+    let r1 = run_sweep(&cfg);
+    let r2 = run_sweep(&cfg);
+    assert_eq!(
+        variants_json(std::slice::from_ref(&r1)),
+        variants_json(&[r2]),
+        "sweep JSON diverged across same-seed runs"
+    );
     for s in &r1.sweeps {
         assert!(
             s.points.iter().any(|p| p.responses > 0),
