@@ -335,7 +335,7 @@ fn tcp_impairment_run(
 ) -> (u64, u64) {
     let cfg =
         nectar_stack::tcp::TcpConfig { delayed_ack, ..nectar_stack::tcp::TcpConfig::default() };
-    tcp_impairment_run_cfg(len, fill_seed, net_seed, loss, reorder, cfg)
+    tcp_impairment_run_cfg(len, fill_seed, net_seed, loss, reorder, cfg, &mut |_, _, _| {})
 }
 
 /// Record an ack arriving at the sender into the shadow SACK
@@ -407,9 +407,10 @@ fn sack_assert_no_sacked_retx(
 /// Drive a TCP transfer over an impaired wire with an explicit sender
 /// configuration. When SACK is enabled, a shadow scoreboard built from
 /// the acks the sender actually received audits every emission: no
-/// SACKed byte is ever retransmitted. Returns (sender retransmit
-/// count, number of first-transmission data segments the wire
-/// dropped).
+/// SACKed byte is ever retransmitted. `on_transmit` sees every segment
+/// either stack emits, as `(time, from_a, bytes)`, before the wire
+/// decides its fate. Returns (sender retransmit count, number of
+/// first-transmission data segments the wire dropped).
 fn tcp_impairment_run_cfg(
     len: usize,
     fill_seed: u64,
@@ -417,6 +418,7 @@ fn tcp_impairment_run_cfg(
     loss: f64,
     reorder: f64,
     cfg: nectar_stack::tcp::TcpConfig,
+    on_transmit: &mut dyn FnMut(SimTime, bool, &[u8]),
 ) -> (u64, u64) {
     use nectar_stack::tcp::{TcpStack, TcpStackEvent};
     use nectar_wire::ipv4::Ipv4Header;
@@ -458,6 +460,7 @@ fn tcp_impairment_run_cfg(
             for ev in evs {
                 match ev {
                     TcpStackEvent::Transmit { segment, .. } => {
+                        on_transmit(now, from_a, &segment);
                         // decide drop eligibility: data-bearing first
                         // transmission from A only
                         let mut droppable = false;
@@ -617,8 +620,53 @@ fn tcp_sack_never_retransmits_sacked_bytes() {
             mss: 1000,
             ..nectar_stack::tcp::TcpConfig::default()
         };
-        tcp_impairment_run_cfg(len, fill_seed, net_seed, loss, reorder, cfg);
+        tcp_impairment_run_cfg(len, fill_seed, net_seed, loss, reorder, cfg, &mut |_, _, _| {});
     });
+}
+
+/// Every segment the TCP stack puts on the wire, pinned: fixed
+/// transfers over the impaired wire of `tcp_impairment_run_cfg`, under
+/// the default config, with delayed acks off, and with SACK and window
+/// scaling negotiated, fold each emission's time, direction and bytes
+/// into one FNV-1a digest. A refactor of the socket that moves any
+/// byte, any timer or any retransmission decision changes the digest;
+/// one that moves nothing keeps it.
+#[test]
+fn tcp_wire_transcript_is_pinned() {
+    use nectar_stack::tcp::TcpConfig;
+    const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+    let mut digest: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut fold = |bytes: &[u8]| {
+        for &b in bytes {
+            digest = (digest ^ b as u64).wrapping_mul(FNV_PRIME);
+        }
+    };
+    // (len, seed, loss, reorder)
+    let runs: [(usize, u64, f64, f64); 8] = [
+        (1, 1, 0.0, 0.0),
+        (600, 2, 0.0, 0.0),
+        (5_000, 3, 0.05, 0.0),
+        (12_345, 4, 0.0, 0.10),
+        (20_000, 5, 0.08, 0.08),
+        (100_000, 6, 0.15, 0.02),
+        (150_000, 7, 0.05, 0.20),
+        (200_000, 8, 0.20, 0.10),
+    ];
+    let configs = [
+        TcpConfig::default(),
+        TcpConfig { delayed_ack: false, ..TcpConfig::default() },
+        TcpConfig { sack: true, wscale: Some(2), ..TcpConfig::default() },
+    ];
+    for cfg in configs {
+        for &(len, seed, loss, reorder) in &runs {
+            tcp_impairment_run_cfg(len, seed, !seed, loss, reorder, cfg, &mut |t, from_a, seg| {
+                fold(&t.as_nanos().to_le_bytes());
+                fold(&[from_a as u8]);
+                fold(seg);
+            });
+        }
+    }
+    assert_eq!(digest, 0x842a_1d4d_865b_e2ec, "the TCP wire transcript moved: {digest:#018x}");
 }
 
 /// The TCP socket's two byte queues against a plain `Vec<u8>` model.
