@@ -64,7 +64,11 @@ pub struct Config {
     /// Force the conformance oracle (`nectar_stack::conform`) on or
     /// off for sockets created by this world. `None` keeps the
     /// process-wide default: the `NECTAR_ORACLE` env var if set,
-    /// otherwise on in debug builds and off in release.
+    /// otherwise on in debug builds and off in release. `Some` sets
+    /// that process-wide switch (`conform::set_enabled`) in
+    /// `World::new`, so it reaches every world built afterwards on any
+    /// thread: worlds built concurrently, such as tests in one binary,
+    /// must agree on it.
     pub oracle: Option<bool>,
 }
 

@@ -32,7 +32,7 @@
 //! Commands: `connect`, `listen`, `send N`, `recv N`, `close`, `abort`,
 //! `state NAME`, `quiet` (assert nothing was emitted up to this time),
 //! `tolerance SECS`, and `opt k=v …` (config overrides; must precede
-//! the open — including `sack=1`, `wscale=N` and `cc=newreno|cubic`).
+//! the open — including `sack=1` and `wscale=N`).
 //!
 //! Segment lines may also carry `wscale=N` and `sackok=1` (SYN
 //! options) and `sack=L-R/L-R…` (SACK blocks, edges relative with the
@@ -56,7 +56,7 @@ use nectar_wire::ipv4::{IpProtocol, Ipv4Header};
 use nectar_wire::tcp::{SeqNum, TcpFlags, TcpHeader};
 
 use crate::ip::{IpEndpoint, IpInput};
-use crate::tcp::{CcAlgorithm, SocketId, TcpConfig, TcpStack, TcpStackEvent, TcpState};
+use crate::tcp::{SocketId, TcpConfig, TcpStack, TcpStackEvent, TcpState};
 
 /// The scripted endpoint's address.
 const LOCAL: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 1);
@@ -406,14 +406,6 @@ impl TcpRunner {
             let Some((k, v)) = t.split_once('=') else {
                 fail(line_no, line, format!("expected k=v, got `{t}`"));
             };
-            if k == "cc" {
-                self.cfg.cc = match v {
-                    "newreno" => CcAlgorithm::NewReno,
-                    "cubic" => CcAlgorithm::Cubic,
-                    _ => fail(line_no, line, format!("unknown cc algorithm `{v}`")),
-                };
-                continue;
-            }
             let n: u64 =
                 v.parse().unwrap_or_else(|_| fail(line_no, line, format!("bad number in `{t}`")));
             match k {

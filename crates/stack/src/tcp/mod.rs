@@ -8,10 +8,12 @@
 //! This module implements that TCP: three-way handshake, sliding
 //! window with receiver-side buffering and out-of-order reassembly,
 //! Jacobson/Karels RTT estimation with Karn's rule, Tahoe congestion
-//! control (slow start, congestion avoidance, fast retransmit),
-//! delayed ACK, sender/receiver silly-window avoidance, zero-window
-//! probing, RST handling and the full close sequence including
-//! TIME-WAIT.
+//! control (slow start, congestion avoidance, fast retransmit, and a
+//! collapse to one MSS on any loss — no fast recovery), delayed ACK,
+//! sender/receiver silly-window avoidance, zero-window probing, RST
+//! handling and the full close sequence including TIME-WAIT. A socket's
+//! state is RFC 793's transmission control block: send and receive
+//! sequence records, one RTT estimator and one set of timers.
 //!
 //! Figure 7's "TCP w/o checksum" series corresponds to
 //! [`TcpConfig::compute_checksum`] = false: segments are emitted with a
@@ -24,11 +26,9 @@
 //! delayed ACK, TIME-WAIT, window probes) is exposed through
 //! [`TcpSocket::poll`] / [`TcpSocket::next_wakeup`].
 
-pub mod cc;
 mod socket;
 mod stack;
 
-pub use cc::{CcAlgorithm, CcState, CongestionControl};
 pub use socket::TcpSocket;
 pub use stack::{SocketId, TcpStack, TcpStackEvent, TcpStackStats};
 
@@ -127,9 +127,6 @@ pub struct TcpConfig {
     /// negotiate. Scaling applies only when both sides offered it; the
     /// shift is clamped to 14 on the wire.
     pub wscale: Option<u8>,
-    /// Congestion-control algorithm. The default reproduces the legacy
-    /// inline behaviour exactly.
-    pub cc: CcAlgorithm,
 }
 
 impl Default for TcpConfig {
@@ -149,7 +146,6 @@ impl Default for TcpConfig {
             max_retries: 12,
             sack: false,
             wscale: None,
-            cc: CcAlgorithm::NewReno,
         }
     }
 }

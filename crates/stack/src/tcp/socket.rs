@@ -1,4 +1,10 @@
 //! The per-connection TCP state machine.
+//!
+//! The transmission control block follows RFC 793 §3.2: a send sequence
+//! record ([`SendSeq`]), a receive sequence record ([`RecvSeq`]), the
+//! RTT estimator ([`Rtt`]) and the connection's deadlines ([`Timers`]).
+//! [`TcpSocket`] holds those four beside its identity and runs "SEGMENT
+//! ARRIVES" and the output path over them.
 
 use std::collections::VecDeque;
 use std::net::Ipv4Addr;
@@ -7,7 +13,6 @@ use std::ops::Range;
 use nectar_sim::{SimDuration, SimTime};
 use nectar_wire::tcp::{SeqNum, TcpFlags, TcpHeader, MAX_WSCALE};
 
-use super::cc::{self, CcState, CongestionControl};
 use super::{AbortReason, TcpConfig, TcpEvent, TcpSocketStats, TcpState};
 use crate::conform;
 
@@ -27,6 +32,397 @@ fn ring_range(ring: &VecDeque<u8>, offset: usize, len: usize) -> (&[u8], &[u8]) 
     )
 }
 
+/// Send sequence space and what the sender keeps with it: the unacked
+/// and unsent bytes, our FIN, the SACK scoreboard and the congestion
+/// window.
+#[derive(Debug, Default)]
+struct SendSeq {
+    iss: SeqNum,
+    una: SeqNum,
+    nxt: SeqNum,
+    wnd: u32,
+    /// Largest window the peer has ever advertised (for sender-side
+    /// silly-window avoidance).
+    wnd_max: u32,
+    wl1: SeqNum,
+    wl2: SeqNum,
+    /// Shift applied to windows the peer advertises (RFC 7323).
+    wscale: u8,
+    peer_mss: u16,
+    buf: VecDeque<u8>,
+    /// Sequence number of `buf[0]`.
+    buf_seq: SeqNum,
+    /// End sequence of an outstanding sub-MSS segment, if any (Minshall
+    /// refinement to Nagle: at most one small segment in flight).
+    small_unacked: Option<SeqNum>,
+    fin_queued: bool,
+    /// Sequence number our FIN occupies, once sent.
+    fin_seq: Option<SeqNum>,
+    /// Disjoint, sorted ranges the peer has selectively acknowledged
+    /// above `una` (RFC 2018). Only ever grows or is trimmed by the
+    /// cumulative ACK — a reneging peer is ignored.
+    sacked: Vec<(SeqNum, SeqNum)>,
+    cwnd: u32,
+    ssthresh: u32,
+    dup_acks: u32,
+}
+
+impl SendSeq {
+    /// Bytes sent and not yet acknowledged.
+    fn in_flight(&self) -> u32 {
+        self.nxt.since(self.una).max(0) as u32
+    }
+
+    /// Offset in `buf` of the first byte not yet sent.
+    fn unsent_offset(&self) -> usize {
+        self.nxt.since(self.buf_seq).max(0) as usize
+    }
+
+    fn fin_unacked(&self) -> bool {
+        matches!(self.fin_seq, Some(s) if self.una.before_eq(s))
+    }
+
+    /// The window a received header advertises, after undoing the
+    /// peer's scale shift. Windows in SYN segments are never scaled
+    /// (RFC 7323 §2.2).
+    fn window_in(&self, hdr: &TcpHeader) -> u32 {
+        let shift = if hdr.flags.contains(TcpFlags::SYN) { 0 } else { self.wscale as u32 };
+        (hdr.window as u32) << shift
+    }
+
+    /// Take `hdr`'s window, recording the segment that set it
+    /// (SND.WL1 = its seq, SND.WL2 = `wl2`).
+    fn take_window(&mut self, hdr: &TcpHeader, wl2: SeqNum) {
+        self.wnd = self.window_in(hdr);
+        self.wnd_max = self.wnd_max.max(self.wnd);
+        self.wl1 = hdr.seq;
+        self.wl2 = wl2;
+    }
+
+    /// RFC 793's window update: a segment no older than the one that
+    /// last set the window sets it. True when that reopened a zero
+    /// window.
+    fn update_window(&mut self, hdr: &TcpHeader) -> bool {
+        if !(self.wl1.before(hdr.seq) || (self.wl1 == hdr.seq && self.wl2.before_eq(hdr.ack))) {
+            return false;
+        }
+        let was_zero = self.wnd == 0;
+        self.take_window(hdr, hdr.ack);
+        was_zero && self.wnd > 0
+    }
+
+    /// Grow the scoreboard with `[l, r)`, merging overlapping or
+    /// adjacent ranges.
+    fn sack(&mut self, mut l: SeqNum, mut r: SeqNum) {
+        let mut i = 0;
+        while i < self.sacked.len() {
+            let (sl, sr) = self.sacked[i];
+            if sr.before(l) {
+                i += 1;
+                continue;
+            }
+            if r.before(sl) {
+                break;
+            }
+            if sl.before(l) {
+                l = sl;
+            }
+            if sr.after(r) {
+                r = sr;
+            }
+            self.sacked.remove(i);
+        }
+        self.sacked.insert(i, (l, r));
+    }
+
+    /// The first hole: where a retransmission starts (`una`, moved past
+    /// any leading sacked ranges) and how many bytes it may carry before
+    /// the next sacked left edge.
+    fn first_hole(&self) -> (SeqNum, usize) {
+        let mut start = self.una;
+        for &(sl, sr) in &self.sacked {
+            if sr.before_eq(start) {
+                continue;
+            }
+            if sl.before_eq(start) {
+                start = sr;
+            } else {
+                return (start, sl.since(start).max(0) as usize);
+            }
+        }
+        (start, usize::MAX)
+    }
+
+    /// New data acknowledged up to `ack`: advance `una`, trim the
+    /// scoreboard, open the congestion window and release the acked
+    /// bytes from the ring.
+    fn ack(&mut self, ack: SeqNum, mss: u32) {
+        self.una = ack;
+        self.dup_acks = 0;
+        if matches!(self.small_unacked, Some(end) if ack.after_eq(end)) {
+            self.small_unacked = None;
+        }
+        // the cumulative ack implicitly covers any sacked range at or
+        // below it
+        self.sacked.retain(|&(_, r)| r.after(ack));
+        if let Some(first) = self.sacked.first_mut() {
+            if first.0.before(ack) {
+                first.0 = ack;
+            }
+        }
+        // Tahoe growth: one MSS per ack in slow start, max(mss²/cwnd, 1)
+        // in congestion avoidance
+        let inc = if self.cwnd < self.ssthresh { mss } else { (mss * mss / self.cwnd).max(1) };
+        self.cwnd = self.cwnd.saturating_add(inc);
+        let acked = self.una.since(self.buf_seq).clamp(0, self.buf.len() as i32);
+        if acked > 0 {
+            self.buf.drain(..acked as usize);
+            self.buf_seq = self.buf_seq.add(acked as usize);
+        }
+    }
+
+    /// Tahoe's loss response, the same for three duplicate acks and for
+    /// a timeout: half the flight becomes the threshold and the window
+    /// restarts from one MSS. There is no fast recovery.
+    fn on_loss(&mut self, mss: u32) {
+        self.ssthresh = (self.in_flight() / 2).max(2 * mss);
+        self.cwnd = mss;
+        self.dup_acks = 0;
+    }
+}
+
+/// Receive sequence space and what the receiver keeps with it: the
+/// in-order bytes not yet read, the out-of-order queue, the peer's FIN
+/// and the state of our acks and window advertisements.
+#[derive(Debug, Default)]
+struct RecvSeq {
+    irs: SeqNum,
+    nxt: SeqNum,
+    /// Receive buffer capacity (`TcpConfig::recv_buf`); the window is
+    /// what is free of it.
+    cap: usize,
+    /// Shift applied to windows we advertise (RFC 7323).
+    wscale: u8,
+    buf: VecDeque<u8>,
+    /// Out-of-order segments, sorted by sequence number.
+    ooo: Vec<(SeqNum, Vec<u8>)>,
+    ooo_bytes: usize,
+    /// Sequence position of the peer's FIN, if seen but not yet in
+    /// order.
+    fin: Option<SeqNum>,
+    fin_processed: bool,
+    /// Window value sent in our most recent segment (receiver-side
+    /// silly-window avoidance).
+    last_adv_wnd: u32,
+    want_window_update: bool,
+    /// In-order segments received since we last sent an ACK.
+    unacked_segs: u32,
+}
+
+impl RecvSeq {
+    /// Current receive window (free buffer space), before scaling and
+    /// the u16 clamp.
+    fn window(&self) -> u32 {
+        (self.cap - self.buf.len()) as u32
+    }
+
+    /// RFC 793's acceptability test for a segment occupying `seg_len`
+    /// sequence numbers from `seq`.
+    fn acceptable(&self, seq: SeqNum, seg_len: u32) -> bool {
+        let wnd = self.window();
+        if seg_len == 0 {
+            if wnd == 0 {
+                return seq == self.nxt;
+            }
+            return seq.after_eq(self.nxt) && seq.before(self.nxt.add(wnd as usize));
+        }
+        if wnd == 0 {
+            return false;
+        }
+        let seg_end = seq.add(seg_len as usize - 1);
+        let wnd_end = self.nxt.add(wnd as usize);
+        (seq.after_eq(self.nxt) && seq.before(wnd_end))
+            || (seg_end.after_eq(self.nxt) && seg_end.before(wnd_end))
+    }
+
+    /// Take in-order `data` at `nxt`, then whatever of the out-of-order
+    /// queue it made contiguous. Returns the bytes delivered.
+    fn accept(&mut self, data: &[u8]) -> usize {
+        self.buf.extend(data);
+        self.nxt = self.nxt.add(data.len());
+        data.len() + self.drain_ooo()
+    }
+
+    /// Hold an out-of-order segment, within the buffer's capacity.
+    fn insert_ooo(&mut self, seq: SeqNum, data: &[u8]) {
+        // exact-duplicate suppression is enough: overlaps are resolved
+        // in drain_ooo by trimming against nxt
+        if self.ooo_bytes + data.len() > self.cap
+            || self.ooo.iter().any(|&(s, ref d)| s == seq && d.len() >= data.len())
+        {
+            return;
+        }
+        self.ooo_bytes += data.len();
+        let at = self.ooo.partition_point(|&(s, _)| s.before(seq));
+        self.ooo.insert(at, (seq, data.to_vec()));
+    }
+
+    /// Move every out-of-order segment that now starts at or below
+    /// `nxt` into the buffer. Returns the fresh bytes delivered.
+    fn drain_ooo(&mut self) -> usize {
+        let mut delivered = 0;
+        loop {
+            let mut advanced = false;
+            let mut i = 0;
+            while i < self.ooo.len() {
+                let (seq, ref data) = self.ooo[i];
+                let end = seq.add(data.len());
+                if end.before_eq(self.nxt) {
+                    // fully stale
+                    self.ooo_bytes -= data.len();
+                    self.ooo.remove(i);
+                    continue;
+                }
+                if seq.before_eq(self.nxt) {
+                    let skip = self.nxt.since(seq).max(0) as usize;
+                    let (_, data) = self.ooo.remove(i);
+                    self.ooo_bytes -= data.len();
+                    let fresh = &data[skip..];
+                    self.buf.extend(fresh);
+                    delivered += fresh.len();
+                    self.nxt = self.nxt.add(fresh.len());
+                    advanced = true;
+                    continue;
+                }
+                i += 1;
+            }
+            if !advanced {
+                return delivered;
+            }
+        }
+    }
+
+    /// Merged SACK blocks describing the out-of-order queue, capped to
+    /// what the wire format carries.
+    fn sack_blocks(&self) -> Vec<(SeqNum, SeqNum)> {
+        let mut blocks: Vec<(SeqNum, SeqNum)> = Vec::new();
+        for &(seq, ref data) in &self.ooo {
+            let end = seq.add(data.len());
+            match blocks.last_mut() {
+                Some(last) if seq.before_eq(last.1) => {
+                    if end.after(last.1) {
+                        last.1 = end;
+                    }
+                }
+                _ => blocks.push((seq, end)),
+            }
+        }
+        blocks.truncate(nectar_wire::tcp::MAX_SACK_BLOCKS);
+        blocks
+    }
+}
+
+/// RTT estimation (Jacobson/Karels) with Karn's rule and the
+/// retransmission timeout it sets.
+#[derive(Debug, Default)]
+struct Rtt {
+    srtt_ns: Option<i64>,
+    rttvar_ns: i64,
+    rto: SimDuration,
+    /// (end-sequence, send time) of the segment being timed.
+    sample: Option<(SeqNum, SimTime)>,
+    /// A timeout fired and no new data has been acked since: nothing
+    /// sent now may be timed (Karn).
+    backoff: bool,
+    /// Consecutive timeouts.
+    retries: u32,
+}
+
+impl Rtt {
+    /// Time the segment ending at `end`, unless one is being timed or
+    /// the connection is backing off.
+    fn time(&mut self, end: SeqNum, now: SimTime) {
+        if self.sample.is_none() && !self.backoff {
+            self.sample = Some((end, now));
+        }
+    }
+
+    /// New data acknowledged up to `ack`: take the timed segment's
+    /// sample unless it was retransmitted (Karn), and leave backoff.
+    fn on_ack(&mut self, ack: SeqNum, now: SimTime, cfg: &TcpConfig) {
+        self.retries = 0;
+        if let Some((end, sent_at)) = self.sample {
+            if ack.after_eq(end) {
+                if !self.backoff {
+                    self.update(now.saturating_since(sent_at), cfg);
+                }
+                self.sample = None;
+            }
+        }
+        self.backoff = false;
+    }
+
+    fn update(&mut self, sample: SimDuration, cfg: &TcpConfig) {
+        let r = sample.as_nanos() as i64;
+        match self.srtt_ns {
+            None => {
+                self.srtt_ns = Some(r);
+                self.rttvar_ns = r / 2;
+            }
+            Some(srtt) => {
+                let err = r - srtt;
+                self.srtt_ns = Some(srtt + err / 8);
+                self.rttvar_ns += (err.abs() - self.rttvar_ns) / 4;
+            }
+        }
+        let rto_ns = self.srtt_ns.unwrap_or(0) + 4 * self.rttvar_ns;
+        self.rto = SimDuration::from_nanos(rto_ns.max(0) as u64).max(cfg.rto_min).min(cfg.rto_max);
+    }
+
+    /// Exponential backoff: double the RTO up to `rto_max`.
+    fn back_off(&mut self, rto_max: SimDuration) {
+        self.rto = (self.rto * 2).min(rto_max);
+    }
+
+    /// The retransmission timer fired: back off and stop timing. False
+    /// once the retry budget is spent.
+    fn time_out(&mut self, cfg: &TcpConfig) -> bool {
+        self.retries += 1;
+        if self.retries > cfg.max_retries {
+            return false;
+        }
+        self.back_off(cfg.rto_max);
+        self.backoff = true;
+        self.sample = None;
+        true
+    }
+}
+
+/// The connection's deadlines.
+#[derive(Debug, Default)]
+struct Timers {
+    rto: Option<SimTime>,
+    delack: Option<SimTime>,
+    timewait: Option<SimTime>,
+    /// Persist timer: probe the peer's closed window.
+    probe: Option<SimTime>,
+}
+
+impl Timers {
+    fn next(&self) -> Option<SimTime> {
+        [self.rto, self.delack, self.timewait, self.probe].into_iter().flatten().min()
+    }
+
+    fn clear(&mut self) {
+        *self = Timers::default();
+    }
+
+    /// Start the retransmission timer unless it is already running.
+    fn arm_rto_if_idle(&mut self, now: SimTime, rto: SimDuration) {
+        self.rto.get_or_insert(now + rto);
+    }
+}
+
 /// One TCP connection endpoint.
 #[derive(Debug)]
 pub struct TcpSocket {
@@ -34,84 +430,14 @@ pub struct TcpSocket {
     state: TcpState,
     local: (Ipv4Addr, u16),
     remote: (Ipv4Addr, u16),
-
-    // --- send sequence space (RFC 793 §3.2) ---
-    iss: SeqNum,
-    snd_una: SeqNum,
-    snd_nxt: SeqNum,
-    snd_wnd: u32,
-    /// Largest window the peer has ever advertised (for sender-side
-    /// silly-window avoidance).
-    snd_wnd_max: u32,
-    snd_wl1: SeqNum,
-    snd_wl2: SeqNum,
-    snd_buf: VecDeque<u8>,
-    /// Sequence number of `snd_buf[0]`.
-    snd_buf_seq: SeqNum,
-    /// End sequence of an outstanding sub-MSS segment, if any (Minshall
-    /// refinement to Nagle: at most one small segment in flight).
-    small_unacked: Option<SeqNum>,
-    fin_queued: bool,
-    /// Sequence number our FIN occupies, once sent.
-    fin_seq: Option<SeqNum>,
-    peer_mss: u16,
-
-    // --- receive sequence space ---
-    irs: SeqNum,
-    rcv_nxt: SeqNum,
-    recv_buf: VecDeque<u8>,
-    /// Out-of-order segments, sorted by sequence number.
-    ooo: Vec<(SeqNum, Vec<u8>)>,
-    ooo_bytes: usize,
-    /// Sequence position of the peer's FIN, if seen but not yet in
-    /// order.
-    peer_fin: Option<SeqNum>,
-    peer_fin_processed: bool,
-    /// Window value sent in our most recent segment (receiver-side
-    /// silly-window avoidance).
-    last_adv_wnd: u32,
-    want_window_update: bool,
-
-    // --- congestion control ---
-    cwnd: u32,
-    ssthresh: u32,
-    dup_acks: u32,
-    /// The loss-response algorithm (`TcpConfig::cc`).
-    cc: Box<dyn CongestionControl>,
-
-    // --- SACK (RFC 2018) ---
-    /// Both SYNs carried the SACK-permitted option.
+    snd: SendSeq,
+    rcv: RecvSeq,
+    rtt: Rtt,
+    timers: Timers,
+    /// Both SYNs carried the SACK-permitted option (RFC 2018).
     sack_ok: bool,
-    /// Sender scoreboard: disjoint, sorted ranges the peer has
-    /// selectively acknowledged above `snd_una`. Only ever grows or is
-    /// trimmed by the cumulative ACK — a reneging peer is ignored.
-    sacked: Vec<(SeqNum, SeqNum)>,
-
-    // --- window scaling (RFC 7323) ---
-    /// Both SYNs carried the window-scale option.
-    wscale_negotiated: bool,
-    /// Shift applied to windows the peer advertises.
-    snd_wscale: u8,
-    /// Shift applied to windows we advertise.
-    rcv_wscale: u8,
-
-    // --- RTT estimation (Jacobson/Karels + Karn) ---
-    srtt_ns: Option<i64>,
-    rttvar_ns: i64,
-    rto: SimDuration,
-    /// (end-sequence, send time) of the segment being timed.
-    rtt_sample: Option<(SeqNum, SimTime)>,
-    backoff: bool,
-    retries: u32,
-
-    // --- timers ---
-    rto_deadline: Option<SimTime>,
-    delack_deadline: Option<SimTime>,
-    timewait_deadline: Option<SimTime>,
-    probe_deadline: Option<SimTime>,
-    /// In-order segments received since we last sent an ACK.
-    unacked_segs: u32,
-
+    /// Both SYNs carried the window-scale option (RFC 7323).
+    wscale_ok: bool,
     stats: TcpSocketStats,
     /// Conformance monitor, present while the oracle is enabled
     /// (`conform::enabled()` at socket creation).
@@ -129,48 +455,21 @@ impl TcpSocket {
             state: TcpState::Closed,
             local,
             remote,
-            iss,
-            snd_una: iss,
-            snd_nxt: iss,
-            snd_wnd: 0,
-            snd_wnd_max: 0,
-            snd_wl1: SeqNum(0),
-            snd_wl2: SeqNum(0),
-            snd_buf: VecDeque::new(),
-            snd_buf_seq: iss.add(1),
-            small_unacked: None,
-            fin_queued: false,
-            fin_seq: None,
-            peer_mss: DEFAULT_PEER_MSS,
-            irs: SeqNum(0),
-            rcv_nxt: SeqNum(0),
-            recv_buf: VecDeque::new(),
-            ooo: Vec::new(),
-            ooo_bytes: 0,
-            peer_fin: None,
-            peer_fin_processed: false,
-            last_adv_wnd: 0,
-            want_window_update: false,
-            cwnd: cfg.mss as u32 * 2,
-            ssthresh: u32::MAX / 2,
-            dup_acks: 0,
-            cc: cc::make(cfg.cc),
+            snd: SendSeq {
+                iss,
+                una: iss,
+                nxt: iss,
+                buf_seq: iss.add(1),
+                peer_mss: DEFAULT_PEER_MSS,
+                cwnd: cfg.mss as u32 * 2,
+                ssthresh: u32::MAX / 2,
+                ..SendSeq::default()
+            },
+            rcv: RecvSeq { cap: cfg.recv_buf, ..RecvSeq::default() },
+            rtt: Rtt { rto: cfg.rto_initial, ..Rtt::default() },
+            timers: Timers::default(),
             sack_ok: false,
-            sacked: Vec::new(),
-            wscale_negotiated: false,
-            snd_wscale: 0,
-            rcv_wscale: 0,
-            srtt_ns: None,
-            rttvar_ns: 0,
-            rto: cfg.rto_initial,
-            rtt_sample: None,
-            backoff: false,
-            retries: 0,
-            rto_deadline: None,
-            delack_deadline: None,
-            timewait_deadline: None,
-            probe_deadline: None,
-            unacked_segs: 0,
+            wscale_ok: false,
             stats: TcpSocketStats::default(),
             monitor: conform::enabled().then(conform::TcpMonitor::new),
             cfg,
@@ -181,16 +480,16 @@ impl TcpSocket {
     fn view(&self) -> conform::TcpView {
         conform::TcpView {
             state: self.state,
-            snd_una: self.snd_una,
-            snd_nxt: self.snd_nxt,
-            rcv_nxt: self.rcv_nxt,
-            fin_seq: self.fin_seq,
-            peer_fin: self.peer_fin,
-            peer_fin_processed: self.peer_fin_processed,
+            snd_una: self.snd.una,
+            snd_nxt: self.snd.nxt,
+            rcv_nxt: self.rcv.nxt,
+            fin_seq: self.snd.fin_seq,
+            peer_fin: self.rcv.fin,
+            peer_fin_processed: self.rcv.fin_processed,
             local: self.local,
             remote: self.remote,
             sack_ok: self.sack_ok,
-            rcv_wscale: self.rcv_wscale,
+            rcv_wscale: self.rcv.wscale,
         }
     }
 
@@ -231,18 +530,11 @@ impl TcpSocket {
         debug_assert!(syn.flags.contains(TcpFlags::SYN));
         let mut s = TcpSocket::base(cfg, local, remote, SeqNum(isn));
         s.state = TcpState::SynReceived;
-        s.irs = syn.seq;
-        s.rcv_nxt = syn.seq.add(1);
-        if let Some(mss) = syn.mss {
-            s.peer_mss = mss;
-        }
-        s.negotiate_options(syn);
-        s.set_peer_window(syn);
+        s.on_peer_syn(syn);
         // seed the RFC 793 window-update qualifier (SND.WL1/SND.WL2);
         // left at their zero defaults, updates whose seq compares
         // "before" SeqNum(0) mod 2^32 would be ignored forever
-        s.snd_wl1 = syn.seq;
-        s.snd_wl2 = s.snd_una;
+        s.snd.take_window(syn, s.snd.una);
         s.send_syn(now, true, ev);
         s.observe("server_from_syn");
         s
@@ -264,7 +556,7 @@ impl TcpSocket {
     /// invariant checks: `snd_una` never runs ahead of `snd_nxt`, and
     /// both only move forward between snapshots.
     pub fn seq_state(&self) -> (SeqNum, SeqNum, SeqNum) {
-        (self.snd_una, self.snd_nxt, self.rcv_nxt)
+        (self.snd.una, self.snd.nxt, self.rcv.nxt)
     }
 
     pub fn local(&self) -> (Ipv4Addr, u16) {
@@ -281,23 +573,23 @@ impl TcpSocket {
 
     /// Bytes of in-order data ready for [`Self::recv`].
     pub fn readable(&self) -> usize {
-        self.recv_buf.len()
+        self.rcv.buf.len()
     }
 
     /// Free space in the send buffer.
     pub fn send_capacity(&self) -> usize {
-        self.cfg.send_buf - self.snd_buf.len()
+        self.cfg.send_buf - self.snd.buf.len()
     }
 
     /// True once the peer's FIN has been consumed and the receive
     /// buffer fully drained: reads have hit EOF.
     pub fn recv_finished(&self) -> bool {
-        self.peer_fin_processed && self.recv_buf.is_empty()
+        self.rcv.fin_processed && self.rcv.buf.is_empty()
     }
 
     /// The effective segment size for this connection.
     pub fn effective_mss(&self) -> usize {
-        self.cfg.mss.min(self.peer_mss) as usize
+        self.cfg.mss.min(self.snd.peer_mss) as usize
     }
 
     // ------------------------------------------------------------------
@@ -308,16 +600,17 @@ impl TcpSocket {
     /// (bounded by send-buffer space). Emits segments when the window
     /// allows.
     pub fn send(&mut self, now: SimTime, data: &[u8], ev: &mut Vec<TcpEvent>) -> usize {
-        if !matches!(self.state, TcpState::Established | TcpState::CloseWait)
-            && !matches!(self.state, TcpState::SynSent | TcpState::SynReceived)
-        {
+        if !matches!(
+            self.state,
+            TcpState::Established | TcpState::CloseWait | TcpState::SynSent | TcpState::SynReceived
+        ) {
             return 0;
         }
-        if self.fin_queued {
+        if self.snd.fin_queued {
             return 0; // sender already closed
         }
         let n = data.len().min(self.send_capacity());
-        self.snd_buf.extend(&data[..n]);
+        self.snd.buf.extend(&data[..n]);
         if self.state.synchronized() {
             self.try_output(now, ev);
         }
@@ -340,20 +633,20 @@ impl TcpSocket {
     /// where they are going and then calls [`Self::consume`] has read
     /// without an intermediate buffer.
     pub fn peek(&self, max: usize) -> (&[u8], &[u8]) {
-        ring_range(&self.recv_buf, 0, max.min(self.recv_buf.len()))
+        ring_range(&self.rcv.buf, 0, max.min(self.rcv.buf.len()))
     }
 
     /// Release the first `n` readable bytes: the second half of a
     /// [`Self::peek`] read.
     pub fn consume(&mut self, n: usize) {
-        let n = n.min(self.recv_buf.len());
-        self.recv_buf.drain(..n);
+        let n = n.min(self.rcv.buf.len());
+        self.rcv.buf.drain(..n);
         // Receiver-side silly-window avoidance: only volunteer a window
         // update once at least an MSS (or half the buffer) has opened.
-        let unadvertised = self.recv_window().saturating_sub(self.last_adv_wnd);
+        let unadvertised = self.rcv.window().saturating_sub(self.rcv.last_adv_wnd);
         if unadvertised >= (self.effective_mss() as u32).min(self.cfg.recv_buf as u32 / 2) && n > 0
         {
-            self.want_window_update = true;
+            self.rcv.want_window_update = true;
         }
     }
 
@@ -362,20 +655,20 @@ impl TcpSocket {
         match self.state {
             TcpState::Closed => {}
             TcpState::SynSent => {
-                if self.snd_buf.is_empty() {
-                    self.enter_closed(ev, Some(TcpEvent::Closed));
+                if self.snd.buf.is_empty() {
+                    self.enter_closed(ev, TcpEvent::Closed);
                 } else {
                     // Data was queued before the handshake finished:
                     // keep the connection alive so the SYN retransmit
                     // path can still win, and let the FIN follow the
                     // buffered bytes once established.
-                    self.fin_queued = true;
+                    self.snd.fin_queued = true;
                 }
             }
             TcpState::SynReceived | TcpState::Established | TcpState::CloseWait
-                if !self.fin_queued =>
+                if !self.snd.fin_queued =>
             {
-                self.fin_queued = true;
+                self.snd.fin_queued = true;
                 self.try_output(now, ev);
             }
             // already closing
@@ -387,13 +680,9 @@ impl TcpSocket {
     /// Abort: RST the peer and drop to CLOSED.
     pub fn abort(&mut self, _now: SimTime, ev: &mut Vec<TcpEvent>) {
         if self.state.synchronized() || self.state == TcpState::SynReceived {
-            let mut h = self.header_template();
-            h.seq = self.snd_nxt;
-            h.ack = self.rcv_nxt;
-            h.flags = TcpFlags::RST | TcpFlags::ACK;
-            self.emit(h, 0..0, ev);
+            self.segment(self.snd.nxt, TcpFlags::RST | TcpFlags::ACK, 0..0, ev);
         }
-        self.enter_closed(ev, Some(TcpEvent::Aborted(AbortReason::LocalAbort)));
+        self.enter_closed(ev, TcpEvent::Aborted(AbortReason::LocalAbort));
         self.observe("abort");
     }
 
@@ -418,6 +707,23 @@ impl TcpSocket {
         self.observe("on_segment");
     }
 
+    /// Learn the peer's half of the connection from its SYN.
+    fn on_peer_syn(&mut self, syn: &TcpHeader) {
+        self.rcv.irs = syn.seq;
+        self.rcv.nxt = syn.seq.add(1);
+        if let Some(mss) = syn.mss {
+            self.snd.peer_mss = mss;
+        }
+        // SACK and window scaling (RFC 2018 §2, RFC 7323 §2.2) are live
+        // only when both our config offers them and the SYN carried them
+        self.sack_ok = self.cfg.sack && syn.sack_permitted;
+        if let (Some(ours), Some(theirs)) = (self.cfg.wscale, syn.wscale) {
+            self.wscale_ok = true;
+            self.rcv.wscale = ours.min(MAX_WSCALE);
+            self.snd.wscale = theirs.min(MAX_WSCALE);
+        }
+    }
+
     fn on_segment_syn_sent(
         &mut self,
         now: SimTime,
@@ -427,7 +733,7 @@ impl TcpSocket {
     ) {
         if hdr.flags.contains(TcpFlags::ACK) {
             // acceptable ack: iss < ack <= snd_nxt
-            if hdr.ack.before_eq(self.iss) || hdr.ack.after(self.snd_nxt) {
+            if hdr.ack.before_eq(self.snd.iss) || hdr.ack.after(self.snd.nxt) {
                 if !hdr.flags.contains(TcpFlags::RST) {
                     self.send_rst_for_ack(hdr.ack, ev);
                 }
@@ -436,29 +742,21 @@ impl TcpSocket {
         }
         if hdr.flags.contains(TcpFlags::RST) {
             if hdr.flags.contains(TcpFlags::ACK) {
-                self.enter_closed(ev, Some(TcpEvent::Aborted(AbortReason::Refused)));
+                self.enter_closed(ev, TcpEvent::Aborted(AbortReason::Refused));
             }
             return;
         }
         if !hdr.flags.contains(TcpFlags::SYN) {
             return;
         }
-        self.irs = hdr.seq;
-        self.rcv_nxt = hdr.seq.add(1);
-        if let Some(mss) = hdr.mss {
-            self.peer_mss = mss;
-        }
-        self.negotiate_options(hdr);
+        self.on_peer_syn(hdr);
         if hdr.flags.contains(TcpFlags::ACK) {
-            self.snd_una = hdr.ack;
-            self.retries = 0;
-            self.backoff = false;
-            self.rto_deadline = None;
+            self.snd.una = hdr.ack;
+            self.rtt.on_ack(hdr.ack, now, &self.cfg);
+            self.timers.rto = None;
         }
-        self.set_peer_window(hdr);
-        self.snd_wl1 = hdr.seq;
-        self.snd_wl2 = if hdr.flags.contains(TcpFlags::ACK) { hdr.ack } else { self.snd_una };
-        if self.snd_una.after(self.iss) {
+        self.snd.take_window(hdr, self.snd.una);
+        if self.snd.una.after(self.snd.iss) {
             // our SYN is acknowledged
             self.state = TcpState::Established;
             ev.push(TcpEvent::Connected);
@@ -468,9 +766,9 @@ impl TcpSocket {
             }
             self.try_output(now, ev);
         } else {
-            // simultaneous open: SYN without ACK
+            // simultaneous open: SYN without ACK; re-send SYN, now with
+            // ACK
             self.state = TcpState::SynReceived;
-            self.snd_nxt = self.iss; // re-send SYN, now with ACK
             self.send_syn(now, true, ev);
         }
     }
@@ -487,25 +785,6 @@ impl TcpSocket {
         n
     }
 
-    fn acceptable(&self, hdr: &TcpHeader, payload: &[u8]) -> bool {
-        let seg_len = Self::segment_len(hdr, payload);
-        let wnd = self.recv_window();
-        let seq = hdr.seq;
-        if seg_len == 0 {
-            if wnd == 0 {
-                return seq == self.rcv_nxt;
-            }
-            return seq.after_eq(self.rcv_nxt) && seq.before(self.rcv_nxt.add(wnd as usize));
-        }
-        if wnd == 0 {
-            return false;
-        }
-        let seg_end = seq.add(seg_len as usize - 1);
-        let wnd_end = self.rcv_nxt.add(wnd as usize);
-        (seq.after_eq(self.rcv_nxt) && seq.before(wnd_end))
-            || (seg_end.after_eq(self.rcv_nxt) && seg_end.before(wnd_end))
-    }
-
     fn on_segment_synchronized(
         &mut self,
         now: SimTime,
@@ -514,7 +793,7 @@ impl TcpSocket {
         ev: &mut Vec<TcpEvent>,
     ) {
         // 1. acceptance
-        if !self.acceptable(hdr, payload) {
+        if !self.rcv.acceptable(hdr.seq, Self::segment_len(hdr, payload)) {
             if !hdr.flags.contains(TcpFlags::RST) {
                 // old duplicate or out-of-window: re-ACK (this is how a
                 // lost ACK gets repaired)
@@ -524,13 +803,13 @@ impl TcpSocket {
         }
         // 2. RST
         if hdr.flags.contains(TcpFlags::RST) {
-            self.enter_closed(ev, Some(TcpEvent::Aborted(AbortReason::Reset)));
+            self.enter_closed(ev, TcpEvent::Aborted(AbortReason::Reset));
             return;
         }
         // 3. SYN in window: fatal in synchronized states
-        if hdr.flags.contains(TcpFlags::SYN) && hdr.seq.after_eq(self.rcv_nxt) {
-            self.send_rst_for_ack(self.snd_nxt, ev);
-            self.enter_closed(ev, Some(TcpEvent::Aborted(AbortReason::Reset)));
+        if hdr.flags.contains(TcpFlags::SYN) && hdr.seq.after_eq(self.rcv.nxt) {
+            self.send_rst_for_ack(self.snd.nxt, ev);
+            self.enter_closed(ev, TcpEvent::Aborted(AbortReason::Reset));
             return;
         }
         // 4. ACK
@@ -538,11 +817,9 @@ impl TcpSocket {
             return;
         }
         if self.state == TcpState::SynReceived {
-            if hdr.ack.after_eq(self.snd_una) && hdr.ack.before_eq(self.snd_nxt) {
+            if hdr.ack.after_eq(self.snd.una) && hdr.ack.before_eq(self.snd.nxt) {
                 self.state = TcpState::Established;
-                self.set_peer_window(hdr);
-                self.snd_wl1 = hdr.seq;
-                self.snd_wl2 = hdr.ack;
+                self.snd.take_window(hdr, hdr.ack);
                 ev.push(TcpEvent::Connected);
             } else {
                 self.send_rst_for_ack(hdr.ack, ev);
@@ -561,17 +838,14 @@ impl TcpSocket {
         }
         // 6. FIN
         if hdr.flags.contains(TcpFlags::FIN) {
-            let was_processed = self.peer_fin_processed;
-            let fin_pos = hdr.seq.add(payload.len());
-            if self.peer_fin.is_none() {
-                self.peer_fin = Some(fin_pos);
-            }
+            let was_processed = self.rcv.fin_processed;
+            self.rcv.fin.get_or_insert(hdr.seq.add(payload.len()));
             self.maybe_process_peer_fin(now, ev);
             // A *retransmitted* FIN reaching TIME-WAIT: re-ack and
             // restart 2MSL (RFC 793 p.73). A FIN processed just now was
             // already acked by maybe_process_peer_fin.
             if was_processed && self.state == TcpState::TimeWait {
-                self.timewait_deadline = Some(now + self.cfg.msl * 2);
+                self.timers.timewait = Some(now + self.cfg.msl * 2);
                 self.send_ack_now(ev);
             }
         }
@@ -588,7 +862,7 @@ impl TcpSocket {
         ev: &mut Vec<TcpEvent>,
     ) {
         let ack = hdr.ack;
-        if ack.after(self.snd_nxt) {
+        if ack.after(self.snd.nxt) {
             // ack for data we never sent
             self.send_ack_now(ev);
             return;
@@ -598,124 +872,55 @@ impl TcpSocket {
         // above the segment's own ack and within what we actually sent.
         if self.sack_ok {
             for (l, r) in hdr.sack.iter() {
-                if r.after(l) && l.after(ack) && r.before_eq(self.snd_nxt) {
+                if r.after(l) && l.after(ack) && r.before_eq(self.snd.nxt) {
                     self.stats.sack_blocks_in += 1;
-                    self.add_sacked(l, r);
+                    self.snd.sack(l, r);
                 }
             }
         }
-        if ack.after(self.snd_una) {
+        if ack.after(self.snd.una) {
             // --- new data acknowledged ---
-            let old_una = self.snd_una;
-            self.snd_una = ack;
-            self.retries = 0;
-            self.dup_acks = 0;
-            if matches!(self.small_unacked, Some(end) if ack.after_eq(end)) {
-                self.small_unacked = None;
-            }
-            // Karn's rule: only sample if this segment was not
-            // retransmitted.
-            if let Some((end_seq, sent_at)) = self.rtt_sample {
-                if ack.after_eq(end_seq) {
-                    if !self.backoff {
-                        self.update_rtt(now.saturating_since(sent_at));
-                    }
-                    self.rtt_sample = None;
-                }
-            }
-            self.backoff = false;
-            // the cumulative ack implicitly covers any sacked range at
-            // or below it
-            if !self.sacked.is_empty() {
-                self.sacked.retain(|&(_, r)| r.after(ack));
-                if let Some(first) = self.sacked.first_mut() {
-                    if first.0.before(ack) {
-                        first.0 = ack;
-                    }
-                }
-            }
-            // congestion window growth
-            let mss = self.effective_mss() as u32;
-            let acked = ack.since(old_una).max(0) as u32;
-            let mut st = CcState { cwnd: self.cwnd, ssthresh: self.ssthresh };
-            self.cc.on_ack(&mut st, now, acked, mss);
-            self.cwnd = st.cwnd;
-            self.ssthresh = st.ssthresh;
-            // release acknowledged bytes from the send buffer
-            let data_acked =
-                self.snd_una.since(self.snd_buf_seq).clamp(0, self.snd_buf.len() as i32);
-            if data_acked > 0 {
-                self.snd_buf.drain(..data_acked as usize);
-                self.snd_buf_seq = self.snd_buf_seq.add(data_acked as usize);
-            }
+            self.snd.ack(ack, self.effective_mss() as u32);
+            self.rtt.on_ack(ack, now, &self.cfg);
             // our FIN acknowledged?
-            if let Some(fin_seq) = self.fin_seq {
-                if self.snd_una.after(fin_seq) {
-                    match self.state {
-                        TcpState::FinWait1 => self.state = TcpState::FinWait2,
-                        TcpState::Closing => self.enter_time_wait(now, ev),
-                        TcpState::LastAck => {
-                            self.enter_closed(ev, Some(TcpEvent::Closed));
-                            return;
-                        }
-                        _ => {}
+            if matches!(self.snd.fin_seq, Some(fin) if self.snd.una.after(fin)) {
+                match self.state {
+                    TcpState::FinWait1 => self.state = TcpState::FinWait2,
+                    TcpState::Closing => self.enter_time_wait(now),
+                    TcpState::LastAck => {
+                        self.enter_closed(ev, TcpEvent::Closed);
+                        return;
                     }
+                    _ => {}
                 }
             }
             // retransmission timer
-            if self.snd_nxt.after(self.snd_una) || self.fin_unacked() {
-                self.rto_deadline = Some(now + self.rto);
-            } else {
-                self.rto_deadline = None;
-            }
+            self.timers.rto =
+                (self.snd.in_flight() > 0 || self.snd.fin_unacked()).then(|| now + self.rtt.rto);
             // Scoreboard-driven hole repair: a partial ack that stops
             // below a sacked range landed exactly on the next hole, so
             // retransmit it now instead of waiting out another dup-ack
             // round or the RTO.
-            if self.sack_ok && !self.sacked.is_empty() && self.snd_nxt.after(self.snd_una) {
+            if !self.snd.sacked.is_empty() && self.snd.in_flight() > 0 {
                 self.retransmit_one(now, ev);
             }
-        } else if ack == self.snd_una
+        } else if ack == self.snd.una
             && payload.is_empty()
             && !hdr.flags.contains(TcpFlags::FIN)
-            && self.snd_nxt.after(self.snd_una)
-            && self.peer_window_in(hdr) == self.snd_wnd
+            && self.snd.in_flight() > 0
+            && self.snd.window_in(hdr) == self.snd.wnd
         {
             // --- duplicate ACK ---
-            self.dup_acks += 1;
+            self.snd.dup_acks += 1;
             self.stats.dup_acks_in += 1;
-            if self.dup_acks == 3 {
-                self.fast_retransmit(now, ev);
+            if self.snd.dup_acks == 3 {
+                self.stats.fast_retransmits += 1;
+                self.recover(now, ev);
             }
         }
-        // window update (RFC 793 update rule)
-        if self.snd_wl1.before(hdr.seq) || (self.snd_wl1 == hdr.seq && self.snd_wl2.before_eq(ack))
-        {
-            let was_zero = self.snd_wnd == 0;
-            self.set_peer_window(hdr);
-            self.snd_wl1 = hdr.seq;
-            self.snd_wl2 = ack;
-            if was_zero && self.snd_wnd > 0 {
-                self.probe_deadline = None;
-            }
+        if self.snd.update_window(hdr) {
+            self.timers.probe = None;
         }
-    }
-
-    fn fin_unacked(&self) -> bool {
-        matches!(self.fin_seq, Some(s) if self.snd_una.before_eq(s))
-    }
-
-    fn fast_retransmit(&mut self, now: SimTime, ev: &mut Vec<TcpEvent>) {
-        self.stats.fast_retransmits += 1;
-        let mss = self.effective_mss() as u32;
-        let flight = self.snd_nxt.since(self.snd_una).max(0) as u32;
-        let mut st = CcState { cwnd: self.cwnd, ssthresh: self.ssthresh };
-        self.cc.on_loss(&mut st, now, flight, mss);
-        self.cwnd = st.cwnd;
-        self.ssthresh = st.ssthresh;
-        self.dup_acks = 0;
-        self.retransmit_one(now, ev);
-        self.rto_deadline = Some(now + self.rto);
     }
 
     fn process_payload(
@@ -728,95 +933,45 @@ impl TcpSocket {
         let mut seq = hdr.seq;
         let mut data = payload;
         // trim the part we already have
-        let behind = self.rcv_nxt.since(seq);
+        let behind = self.rcv.nxt.since(seq);
         if behind > 0 {
             if behind as usize >= data.len() {
                 // entirely duplicate; make sure the peer gets an ACK
-                self.unacked_segs += 1;
+                self.rcv.unacked_segs += 1;
                 return;
             }
             data = &data[behind as usize..];
-            seq = self.rcv_nxt;
+            seq = self.rcv.nxt;
         }
         // trim to our window
-        let wnd = self.recv_window() as usize;
-        let offset = seq.since(self.rcv_nxt).max(0) as usize;
+        let wnd = self.rcv.window() as usize;
+        let offset = seq.since(self.rcv.nxt).max(0) as usize;
         if offset >= wnd {
             return; // nothing fits
         }
-        let fit = (wnd - offset).min(data.len());
-        let data = &data[..fit];
+        let data = &data[..(wnd - offset).min(data.len())];
         if data.is_empty() {
             return;
         }
-        if seq == self.rcv_nxt {
-            self.recv_buf.extend(data);
-            self.rcv_nxt = self.rcv_nxt.add(data.len());
-            self.stats.bytes_in += data.len() as u64;
-            self.drain_ooo();
-            self.unacked_segs += 1;
+        if seq == self.rcv.nxt {
+            self.stats.bytes_in += self.rcv.accept(data) as u64;
+            self.rcv.unacked_segs += 1;
             ev.push(TcpEvent::DataAvailable);
             self.maybe_process_peer_fin(now, ev);
         } else {
             // out of order: hold (bounded) and dup-ACK immediately so
             // the sender's fast retransmit can kick in
-            if self.ooo_bytes + data.len() <= self.cfg.recv_buf {
-                self.insert_ooo(seq, data.to_vec());
-            }
+            self.rcv.insert_ooo(seq, data);
             self.send_ack_now(ev);
         }
     }
 
-    fn insert_ooo(&mut self, seq: SeqNum, data: Vec<u8>) {
-        // exact-duplicate suppression is enough: overlaps are resolved
-        // in drain_ooo by trimming against rcv_nxt
-        if self.ooo.iter().any(|&(s, ref d)| s == seq && d.len() >= data.len()) {
-            return;
-        }
-        self.ooo_bytes += data.len();
-        let at = self.ooo.partition_point(|&(s, _)| s.before(seq));
-        self.ooo.insert(at, (seq, data));
-    }
-
-    fn drain_ooo(&mut self) {
-        loop {
-            let mut advanced = false;
-            let mut i = 0;
-            while i < self.ooo.len() {
-                let (seq, ref data) = self.ooo[i];
-                let end = seq.add(data.len());
-                if end.before_eq(self.rcv_nxt) {
-                    // fully stale
-                    self.ooo_bytes -= data.len();
-                    self.ooo.remove(i);
-                    continue;
-                }
-                if seq.before_eq(self.rcv_nxt) {
-                    let skip = self.rcv_nxt.since(seq).max(0) as usize;
-                    let (_, data) = self.ooo.remove(i);
-                    self.ooo_bytes -= data.len();
-                    let fresh = &data[skip..];
-                    self.recv_buf.extend(fresh);
-                    self.stats.bytes_in += fresh.len() as u64;
-                    self.rcv_nxt = self.rcv_nxt.add(fresh.len());
-                    advanced = true;
-                    continue;
-                }
-                i += 1;
-            }
-            if !advanced {
-                break;
-            }
-        }
-    }
-
     fn maybe_process_peer_fin(&mut self, now: SimTime, ev: &mut Vec<TcpEvent>) {
-        let Some(fin_pos) = self.peer_fin else { return };
-        if self.peer_fin_processed || fin_pos != self.rcv_nxt {
+        if self.rcv.fin_processed || self.rcv.fin != Some(self.rcv.nxt) {
             return;
         }
-        self.rcv_nxt = self.rcv_nxt.add(1);
-        self.peer_fin_processed = true;
+        self.rcv.nxt = self.rcv.nxt.add(1);
+        self.rcv.fin_processed = true;
         ev.push(TcpEvent::PeerClosed);
         match self.state {
             TcpState::SynReceived | TcpState::Established => self.state = TcpState::CloseWait,
@@ -824,7 +979,7 @@ impl TcpSocket {
                 // our FIN not yet acked (otherwise we'd be in FIN-WAIT-2)
                 self.state = TcpState::Closing;
             }
-            TcpState::FinWait2 => self.enter_time_wait(now, ev),
+            TcpState::FinWait2 => self.enter_time_wait(now),
             _ => {}
         }
         self.send_ack_now(ev);
@@ -848,22 +1003,19 @@ impl TcpSocket {
             return;
         }
         let mss = self.effective_mss();
-        let usable = self.snd_wnd.min(self.cwnd);
-        loop {
-            if self.fin_seq.is_some() {
-                break; // FIN sent; nothing may follow it
-            }
-            let offset = self.snd_nxt.since(self.snd_buf_seq).max(0) as usize;
-            let remaining = self.snd_buf.len().saturating_sub(offset);
+        let usable = self.snd.wnd.min(self.snd.cwnd);
+        // once our FIN is sent nothing may follow it
+        while self.snd.fin_seq.is_none() {
+            let remaining = self.snd.buf.len().saturating_sub(self.snd.unsent_offset());
             if remaining == 0 {
                 break;
             }
-            let in_flight = self.snd_nxt.since(self.snd_una).max(0) as u32;
+            let in_flight = self.snd.in_flight();
             let wnd_left = usable.saturating_sub(in_flight) as usize;
             if wnd_left == 0 {
-                if self.snd_wnd == 0 && self.probe_deadline.is_none() {
+                if self.snd.wnd == 0 && self.timers.probe.is_none() {
                     // peer closed its window: arm the persist timer
-                    self.probe_deadline = Some(now + self.rto.max(self.cfg.rto_min));
+                    self.timers.probe = Some(now + self.rtt.rto.max(self.cfg.rto_min));
                 }
                 break;
             }
@@ -878,7 +1030,7 @@ impl TcpSocket {
             if self.cfg.nagle
                 && len < mss
                 && in_flight > 0
-                && !(len == remaining && self.small_unacked.is_none())
+                && !(len == remaining && self.snd.small_unacked.is_none())
             {
                 break;
             }
@@ -887,7 +1039,7 @@ impl TcpSocket {
             // or everything we have.
             if !self.cfg.nagle
                 && len < mss
-                && (len as u32) < self.snd_wnd_max / 2
+                && (len as u32) < self.snd.wnd_max / 2
                 && len < remaining
             {
                 break;
@@ -895,115 +1047,77 @@ impl TcpSocket {
             self.emit_data_segment(now, len, ev);
         }
         // FIN, once the buffer is drained
-        if self.fin_queued && self.fin_seq.is_none() {
-            let offset = self.snd_nxt.since(self.snd_buf_seq).max(0) as usize;
-            if offset >= self.snd_buf.len() {
-                let mut h = self.header_template();
-                h.seq = self.snd_nxt;
-                h.ack = self.rcv_nxt;
-                h.flags = TcpFlags::FIN | TcpFlags::ACK;
-                self.fin_seq = Some(self.snd_nxt);
-                self.snd_nxt = self.snd_nxt.add(1);
-                match self.state {
-                    TcpState::Established => self.state = TcpState::FinWait1,
-                    TcpState::CloseWait => self.state = TcpState::LastAck,
-                    _ => {}
-                }
-                self.emit(h, 0..0, ev);
-                self.note_ack_sent();
-                if self.rto_deadline.is_none() {
-                    self.rto_deadline = Some(now + self.rto);
-                }
+        if self.snd.fin_queued
+            && self.snd.fin_seq.is_none()
+            && self.snd.unsent_offset() >= self.snd.buf.len()
+        {
+            let seq = self.snd.nxt;
+            self.snd.fin_seq = Some(seq);
+            self.snd.nxt = seq.add(1);
+            match self.state {
+                TcpState::Established => self.state = TcpState::FinWait1,
+                TcpState::CloseWait => self.state = TcpState::LastAck,
+                _ => {}
             }
+            self.segment(seq, TcpFlags::FIN | TcpFlags::ACK, 0..0, ev);
+            self.timers.arm_rto_if_idle(now, self.rtt.rto);
         }
     }
 
     fn emit_data_segment(&mut self, now: SimTime, len: usize, ev: &mut Vec<TcpEvent>) {
-        let offset = self.snd_nxt.since(self.snd_buf_seq).max(0) as usize;
-        let mut h = self.header_template();
-        h.seq = self.snd_nxt;
-        h.ack = self.rcv_nxt;
-        h.flags = TcpFlags::ACK;
-        if offset + len >= self.snd_buf.len() {
-            h.flags |= TcpFlags::PSH;
+        let offset = self.snd.unsent_offset();
+        let seq = self.snd.nxt;
+        let mut flags = TcpFlags::ACK;
+        if offset + len >= self.snd.buf.len() {
+            flags |= TcpFlags::PSH;
         }
-        self.snd_nxt = self.snd_nxt.add(len);
+        self.snd.nxt = seq.add(len);
         if len < self.effective_mss() {
-            self.small_unacked = Some(self.snd_nxt);
+            self.snd.small_unacked = Some(self.snd.nxt);
         }
         self.stats.bytes_out += len as u64;
-        // time this segment if nothing else is being timed (Karn)
-        if self.rtt_sample.is_none() && !self.backoff {
-            self.rtt_sample = Some((self.snd_nxt, now));
-        }
-        self.emit(h, offset..offset + len, ev);
-        self.note_ack_sent();
-        if self.rto_deadline.is_none() {
-            self.rto_deadline = Some(now + self.rto);
-        }
+        self.rtt.time(self.snd.nxt, now);
+        self.segment(seq, flags, offset..offset + len, ev);
+        self.timers.arm_rto_if_idle(now, self.rtt.rto);
     }
 
-    /// Retransmit a single segment starting at `snd_una`.
+    /// Loss detected, by three duplicate acks or a timeout: collapse the
+    /// congestion window, resend the first hole and restart the timer.
+    fn recover(&mut self, now: SimTime, ev: &mut Vec<TcpEvent>) {
+        self.snd.on_loss(self.effective_mss() as u32);
+        self.retransmit_one(now, ev);
+        self.timers.rto = Some(now + self.rtt.rto);
+    }
+
+    /// Retransmit a single segment starting at the first hole above
+    /// `snd.una`.
     fn retransmit_one(&mut self, now: SimTime, ev: &mut Vec<TcpEvent>) {
         self.stats.retransmits += 1;
-        match self.state {
-            TcpState::SynSent => {
-                self.snd_nxt = self.iss;
-                self.send_syn(now, false, ev);
-                return;
-            }
-            TcpState::SynReceived => {
-                self.snd_nxt = self.iss;
-                self.send_syn(now, true, ev);
-                return;
-            }
-            _ => {}
+        if matches!(self.state, TcpState::SynSent | TcpState::SynReceived) {
+            self.send_syn(now, self.state == TcpState::SynReceived, ev);
+            return;
         }
         // SACK scoreboard: retransmit the first *hole*, never bytes the
-        // peer has already selectively acknowledged. `start` advances
-        // past any leading sacked ranges and `cap` stops the segment at
-        // the next sacked left edge.
-        let mut start = self.snd_una;
-        let mut cap = usize::MAX;
-        if self.sack_ok && !self.sacked.is_empty() {
+        // peer has already selectively acknowledged.
+        if !self.snd.sacked.is_empty() {
             self.stats.sack_retransmits += 1;
-            for &(sl, sr) in &self.sacked {
-                if sr.before_eq(start) {
-                    continue;
-                }
-                if sl.before_eq(start) {
-                    start = sr;
-                } else {
-                    cap = sl.since(start).max(0) as usize;
-                    break;
-                }
-            }
         }
-        let offset = start.since(self.snd_buf_seq).max(0) as usize;
-        let remaining = self.snd_buf.len().saturating_sub(offset);
-        // Never retransmit bytes beyond snd_nxt: they were never sent,
-        // and sending them here without advancing snd_nxt would make the
+        let (start, cap) = self.snd.first_hole();
+        let offset = start.since(self.snd.buf_seq).max(0) as usize;
+        // Never retransmit bytes beyond snd.nxt: they were never sent,
+        // and sending them here without advancing snd.nxt would make the
         // peer's ACKs look like acks of unsent data.
-        let outstanding = self.snd_nxt.since(start).max(0) as usize;
-        let remaining = remaining.min(outstanding).min(cap);
+        let outstanding = self.snd.nxt.since(start).max(0) as usize;
+        let remaining = self.snd.buf.len().saturating_sub(offset).min(outstanding).min(cap);
         if remaining > 0 {
             let len = self.effective_mss().min(remaining);
-            let mut h = self.header_template();
-            h.seq = start;
-            h.ack = self.rcv_nxt;
-            h.flags = TcpFlags::ACK | TcpFlags::PSH;
-            self.emit(h, offset..offset + len, ev);
-            self.note_ack_sent();
-        } else if self.fin_unacked() {
-            let mut h = self.header_template();
-            h.seq = self.fin_seq.expect("fin_unacked checked");
-            h.ack = self.rcv_nxt;
-            h.flags = TcpFlags::FIN | TcpFlags::ACK;
-            self.emit(h, 0..0, ev);
-            self.note_ack_sent();
+            self.segment(start, TcpFlags::ACK | TcpFlags::PSH, offset..offset + len, ev);
+        } else if self.snd.fin_unacked() {
+            let fin = self.snd.fin_seq.expect("fin_unacked checked");
+            self.segment(fin, TcpFlags::FIN | TcpFlags::ACK, 0..0, ev);
         }
         // Karn: retransmitted data must not be timed
-        self.rtt_sample = None;
+        self.rtt.sample = None;
     }
 
     // ------------------------------------------------------------------
@@ -1015,32 +1129,24 @@ impl TcpSocket {
         if self.state == TcpState::Closed {
             return;
         }
-        if let Some(t) = self.timewait_deadline {
-            if now >= t {
-                self.enter_closed(ev, Some(TcpEvent::Closed));
+        let due = |deadline: Option<SimTime>| deadline.is_some_and(|t| now >= t);
+        if due(self.timers.timewait) {
+            self.enter_closed(ev, TcpEvent::Closed);
+            return;
+        }
+        if due(self.timers.rto) {
+            self.on_rto(now, ev);
+            if self.state == TcpState::Closed {
                 return;
             }
         }
-        if let Some(t) = self.rto_deadline {
-            if now >= t {
-                self.on_rto(now, ev);
-                if self.state == TcpState::Closed {
-                    return;
-                }
-            }
+        if due(self.timers.probe) {
+            self.send_window_probe(now, ev);
         }
-        if let Some(t) = self.probe_deadline {
-            if now >= t {
-                self.send_window_probe(now, ev);
-            }
+        if due(self.timers.delack) {
+            self.send_ack_now(ev);
         }
-        if let Some(t) = self.delack_deadline {
-            if now >= t {
-                self.send_ack_now(ev);
-            }
-        }
-        if self.want_window_update {
-            self.want_window_update = false;
+        if self.rcv.want_window_update {
             self.send_ack_now(ev);
         }
         self.try_output(now, ev);
@@ -1049,219 +1155,104 @@ impl TcpSocket {
 
     /// The earliest time a timer could fire.
     pub fn next_wakeup(&self) -> Option<SimTime> {
-        [self.rto_deadline, self.delack_deadline, self.timewait_deadline, self.probe_deadline]
-            .into_iter()
-            .flatten()
-            .min()
+        self.timers.next()
     }
 
     fn on_rto(&mut self, now: SimTime, ev: &mut Vec<TcpEvent>) {
         self.stats.timeouts += 1;
-        self.retries += 1;
-        if self.retries > self.cfg.max_retries {
-            self.enter_closed(ev, Some(TcpEvent::Aborted(AbortReason::TooManyRetries)));
+        if !self.rtt.time_out(&self.cfg) {
+            self.enter_closed(ev, TcpEvent::Aborted(AbortReason::TooManyRetries));
             return;
         }
-        // exponential backoff, Karn phase
-        self.rto = (self.rto * 2).min(self.cfg.rto_max);
-        self.backoff = true;
-        self.rtt_sample = None;
-        let mss = self.effective_mss() as u32;
-        let flight = self.snd_nxt.since(self.snd_una).max(0) as u32;
-        let mut st = CcState { cwnd: self.cwnd, ssthresh: self.ssthresh };
-        self.cc.on_timeout(&mut st, now, flight, mss);
-        self.cwnd = st.cwnd;
-        self.ssthresh = st.ssthresh;
-        self.dup_acks = 0;
-        self.retransmit_one(now, ev);
-        self.rto_deadline = Some(now + self.rto);
+        self.recover(now, ev);
     }
 
     fn send_window_probe(&mut self, now: SimTime, ev: &mut Vec<TcpEvent>) {
-        let offset = self.snd_nxt.since(self.snd_buf_seq).max(0) as usize;
-        if self.snd_wnd > 0 || offset >= self.snd_buf.len() {
-            self.probe_deadline = None;
+        let offset = self.snd.unsent_offset();
+        if self.snd.wnd > 0 || offset >= self.snd.buf.len() {
+            self.timers.probe = None;
             return;
         }
         self.stats.zero_window_probes += 1;
         // send one byte beyond the closed window
-        let mut h = self.header_template();
-        h.seq = self.snd_nxt;
-        h.ack = self.rcv_nxt;
-        h.flags = TcpFlags::ACK | TcpFlags::PSH;
-        self.snd_nxt = self.snd_nxt.add(1);
+        let seq = self.snd.nxt;
+        self.snd.nxt = seq.add(1);
         self.stats.bytes_out += 1;
-        self.emit(h, offset..offset + 1, ev);
-        self.note_ack_sent();
+        self.segment(seq, TcpFlags::ACK | TcpFlags::PSH, offset..offset + 1, ev);
         // persist backoff
-        self.rto = (self.rto * 2).min(self.cfg.rto_max);
-        self.probe_deadline = Some(now + self.rto);
-        if self.rto_deadline.is_none() {
-            self.rto_deadline = Some(now + self.rto);
-        }
-    }
-
-    fn update_rtt(&mut self, sample: SimDuration) {
-        let r = sample.as_nanos() as i64;
-        match self.srtt_ns {
-            None => {
-                self.srtt_ns = Some(r);
-                self.rttvar_ns = r / 2;
-            }
-            Some(srtt) => {
-                let err = r - srtt;
-                self.srtt_ns = Some(srtt + err / 8);
-                self.rttvar_ns += (err.abs() - self.rttvar_ns) / 4;
-            }
-        }
-        let rto_ns = self.srtt_ns.unwrap_or(0) + 4 * self.rttvar_ns;
-        self.rto = SimDuration::from_nanos(rto_ns.max(0) as u64)
-            .max(self.cfg.rto_min)
-            .min(self.cfg.rto_max);
+        self.rtt.back_off(self.cfg.rto_max);
+        self.timers.probe = Some(now + self.rtt.rto);
+        self.timers.arm_rto_if_idle(now, self.rtt.rto);
     }
 
     // ------------------------------------------------------------------
     // segment construction
     // ------------------------------------------------------------------
 
-    fn header_template(&self) -> TcpHeader {
+    /// A header from us carrying `seq`, `flags`, our cumulative ack, our
+    /// scaled receive window and, once SACK is on, our SACK blocks.
+    fn header(&self, seq: SeqNum, flags: TcpFlags) -> TcpHeader {
         let mut h = TcpHeader::new(self.local.1, self.remote.1);
-        h.window = (self.recv_window() >> self.rcv_wscale).min(u16::MAX as u32) as u16;
+        h.seq = seq;
+        h.ack = self.rcv.nxt;
+        h.flags = flags;
+        h.window = (self.rcv.window() >> self.rcv.wscale).min(u16::MAX as u32) as u16;
         if self.sack_ok {
-            for b in self.sack_blocks() {
+            for b in self.rcv.sack_blocks() {
                 h.sack.push(b.0, b.1);
             }
         }
         h
     }
 
-    /// Current receive window (free buffer space), before scaling and
-    /// the u16 clamp.
-    fn recv_window(&self) -> u32 {
-        (self.cfg.recv_buf - self.recv_buf.len()) as u32
-    }
-
-    /// The window a received header advertises, after undoing the
-    /// peer's scale shift. Windows in SYN segments are never scaled
-    /// (RFC 7323 §2.2).
-    fn peer_window_in(&self, hdr: &TcpHeader) -> u32 {
-        let shift = if hdr.flags.contains(TcpFlags::SYN) { 0 } else { self.snd_wscale as u32 };
-        (hdr.window as u32) << shift
-    }
-
-    fn set_peer_window(&mut self, hdr: &TcpHeader) {
-        self.snd_wnd = self.peer_window_in(hdr);
-        self.snd_wnd_max = self.snd_wnd_max.max(self.snd_wnd);
-    }
-
-    /// Resolve SACK and window-scale negotiation from the peer's SYN
-    /// (RFC 2018 §2, RFC 7323 §2.2): each feature is live only when
-    /// both our config offers it and the peer's SYN carried it.
-    fn negotiate_options(&mut self, syn: &TcpHeader) {
-        self.sack_ok = self.cfg.sack && syn.sack_permitted;
-        if let (Some(ours), Some(theirs)) = (self.cfg.wscale, syn.wscale) {
-            self.wscale_negotiated = true;
-            self.rcv_wscale = ours.min(MAX_WSCALE);
-            self.snd_wscale = theirs.min(MAX_WSCALE);
-        }
-    }
-
-    /// Merged SACK blocks describing the out-of-order queue, capped to
-    /// what the wire format carries.
-    fn sack_blocks(&self) -> Vec<(SeqNum, SeqNum)> {
-        let mut blocks: Vec<(SeqNum, SeqNum)> = Vec::new();
-        for &(seq, ref data) in &self.ooo {
-            let end = seq.add(data.len());
-            match blocks.last_mut() {
-                Some(last) if seq.before_eq(last.1) => {
-                    if end.after(last.1) {
-                        last.1 = end;
-                    }
-                }
-                _ => blocks.push((seq, end)),
-            }
-        }
-        blocks.truncate(nectar_wire::tcp::MAX_SACK_BLOCKS);
-        blocks
-    }
-
-    /// Grow the scoreboard with `[l, r)`, merging overlapping or
-    /// adjacent ranges. Add-only: reneging peers are ignored.
-    fn add_sacked(&mut self, mut l: SeqNum, mut r: SeqNum) {
-        let mut i = 0;
-        while i < self.sacked.len() {
-            let (sl, sr) = self.sacked[i];
-            if sr.before(l) {
-                i += 1;
-                continue;
-            }
-            if r.before(sl) {
-                break;
-            }
-            if sl.before(l) {
-                l = sl;
-            }
-            if sr.after(r) {
-                r = sr;
-            }
-            self.sacked.remove(i);
-        }
-        self.sacked.insert(i, (l, r));
+    /// Emit one segment at `seq` carrying `data`, a range of `snd.buf`.
+    fn segment(
+        &mut self,
+        seq: SeqNum,
+        flags: TcpFlags,
+        data: Range<usize>,
+        ev: &mut Vec<TcpEvent>,
+    ) {
+        let h = self.header(seq, flags);
+        self.emit(h, data, ev);
     }
 
     fn send_syn(&mut self, now: SimTime, with_ack: bool, ev: &mut Vec<TcpEvent>) {
-        let mut h = self.header_template();
+        // before the peer's SYN arrives rcv.nxt is zero, as a bare SYN's
+        // ack field is
+        let flags = if with_ack { TcpFlags::SYN | TcpFlags::ACK } else { TcpFlags::SYN };
+        let mut h = self.header(self.snd.iss, flags);
         // the window field in a SYN is never scaled (RFC 7323 §2.2)
-        h.window = self.recv_window().min(u16::MAX as u32) as u16;
-        h.seq = self.iss;
-        h.flags = TcpFlags::SYN;
+        h.window = self.rcv.window().min(u16::MAX as u32) as u16;
         if with_ack {
-            h.flags |= TcpFlags::ACK;
-            h.ack = self.rcv_nxt;
             // SYN-ACK: echo only what negotiation resolved
             h.sack_permitted = self.sack_ok;
-            h.wscale = self.wscale_negotiated.then_some(self.rcv_wscale);
+            h.wscale = self.wscale_ok.then_some(self.rcv.wscale);
         } else {
             // initial SYN: offer what our config enables
             h.sack_permitted = self.cfg.sack;
             h.wscale = self.cfg.wscale.map(|w| w.min(MAX_WSCALE));
         }
         h.mss = Some(self.cfg.mss);
-        self.snd_nxt = self.iss.add(1);
+        self.snd.nxt = self.snd.iss.add(1);
         self.emit(h, 0..0, ev);
-        if with_ack {
-            self.note_ack_sent();
-        }
-        if self.rto_deadline.is_none() {
-            self.rto_deadline = Some(now + self.rto);
-        }
+        self.timers.arm_rto_if_idle(now, self.rtt.rto);
     }
 
     fn send_ack_now(&mut self, ev: &mut Vec<TcpEvent>) {
-        let mut h = self.header_template();
-        h.seq = self.snd_nxt;
-        h.ack = self.rcv_nxt;
-        h.flags = TcpFlags::ACK;
-        self.emit(h, 0..0, ev);
-        self.note_ack_sent();
-    }
-
-    fn note_ack_sent(&mut self) {
-        self.unacked_segs = 0;
-        self.delack_deadline = None;
-        self.want_window_update = false;
+        self.segment(self.snd.nxt, TcpFlags::ACK, 0..0, ev);
     }
 
     /// ACK policy after receiving in-order data: BSD acks every second
     /// segment, or after the delayed-ACK timer.
     fn flush_ack_policy(&mut self, now: SimTime, ev: &mut Vec<TcpEvent>) {
-        if self.unacked_segs == 0 {
+        if self.rcv.unacked_segs == 0 {
             return;
         }
-        if !self.cfg.delayed_ack || self.unacked_segs >= 2 {
+        if !self.cfg.delayed_ack || self.rcv.unacked_segs >= 2 {
             self.send_ack_now(ev);
-        } else if self.delack_deadline.is_none() {
-            self.delack_deadline = Some(now + self.cfg.delack_timeout);
+        } else if self.timers.delack.is_none() {
+            self.timers.delack = Some(now + self.cfg.delack_timeout);
         }
     }
 
@@ -1273,37 +1264,62 @@ impl TcpSocket {
     }
 
     /// Emit one segment carrying the bytes of `data`, a range of
-    /// `snd_buf` (empty for a bare ACK / SYN / FIN / RST), copied by
+    /// `snd.buf` (empty for a bare ACK / SYN / FIN / RST), copied by
     /// slice straight after the header into the segment.
     fn emit(&mut self, header: TcpHeader, data: Range<usize>, ev: &mut Vec<TcpEvent>) {
         if let Some(mut m) = self.monitor.take() {
             m.observe_emit(self.view(), &header, data.len());
             self.monitor = Some(m);
         }
+        if header.flags.contains(TcpFlags::ACK) {
+            // it acknowledges everything received: no ack is owed
+            self.rcv.unacked_segs = 0;
+            self.rcv.want_window_update = false;
+            self.timers.delack = None;
+        }
         self.stats.segs_out += 1;
-        self.last_adv_wnd = (header.window as u32) << self.rcv_wscale;
-        let (a, b) = ring_range(&self.snd_buf, data.start, data.len());
+        self.rcv.last_adv_wnd = (header.window as u32) << self.rcv.wscale;
+        let (a, b) = ring_range(&self.snd.buf, data.start, data.len());
         let segment =
             header.build_parts(self.local.0, self.remote.0, &[a, b], self.cfg.compute_checksum);
         ev.push(TcpEvent::Transmit { dst: self.remote.0, segment });
     }
 
-    fn enter_time_wait(&mut self, now: SimTime, _ev: &mut Vec<TcpEvent>) {
+    fn enter_time_wait(&mut self, now: SimTime) {
         self.state = TcpState::TimeWait;
-        self.timewait_deadline = Some(now + self.cfg.msl * 2);
-        self.rto_deadline = None;
-        self.delack_deadline = None;
-        self.probe_deadline = None;
+        self.timers.clear();
+        self.timers.timewait = Some(now + self.cfg.msl * 2);
     }
 
-    fn enter_closed(&mut self, ev: &mut Vec<TcpEvent>, event: Option<TcpEvent>) {
+    fn enter_closed(&mut self, ev: &mut Vec<TcpEvent>, event: TcpEvent) {
         self.state = TcpState::Closed;
-        self.rto_deadline = None;
-        self.delack_deadline = None;
-        self.timewait_deadline = None;
-        self.probe_deadline = None;
-        if let Some(e) = event {
-            ev.push(e);
-        }
+        self.timers.clear();
+        ev.push(event);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn tahoe_window_arithmetic() {
+        let mss = 4016;
+        let mut s = SendSeq { nxt: SeqNum(24_016), cwnd: 2 * mss, ..SendSeq::default() };
+        s.ssthresh = u32::MAX / 2;
+        // slow start: one MSS per ack
+        s.ack(SeqNum(4016), mss);
+        assert_eq!(s.cwnd, 3 * mss);
+        // a loss: ssthresh = max(flight / 2, 2·mss), cwnd = one MSS
+        s.dup_acks = 3;
+        s.on_loss(mss);
+        assert_eq!((s.ssthresh, s.cwnd, s.dup_acks), (10_000, mss, 0));
+        // congestion avoidance: max(mss² / cwnd, 1) per ack
+        s.cwnd = 12_000;
+        s.ack(SeqNum(8032), mss);
+        assert_eq!(s.cwnd, 12_000 + mss * mss / 12_000);
+        // a timeout is the same loss, here floored at 2·mss
+        s.on_loss(mss);
+        assert_eq!((s.ssthresh, s.cwnd), (2 * mss, mss));
     }
 }

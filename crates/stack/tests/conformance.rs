@@ -48,7 +48,6 @@ macro_rules! pkt_case {
 pkt_case!(
     accept_basic,
     connect_basic,
-    cubic_slow_start,
     fast_retransmit,
     fin_in_flight,
     ip_frag_caps,
@@ -63,6 +62,8 @@ pkt_case!(
     sack_reneg_ignored,
     simultaneous_close,
     simultaneous_open,
+    slow_start,
+    tail_standoff,
     window_update,
     wscale_asymmetric,
     wscale_negotiate,
