@@ -13,8 +13,8 @@ use nectar_cab::HostOpMode;
 use nectar_sim::{SimDuration, SimTime};
 
 fn main() {
-    let config = Config { trace: true, ..Default::default() };
-    let (mut world, mut sim) = World::single_hub(config, 2);
+    let (mut world, mut sim) = World::single_hub(Config::default(), 2);
+    world.trace.set_enabled(true);
     let svc = world.cabs[1].shared.create_mailbox(true, HostOpMode::SharedMemory);
     let reply = world.cabs[0].shared.create_mailbox(true, HostOpMode::SharedMemory);
     let (echo, _) = EchoServer::new(Transport::Datagram, svc, 0, false);

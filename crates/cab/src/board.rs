@@ -67,11 +67,11 @@ pub struct Cab {
     pub rt: Runtime,
     pub mutexes: MutexTable,
     pub stats: BoardStats,
-    /// Interrupt moderation ([`Config::doorbell_coalesce`] extends to
-    /// the fiber side): while one network interrupt is serviced, every
-    /// frame event already due is drained under the same entry instead
-    /// of taking its own interrupt. Off by default — the legacy
-    /// schedule takes (and pays for) every interrupt.
+    /// Interrupt moderation (`Config::batched_io` extends to the fiber
+    /// side): while one network interrupt is serviced, every frame
+    /// event already due is drained under the same entry instead of
+    /// taking its own interrupt. Off by default — the legacy schedule
+    /// takes (and pays for) every interrupt.
     pub rx_coalesce: bool,
     rx_slots: Vec<Option<RxSlot>>,
     rx_fifo_bytes: usize,
@@ -92,11 +92,10 @@ impl Cab {
         costs: CostModel,
         link: LinkModel,
         tcp_cfg: nectar_stack::tcp::TcpConfig,
-        mtu: usize,
         seed: u64,
     ) -> Cab {
         let mut shared = CabShared::new();
-        let proto = init_protocols(&mut shared, id, tcp_cfg, mtu, seed);
+        let proto = init_protocols(&mut shared, id, tcp_cfg, seed);
         let mut rt = Runtime::new();
         // system protocol threads (§4)
         rt.fork(&mut shared, Box::new(proto::DatagramSendThread), PRIO_SYSTEM);
@@ -537,7 +536,7 @@ mod tests {
     use nectar_wire::route::Route;
 
     fn cab(id: u16) -> Cab {
-        Cab::new(id, CostModel::default(), LinkModel::default(), TcpConfig::default(), 8192, 7)
+        Cab::new(id, CostModel::default(), LinkModel::default(), TcpConfig::default(), 7)
     }
 
     /// Run the CAB until idle, collecting effects. Panics on runaway.

@@ -48,6 +48,11 @@ use crate::reqs::{self, RrReplyReq, SendReq, TcpCtl, UdpSendReq};
 use crate::runtime::{CabThread, Cx, Step, Upcall};
 use crate::shared::{CondId, HostOpMode, MboxId, WouldBlock};
 
+/// Datalink payload limit for IP packets and RMP fragments: an 8 KiB
+/// message plus its headers fits in one packet, matching the paper's
+/// Figure 7/8 sweeps up to 8192 bytes.
+pub const MTU: usize = 8 * 1024 + 64;
+
 /// Map a CAB node id to its IP address (10.0.x.y, starting at
 /// 10.0.0.1 for CAB 0).
 pub fn ip_for_cab(cab: u16) -> Ipv4Addr {
@@ -187,8 +192,6 @@ pub struct ProtoState {
     /// Ablation A1: process IP input in a thread instead of at
     /// interrupt level.
     pub ip_in_thread: bool,
-    /// Datalink payload limit for IP packets.
-    pub mtu: usize,
     /// How many mailbox entries a server thread dequeues per burst
     /// before yielding. The legacy value [`BURST_LIMIT`] keeps bursts
     /// short for interrupt latency; the batched host-I/O fast path
@@ -219,7 +222,6 @@ pub fn init_protocols(
     shared: &mut crate::shared::CabShared,
     id: u16,
     tcp_cfg: TcpConfig,
-    mtu: usize,
     seed: u64,
 ) -> ProtoState {
     let addr = ip_for_cab(id);
@@ -257,7 +259,7 @@ pub fn init_protocols(
         tcp: TcpStack::new(addr, tcp_cfg, seed ^ 0x7cb0),
         rmp_rx: RmpReceiver::new(),
         rmp_tx: BTreeMap::new(),
-        rmp_cfg: RmpConfig { max_fragment: mtu, ..Default::default() },
+        rmp_cfg: RmpConfig { max_fragment: MTU, ..Default::default() },
         rr_clients: BTreeMap::new(),
         rr_servers: BTreeMap::new(),
         rr_cfg: RrConfig::default(),
@@ -267,7 +269,6 @@ pub fn init_protocols(
         coll: CollectiveEngine::new(CollectiveConfig::default()),
         coll_mbox: None,
         ip_in_thread: false,
-        mtu,
         burst_limit: BURST_LIMIT,
         stats: ProtoStats::default(),
         tcp_cond,
@@ -328,8 +329,7 @@ fn deliver_with(
 pub fn ip_output(cx: &mut Cx<'_>, dst: Ipv4Addr, protocol: IpProtocol, payload: &[u8]) {
     cx.charge(cx.costs.ip_proc);
     cx.charge(cx.costs.ip_header_checksum);
-    let mtu = cx.proto.mtu;
-    let packets = cx.proto.ip.packetize(dst, protocol, payload.len(), mtu);
+    let packets = cx.proto.ip.packetize(dst, protocol, payload.len(), MTU);
     let Some(dst_cab) = cab_for_ip(dst) else {
         cx.proto.stats.no_mbox_drops += 1;
         return;

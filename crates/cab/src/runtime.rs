@@ -368,11 +368,6 @@ impl<'a> Cx<'a> {
         self.fx.push(CabEffect::Transmit { frame, first_byte });
         true
     }
-
-    /// Loopback check: is this CAB the destination?
-    pub fn is_local(&self, dst_cab: u16) -> bool {
-        dst_cab == self.cab_id
-    }
 }
 
 // ----------------------------------------------------------------------
@@ -423,8 +418,8 @@ pub struct Runtime {
     pub ctx_switches: u64,
     pub interrupts_taken: u64,
     /// Frame events handled under another interrupt's entry (interrupt
-    /// moderation, [`Config::doorbell_coalesce`]): each one saved an
-    /// interrupt entry/exit.
+    /// moderation, `Config::batched_io`): each one saved an interrupt
+    /// entry/exit.
     pub interrupts_coalesced: u64,
     pub upcalls_run: u64,
     /// Total CPU time charged across every burst — the serial-resource

@@ -543,11 +543,6 @@ impl CabShared {
         self.sync_read_at(id, SimTime::MAX)
     }
 
-    /// The CAB condition a blocked sync reader waits on.
-    pub fn sync_cond(&self, id: SyncId) -> CondId {
-        self.syncs[id as usize].cond
-    }
-
     /// The host condition a blocked host sync reader waits on.
     pub fn sync_host_cond(&self, id: SyncId) -> HostCondId {
         self.syncs[id as usize].host_cond

@@ -24,8 +24,7 @@ use nectar_wire::nectar::{ReqRespHeader, ReqRespKind};
 use nectar_wire::route::Route;
 
 fn cab() -> Cab {
-    let mut c =
-        Cab::new(0, CostModel::default(), LinkModel::default(), TcpConfig::default(), 8192, 1);
+    let mut c = Cab::new(0, CostModel::default(), LinkModel::default(), TcpConfig::default(), 1);
     c.set_route(1, Route::new(vec![1]));
     c.set_route(2, Route::new(vec![2]));
     c

@@ -11,7 +11,7 @@ use nectar_sim::{SimDuration, SimTime, Trace};
 use nectar_stack::tcp::TcpConfig;
 
 fn cab() -> Cab {
-    Cab::new(0, CostModel::default(), LinkModel::default(), TcpConfig::default(), 8192, 1)
+    Cab::new(0, CostModel::default(), LinkModel::default(), TcpConfig::default(), 1)
 }
 
 fn run_to_idle(c: &mut Cab, start: SimTime) -> SimTime {

@@ -11,10 +11,12 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
+use nectar_cab::proto::MTU;
 use nectar_cab::{Cab, CabEffect, StepStatus};
 use nectar_host::{Host, HostEffect, HostStepStatus};
 use nectar_hub::{Hub, HubDecision};
 use nectar_sim::{SchedStats, Scheduler, SimDuration, SimTime, TimerId, Trace};
+use nectar_stack::rmp::RmpConfig;
 use nectar_wire::datalink::Frame;
 
 use crate::config::Config;
@@ -23,6 +25,13 @@ use crate::topology::{Attachment, Topology};
 
 /// The event queue specialized to this world.
 pub type Sim = Scheduler<World>;
+
+/// Latency of the VME interrupt line (doorbell) in each direction.
+const DOORBELL_LATENCY: SimDuration = SimDuration::from_micros(1);
+
+/// Mailbox entries a CAB system thread dequeues per scheduling burst
+/// under [`Config::batched_io`] (the paper's tight loop takes 4).
+const BATCHED_MAILBOX_BURST: usize = 16;
 
 /// Global frame counters.
 #[derive(Clone, Copy, Debug, Default)]
@@ -105,7 +114,7 @@ pub struct World {
     cab_wake: Vec<Option<TimerId>>,
     /// Same, for the hosts.
     host_wake: Vec<Option<TimerId>>,
-    /// Doorbell coalescing ([`Config::doorbell_coalesce`]): true while
+    /// Doorbell coalescing ([`Config::batched_io`]): true while
     /// a host→CAB doorbell interrupt is scheduled but not yet
     /// delivered, per CAB. Ringing again inside that window is a no-op
     /// — safe because the interrupt handler drains the entire signal
@@ -140,7 +149,6 @@ impl World {
                 config.cab_costs,
                 config.link,
                 config.tcp,
-                config.mtu,
                 config.seed ^ (i as u64) << 17,
             );
             // deploy the per-source route cache (one BFS per CAB); a
@@ -153,14 +161,11 @@ impl World {
                 cab.set_route(dst, route);
             }
             cab.proto.ip_in_thread = config.ip_in_thread;
-            // RMP retransmission tuning rides in via Config; the
-            // fragment limit stays governed by the MTU set above.
-            cab.proto.rmp_cfg.rto = config.rmp.rto;
-            cab.proto.rmp_cfg.rto_max = config.rmp.rto_max;
-            cab.proto.rmp_cfg.max_retries = config.rmp.max_retries;
-            cab.proto.rmp_cfg.window = config.rmp.window;
-            cab.proto.burst_limit = config.mailbox_burst;
-            cab.rx_coalesce = config.doorbell_coalesce;
+            cab.proto.rmp_cfg = RmpConfig { max_fragment: MTU, ..config.rmp };
+            if config.batched_io {
+                cab.rx_coalesce = true;
+                cab.proto.burst_limit = BATCHED_MAILBOX_BURST;
+            }
             cabs.push(cab);
         }
         let hosts = (0..n as u16).map(|i| Host::new(i, i, config.host_costs)).collect();
@@ -168,7 +173,7 @@ impl World {
         let mut sim = Sim::new();
         let world = World {
             faults: FaultEngine::new(config.seed, config.faults),
-            trace: if config.trace { Trace::enabled() } else { Trace::new() },
+            trace: Trace::new(),
             config,
             topo,
             hubs,
@@ -597,17 +602,16 @@ pub fn kick_host(w: &mut World, sim: &mut Sim, i: usize) {
         HostStepStatus::Ran { next } => next,
         _ => now,
     };
-    let doorbell = w.config.doorbell_latency;
     for e in fx {
         match e {
             HostEffect::InterruptCab => {
-                if w.config.doorbell_coalesce {
+                if w.config.batched_io {
                     if w.cab_doorbell_pending[cab_id] {
                         continue; // a delivery is in flight; it will drain this signal too
                     }
                     w.cab_doorbell_pending[cab_id] = true;
                 }
-                sim.at(burst_end + doorbell, move |w, s| {
+                sim.at(burst_end + DOORBELL_LATENCY, move |w, s| {
                     w.cab_doorbell_pending[cab_id] = false;
                     let t = s.now();
                     w.cabs[cab_id].host_interrupt(t);
@@ -672,13 +676,13 @@ fn route_cab_effects(
             CabEffect::InterruptHost => {
                 // host index == cab index in this world
                 let host = i;
-                if w.config.doorbell_coalesce {
+                if w.config.batched_io {
                     if w.host_doorbell_pending[host] {
                         continue;
                     }
                     w.host_doorbell_pending[host] = true;
                 }
-                sim.at(burst_end + w.config.doorbell_latency, move |w, s| {
+                sim.at(burst_end + DOORBELL_LATENCY, move |w, s| {
                     w.host_doorbell_pending[host] = false;
                     let t = s.now();
                     w.hosts[host].cab_interrupt(t);

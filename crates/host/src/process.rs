@@ -268,15 +268,6 @@ impl<'a> HostCx<'a> {
         self.shared.host_cond_register_waiter(hc)
     }
 
-    /// Signal a host condition from the host side (wakes other host
-    /// processes and increments the poll value).
-    pub fn signal_cond(&mut self, hc: HostCondId) {
-        self.vme(2);
-        self.shared.signal_host_cond(hc);
-        // interrupt_host notices stay local: the host signal queue is
-        // drained by this host's own driver
-    }
-
     /// The host condition attached to a mailbox, if any.
     pub fn mbox_host_cond(&self, mbox: MboxId) -> Option<HostCondId> {
         self.shared.mailboxes[mbox as usize].host_cond

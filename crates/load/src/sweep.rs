@@ -33,7 +33,6 @@ use crate::LoadTransport;
 /// Parameters of one capacity sweep.
 #[derive(Clone, Debug)]
 pub struct SweepConfig {
-    pub seed: u64,
     pub transports: Vec<LoadTransport>,
     /// Endpoints per load point (all driving one transport).
     pub clients: usize,
@@ -51,12 +50,12 @@ pub struct SweepConfig {
     /// The latency SLO: a load point whose CO-corrected p99 exceeds
     /// this is saturated; the knee is the last point that meets it.
     pub slo_p99: SimDuration,
-    /// Arm the conformance oracle (`nectar_stack::conform`) during the
-    /// sweep: any TCP transition violation aborts the run.
-    pub oracle: bool,
-    /// Base world configuration for every load point. `seed` and
-    /// `oracle` are overridden per point; everything else (transport
-    /// knobs, host-I/O batching) carries through, which is how the
+    /// Base world configuration for every load point. `base.seed` is
+    /// the sweep's master seed, mixed per point with the transport and
+    /// load step; `base.oracle` arms the conformance oracle
+    /// (`nectar_stack::conform`) for the sweep, so any TCP transition
+    /// violation aborts the run. Everything else (transport knobs,
+    /// host-I/O batching) carries through unchanged, which is how the
     /// fast-path variant sweeps run.
     pub base: Config,
     /// Variant label rendered into the JSON (`"baseline"`,
@@ -68,7 +67,6 @@ impl SweepConfig {
     /// Seconds-of-sim-time smoke configuration for CI.
     pub fn quick(seed: u64) -> SweepConfig {
         SweepConfig {
-            seed,
             transports: vec![LoadTransport::ReqResp, LoadTransport::Udp],
             clients: 12,
             clients_per_cab: 6,
@@ -78,8 +76,7 @@ impl SweepConfig {
             measure: SimDuration::from_millis(60),
             timeout: SimDuration::from_millis(25),
             slo_p99: SimDuration::from_millis(5),
-            oracle: true,
-            base: Config::default(),
+            base: Config { seed, oracle: Some(true), ..Config::default() },
             variant: "baseline",
         }
     }
@@ -91,7 +88,6 @@ impl SweepConfig {
     /// shift is resolvable, with sparse anchors below and above.
     pub fn full(seed: u64) -> SweepConfig {
         SweepConfig {
-            seed,
             transports: vec![
                 LoadTransport::Datagram,
                 LoadTransport::Rmp,
@@ -110,17 +106,16 @@ impl SweepConfig {
             measure: SimDuration::from_millis(400),
             timeout: SimDuration::from_millis(50),
             slo_p99: SimDuration::from_millis(10),
-            oracle: true,
-            base: Config::default(),
+            base: Config { seed, oracle: Some(true), ..Config::default() },
             variant: "baseline",
         }
     }
 
     /// This sweep over the modern transport fast path
-    /// ([`Config::modern`]). Same transports, steps and SLO — only the
-    /// world configuration and the variant label change.
+    /// ([`Config::modern`]). Same transports, steps, SLO, seed and
+    /// oracle — only the transport knobs and the variant label change.
     pub fn fastpath(mut self) -> SweepConfig {
-        self.base = Config::modern();
+        self.base = Config { seed: self.base.seed, oracle: self.base.oracle, ..Config::modern() };
         self.variant = "fastpath";
         self
     }
@@ -264,7 +259,7 @@ pub fn knee(points: &[LoadPoint], slo_p99_ns: u64) -> Option<usize> {
 pub fn run_point(cfg: &SweepConfig, t: LoadTransport, offered_rps: u64) -> LoadPoint {
     let (arrival, start, stop) = schedule(cfg.clients, offered_rps, cfg.measure);
     let plan = FleetPlan {
-        seed: cfg.seed ^ ((t.index() as u64) << 56) ^ offered_rps,
+        seed: cfg.base.seed ^ ((t.index() as u64) << 56) ^ offered_rps,
         mix: vec![(t, cfg.clients)],
         clients_per_cab: cfg.clients_per_cab,
         endpoints_per_client: cfg.endpoints_per_client,
@@ -274,7 +269,7 @@ pub fn run_point(cfg: &SweepConfig, t: LoadTransport, offered_rps: u64) -> LoadP
         start,
         stop,
     };
-    let config = Config { seed: plan.seed, oracle: Some(cfg.oracle), ..cfg.base };
+    let config = Config { seed: plan.seed, ..cfg.base };
     measure_point(&plan, config, offered_rps).0
 }
 
@@ -297,7 +292,7 @@ pub fn run_sweep(cfg: &SweepConfig) -> SweepResult {
         })
         .collect();
     SweepResult {
-        seed: cfg.seed,
+        seed: cfg.base.seed,
         variant: cfg.variant,
         clients: cfg.clients as u64,
         measure_ns: cfg.measure.as_nanos(),
@@ -390,7 +385,6 @@ mod tests {
     #[test]
     fn a_light_datagram_point_serves_nearly_all_requests() {
         let cfg = SweepConfig {
-            seed: 42,
             transports: vec![LoadTransport::Datagram],
             clients: 4,
             clients_per_cab: 4,
@@ -400,8 +394,7 @@ mod tests {
             measure: SimDuration::from_millis(20),
             timeout: SimDuration::from_millis(10),
             slo_p99: SimDuration::from_millis(5),
-            oracle: false,
-            base: Config::default(),
+            base: Config { seed: 42, oracle: Some(false), ..Config::default() },
             variant: "baseline",
         };
         let p = run_point(&cfg, LoadTransport::Datagram, 1_000);
@@ -415,7 +408,6 @@ mod tests {
     #[test]
     fn sweep_json_is_stable_across_runs() {
         let cfg = SweepConfig {
-            seed: 7,
             transports: vec![LoadTransport::Udp],
             clients: 3,
             clients_per_cab: 3,
@@ -425,8 +417,7 @@ mod tests {
             measure: SimDuration::from_millis(10),
             timeout: SimDuration::from_millis(5),
             slo_p99: SimDuration::from_millis(5),
-            oracle: false,
-            base: Config::default(),
+            base: Config { seed: 7, oracle: Some(false), ..Config::default() },
             variant: "baseline",
         };
         let fast = cfg.clone().fastpath();

@@ -9,7 +9,7 @@
 //! Tracing is off by default and costs one branch per stamp when
 //! disabled, so it can stay compiled into the hot paths.
 
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimTime;
 
 /// One stamped point: when, where (node id), what (static tag), plus a
 /// free-form correlation value (message id, byte count, ...).
@@ -33,16 +33,8 @@ impl Trace {
         Self::default()
     }
 
-    pub fn enabled() -> Self {
-        Trace { enabled: true, events: Vec::new() }
-    }
-
     pub fn set_enabled(&mut self, on: bool) {
         self.enabled = on;
-    }
-
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
     }
 
     /// Record a stamp (no-op unless enabled).
@@ -54,44 +46,6 @@ impl Trace {
 
     pub fn events(&self) -> &[TraceEvent] {
         &self.events
-    }
-
-    pub fn clear(&mut self) {
-        self.events.clear();
-    }
-
-    /// The first stamp with the given tag.
-    pub fn first(&self, tag: &str) -> Option<&TraceEvent> {
-        self.events.iter().find(|e| e.tag == tag)
-    }
-
-    /// The first stamp with the given tag and correlation value.
-    pub fn find(&self, tag: &str, info: u64) -> Option<&TraceEvent> {
-        self.events.iter().find(|e| e.tag == tag && e.info == info)
-    }
-
-    /// Elapsed time between the first occurrences of two tags, in stamp
-    /// order. Returns `None` if either tag is missing.
-    pub fn between(&self, from: &str, to: &str) -> Option<SimDuration> {
-        let a = self.first(from)?;
-        let b = self.first(to)?;
-        b.at.checked_since(a.at)
-    }
-
-    /// Break the trace for a single message (identified by `info`) into
-    /// consecutive (tag, duration-to-next-stage) pairs — exactly the shape
-    /// of the Figure 6 breakdown. The final tag is paired with a zero
-    /// duration.
-    pub fn stages(&self, info: u64) -> Vec<(&'static str, SimDuration)> {
-        let marks: Vec<&TraceEvent> = self.events.iter().filter(|e| e.info == info).collect();
-        let mut out = Vec::with_capacity(marks.len());
-        for pair in marks.windows(2) {
-            out.push((pair[0].tag, pair[1].at.saturating_since(pair[0].at)));
-        }
-        if let Some(last) = marks.last() {
-            out.push((last.tag, SimDuration::ZERO));
-        }
-        out
     }
 }
 
@@ -111,48 +65,12 @@ mod tests {
     }
 
     #[test]
-    fn stamps_and_lookup() {
-        let mut tr = Trace::enabled();
-        tr.stamp(t(1), 0, "begin_put", 7);
-        tr.stamp(t(19), 0, "end_put", 7);
-        tr.stamp(t(40), 1, "datalink", 7);
-        assert_eq!(tr.first("end_put").unwrap().at, t(19));
-        assert_eq!(tr.find("datalink", 7).unwrap().node, 1);
-        assert!(tr.find("datalink", 8).is_none());
-        assert_eq!(tr.between("begin_put", "end_put"), Some(SimDuration::from_micros(18)));
-        assert_eq!(tr.between("end_put", "missing"), None);
-    }
-
-    #[test]
-    fn stage_breakdown() {
-        let mut tr = Trace::enabled();
-        tr.stamp(t(0), 0, "begin_put", 1);
-        tr.stamp(t(18), 0, "end_put", 1);
-        tr.stamp(t(26), 0, "datalink", 1);
-        tr.stamp(t(29), 1, "rx", 1);
-        // a different message interleaved — must be excluded
-        tr.stamp(t(10), 0, "begin_put", 2);
-        let stages = tr.stages(1);
-        assert_eq!(
-            stages,
-            vec![
-                ("begin_put", SimDuration::from_micros(18)),
-                ("end_put", SimDuration::from_micros(8)),
-                ("datalink", SimDuration::from_micros(3)),
-                ("rx", SimDuration::ZERO),
-            ]
-        );
-    }
-
-    #[test]
-    fn clear_and_toggle() {
-        let mut tr = Trace::enabled();
-        tr.stamp(t(1), 0, "a", 0);
-        tr.clear();
-        assert!(tr.events().is_empty());
+    fn set_enabled_toggles_recording() {
+        let mut tr = Trace::new();
+        tr.set_enabled(true);
+        tr.stamp(t(1), 0, "a", 7);
         tr.set_enabled(false);
         tr.stamp(t(2), 0, "b", 0);
-        assert!(tr.events().is_empty());
-        assert!(!tr.is_enabled());
+        assert_eq!(tr.events(), &[TraceEvent { at: t(1), node: 0, tag: "a", info: 7 }]);
     }
 }

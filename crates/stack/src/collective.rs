@@ -190,10 +190,6 @@ impl CollectiveEngine {
         );
     }
 
-    pub fn has_group(&self, group: u16) -> bool {
-        self.groups.contains_key(&group)
-    }
-
     pub fn topo(&self, group: u16) -> Option<&GroupTopo> {
         self.groups.get(&group).map(|g| &g.topo)
     }

@@ -18,46 +18,32 @@
 //! Activation: monitors are created when [`enabled`] is true at socket
 //! creation time. The default is on for debug builds (every `cargo
 //! test` run, the chaos sweep) and off for release builds (benches pay
-//! nothing). Override with `NECTAR_ORACLE=1`/`NECTAR_ORACLE=0` or
-//! programmatically with [`set_enabled`] — `nectar::config::Config`
-//! exposes the latter as `Config::oracle` so worlds can opt chaos and
-//! soak runs in explicitly.
+//! nothing). The one setting is `nectar::config::Config::oracle`:
+//! `World::new` applies it through [`set_enabled`].
 
 pub mod pkt;
 
 use std::net::Ipv4Addr;
-use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 
 use nectar_wire::tcp::{SeqNum, TcpFlags, TcpHeader};
 
 use crate::tcp::TcpState;
 
-/// 0 = undecided (consult the environment), 1 = on, 2 = off.
-static STATE: AtomicU8 = AtomicU8::new(0);
+/// The process-wide switch; see the module docs for the default.
+static ENABLED: AtomicBool = AtomicBool::new(cfg!(debug_assertions));
 
-/// Is the oracle active? First call resolves `NECTAR_ORACLE` (unset ⇒
-/// on in debug builds, off in release); later calls are one atomic
-/// load.
+/// Is the oracle active? One atomic load.
 pub fn enabled() -> bool {
-    match STATE.load(Ordering::Relaxed) {
-        1 => true,
-        2 => false,
-        _ => {
-            let on = match std::env::var("NECTAR_ORACLE") {
-                Ok(v) => !matches!(v.trim(), "0" | "off" | "false"),
-                Err(_) => cfg!(debug_assertions),
-            };
-            STATE.store(if on { 1 } else { 2 }, Ordering::Relaxed);
-            on
-        }
-    }
+    ENABLED.load(Ordering::Relaxed)
 }
 
-/// Force the oracle on or off, overriding the environment default.
-/// Process-global: monitors are attached to sockets at creation time,
-/// so flip this before building a `World` or `TcpStack`.
+/// Force the oracle on or off: `World::new`'s mechanism for
+/// `Config::oracle`. Process-global: monitors are attached to sockets
+/// at creation time, so flip this before building a `World` or
+/// `TcpStack`.
 pub fn set_enabled(on: bool) {
-    STATE.store(if on { 1 } else { 2 }, Ordering::Relaxed);
+    ENABLED.store(on, Ordering::Relaxed);
 }
 
 /// Report an invariant violation and abort the run. The message carries

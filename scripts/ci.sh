@@ -83,22 +83,36 @@ cargo test -q -p nectar-stack --test props \
        tcp_wire_transcript_is_pinned
 
 # chaos smoke: randomized fault schedules against the 26-host fabric,
-# with the conformance oracle armed on every socket (NECTAR_ORACLE=1
-# keeps it on even for a release-profile run). The in-tree test already
-# runs 20 cases; this stage re-runs a quick sweep standalone so a
-# failure prints its replay seed prominently (rerun one case with
-# NECTAR_CHECK_SEED=<seed>). --full widens it.
+# with the conformance oracle armed on every socket (the chaos config
+# sets `Config::oracle`). The in-tree test already runs 20 cases; this
+# stage re-runs a quick sweep standalone so a failure prints its replay
+# seed prominently (rerun one case with NECTAR_CHECK_SEED=<seed>).
+# --full widens it.
 chaos_cases=5
 if [[ "${1:-}" == "--full" ]]; then
     chaos_cases=40
 fi
 echo "ci: chaos sweep (${chaos_cases} cases, oracle on; replay failures with NECTAR_CHECK_SEED=<seed>)"
-NECTAR_ORACLE=1 NECTAR_CHAOS_CASES="$chaos_cases" cargo test -q -p nectar-integration --test chaos \
+NECTAR_CHAOS_CASES="$chaos_cases" cargo test -q -p nectar-integration --test chaos \
     -- chaos_randomized_fault_schedules_preserve_invariants
 
-# scratch space for the bench-artifact smokes below
+# scratch space for the smokes below
 smoke_dir="$(mktemp -d)"
 trap 'rm -rf "$smoke_dir"' EXIT
+
+# paper smoke: the eight paper targets assert their own claims (Table
+# 1's rows, the scalars, the mailbox-mode ablation's ordering, every
+# driver finishing its transfer) and exit nonzero if one fails; two
+# runs of each must print byte-identical tables.
+echo "ci: paper smoke (eight paper targets, double run, stdout byte-compared)"
+for bench in table1 fig6 fig7 fig8 scalars \
+    ablation_interrupt_vs_thread ablation_mailbox_mode ablation_upcall; do
+    for run in 1 2; do
+        cargo bench -q -p nectar-bench --bench "$bench" > "$smoke_dir/$bench$run.txt"
+    done
+    cmp "$smoke_dir/${bench}1.txt" "$smoke_dir/${bench}2.txt" \
+        || { echo "ci: $bench printed differently on a same-seed rerun"; exit 1; }
+done
 
 # Bench-artifact smokes. Each bench asserts what its artifact claims on
 # its typed results and exits nonzero before writing if a claim fails;

@@ -16,11 +16,12 @@ fn until(secs: u64) -> SimTime {
 
 /// Run the paper's production deployment — every CAB pings its
 /// antipode through the two-HUB fabric — until the last pinger is done
-/// and return the finished world. Datagrams carry no acks, so the last
-/// reply consumed means no frame is in flight: the ledger identities
-/// below hold at that instant.
-fn run_all_pairs(config: Config) -> World {
-    let (mut world, mut sim) = World::new(config, Topology::two_hubs(26));
+/// and return the finished world, with its stage trace if `trace`.
+/// Datagrams carry no acks, so the last reply consumed means no frame
+/// is in flight: the ledger identities below hold at that instant.
+fn run_all_pairs(trace: bool) -> World {
+    let (mut world, mut sim) = World::new(Config::default(), Topology::two_hubs(26));
+    world.trace.set_enabled(trace);
     let mut services = Vec::new();
     for i in 0..26 {
         let svc = world.cabs[i].shared.create_mailbox(false, HostOpMode::SharedMemory);
@@ -48,8 +49,7 @@ fn metrics_snapshot_deterministic_across_runs() {
     // Same seed, same scenario, run twice: the JSON snapshot and the
     // trace buffer must be byte-for-byte identical.
     let run = || {
-        let config = Config { trace: true, ..Default::default() };
-        let world = run_all_pairs(config);
+        let world = run_all_pairs(true);
         let trace: Vec<_> = world
             .trace
             .events()
@@ -75,7 +75,7 @@ fn total(snap: &MetricsSnapshot, prefix: &str, suffix: &str) -> u64 {
 
 #[test]
 fn conservation_all_pairs_26_hosts_2_hubs() {
-    let world = run_all_pairs(Config::default());
+    let world = run_all_pairs(false);
     let snap = world.metrics();
 
     // Link boundary: every transmitted frame was launched onto the
