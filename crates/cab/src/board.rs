@@ -167,9 +167,10 @@ impl Cab {
         id
     }
 
-    /// Install the source route to a destination CAB.
+    /// Install the source route to a destination CAB (copying the table
+    /// first if other CABs share it).
     pub fn set_route(&mut self, dst_cab: u16, route: nectar_wire::route::Route) {
-        let routes = &mut self.net.routes;
+        let routes = std::rc::Rc::make_mut(&mut self.net.routes);
         if routes.len() <= dst_cab as usize {
             routes.resize(dst_cab as usize + 1, None);
         }

@@ -64,30 +64,47 @@ pub enum MemFault {
 
 /// The data memory image plus protection state.
 ///
+/// [`DATA_MEMORY_SIZE`] bounds every access, but only `[base, base +
+/// backed)` is held in host memory: a zero-filled image that
+/// [`DataMemory::cover`] grows in pages as the heap hands addresses out.
+///
 /// Protection is enforced through [`DataMemory::read`] /
 /// [`DataMemory::write`] when a non-system domain is active; the system
 /// domain (0) bypasses checks, as kernel-mode accesses did on the CAB.
+/// Domains 1.. see no page until the first `protect` allocates their tables.
 #[derive(Debug)]
 pub struct DataMemory {
+    /// The lowest backed address; below it is modelled out-of-band.
+    base: CabAddr,
+    /// Backing for `[base, base + bytes.len())`.
     bytes: Vec<u8>,
-    /// perms[domain][page]
-    perms: Vec<Vec<PagePerms>>,
+    /// perms[(domain - 1) * PAGES + page]; empty until the first `protect`.
+    perms: Vec<PagePerms>,
     current_domain: u8,
 }
 
-impl Default for DataMemory {
-    fn default() -> Self {
-        Self::new()
-    }
-}
+/// Protection pages in the address space.
+const PAGES: usize = DATA_MEMORY_SIZE / PAGE_SIZE;
 
 impl DataMemory {
-    pub fn new() -> Self {
-        let pages = DATA_MEMORY_SIZE / PAGE_SIZE;
-        let mut perms = vec![vec![PagePerms::NONE; pages]; DOMAINS];
-        // domain 0 = system: full access
-        perms[0] = vec![PagePerms::RW; pages];
-        DataMemory { bytes: vec![0; DATA_MEMORY_SIZE], perms, current_domain: 0 }
+    /// An empty image whose backing will start at `base`.
+    pub fn new(base: CabAddr) -> Self {
+        DataMemory { base, bytes: Vec::new(), perms: Vec::new(), current_domain: 0 }
+    }
+
+    /// Bytes of the address space backed by host memory.
+    pub fn backed(&self) -> usize {
+        self.bytes.len()
+    }
+
+    /// Back `[base, end)` with zero-filled bytes, rounded up to a page;
+    /// bytes already backed keep their contents.
+    pub fn cover(&mut self, end: usize) {
+        let want = end.saturating_sub(self.base as usize);
+        if want > self.bytes.len() {
+            let limit = DATA_MEMORY_SIZE - self.base as usize;
+            self.bytes.resize(want.next_multiple_of(PAGE_SIZE).min(limit), 0);
+        }
     }
 
     /// Switch the active protection domain ("reloading a single
@@ -102,13 +119,21 @@ impl DataMemory {
     }
 
     /// Grant `perms` to `domain` over the page range covering
-    /// `[addr, addr+len)`.
+    /// `[addr, addr+len)`. The system domain always has full access.
     pub fn protect(&mut self, domain: u8, addr: CabAddr, len: usize, perms: PagePerms) {
         assert!((domain as usize) < DOMAINS, "bad domain");
         let first = addr as usize / PAGE_SIZE;
-        let last = (addr as usize + len.max(1) - 1) / PAGE_SIZE;
-        for page in first..=last.min(DATA_MEMORY_SIZE / PAGE_SIZE - 1) {
-            self.perms[domain as usize][page] = perms;
+        let last = ((addr as usize + len.max(1) - 1) / PAGE_SIZE).min(PAGES - 1);
+        self.cover((last + 1) * PAGE_SIZE);
+        if domain == 0 {
+            return;
+        }
+        if self.perms.is_empty() {
+            self.perms = vec![PagePerms::NONE; (DOMAINS - 1) * PAGES];
+        }
+        let table = (domain as usize - 1) * PAGES;
+        if let Some(pages) = self.perms.get_mut(table + first..=table + last) {
+            pages.fill(perms);
         }
     }
 
@@ -120,37 +145,46 @@ impl DataMemory {
         if self.current_domain == 0 || len == 0 {
             return Ok(());
         }
+        let table = (self.current_domain as usize - 1) * PAGES;
         let first = addr as usize / PAGE_SIZE;
         let last = (end - 1) / PAGE_SIZE;
         for page in first..=last {
-            if !self.perms[self.current_domain as usize][page].allows(access) {
+            if !self.perms.get(table + page).is_some_and(|p| p.allows(access)) {
                 return Err(MemFault::Protection { addr, access, domain: self.current_domain });
             }
         }
         Ok(())
     }
 
+    /// The image offsets of `[addr, addr+len)`.
+    fn span(&self, addr: CabAddr, len: usize) -> std::ops::Range<usize> {
+        let at = addr.checked_sub(self.base).expect("access below the backed image") as usize;
+        at..at + len
+    }
+
     /// Protected read of `len` bytes at `addr`.
     pub fn read(&self, addr: CabAddr, len: usize) -> Result<&[u8], MemFault> {
         self.check(addr, len, Access::Read)?;
-        Ok(&self.bytes[addr as usize..addr as usize + len])
+        Ok(self.dma_read(addr, len))
     }
 
     /// Protected write at `addr`.
     pub fn write(&mut self, addr: CabAddr, data: &[u8]) -> Result<(), MemFault> {
         self.check(addr, data.len(), Access::Write)?;
-        self.bytes[addr as usize..addr as usize + data.len()].copy_from_slice(data);
+        self.dma_write(addr, data);
         Ok(())
     }
 
     /// Unchecked system access (DMA engines bypass protection).
     pub fn dma_read(&self, addr: CabAddr, len: usize) -> &[u8] {
-        &self.bytes[addr as usize..addr as usize + len]
+        &self.bytes[self.span(addr, len)]
     }
 
     /// Unchecked system write (DMA).
     pub fn dma_write(&mut self, addr: CabAddr, data: &[u8]) {
-        self.bytes[addr as usize..addr as usize + data.len()].copy_from_slice(data);
+        self.cover(addr as usize + data.len());
+        let span = self.span(addr, data.len());
+        self.bytes[span].copy_from_slice(data);
     }
 }
 
@@ -281,24 +315,60 @@ mod tests {
 
     #[test]
     fn read_write_roundtrip() {
-        let mut m = DataMemory::new();
+        let mut m = DataMemory::new(0);
         m.write(4096, b"payload").unwrap();
         assert_eq!(m.read(4096, 7).unwrap(), b"payload");
     }
 
     #[test]
     fn out_of_range_faults() {
-        let mut m = DataMemory::new();
+        let mut m = DataMemory::new(0);
         assert!(matches!(
             m.write(DATA_MEMORY_SIZE as u32 - 2, b"xyz"),
             Err(MemFault::OutOfRange { .. })
         ));
         assert!(matches!(m.read(DATA_MEMORY_SIZE as u32, 1), Err(MemFault::OutOfRange { .. })));
+        // the fault is architectural: it fires at the same bound however
+        // little of the image is backed, and the last byte still works
+        assert_eq!(m.backed(), 0);
+        m.write(DATA_MEMORY_SIZE as u32 - 1, b"z").unwrap();
+        assert_eq!(m.backed(), DATA_MEMORY_SIZE);
+        assert!(matches!(m.read(DATA_MEMORY_SIZE as u32 - 1, 2), Err(MemFault::OutOfRange { .. })));
+    }
+
+    #[test]
+    fn image_grows_in_pages_and_keeps_its_bytes() {
+        let mut m = DataMemory::new(64 * 1024);
+        assert_eq!(m.backed(), 0, "a fresh image backs nothing");
+        m.dma_write(64 * 1024 + 10, b"early");
+        assert_eq!(m.backed(), PAGE_SIZE);
+        // a write across the old end grows the image; the bytes written
+        // before the growth survive it
+        let old_end = (64 * 1024 + PAGE_SIZE) as u32;
+        m.write(old_end - 3, b"straddle").unwrap();
+        assert_eq!(m.backed(), 2 * PAGE_SIZE);
+        assert_eq!(m.dma_read(64 * 1024 + 10, 5), b"early");
+        assert_eq!(m.read(old_end - 3, 8).unwrap(), b"straddle");
+        // newly backed bytes read as zero
+        assert_eq!(m.dma_read(old_end + 5, 4), &[0; 4]);
+    }
+
+    #[test]
+    fn domains_see_nothing_before_the_first_protect() {
+        let mut m = DataMemory::new(0);
+        m.write(0, b"sys").unwrap();
+        m.set_domain(3);
+        assert!(matches!(m.read(0, 3), Err(MemFault::Protection { domain: 3, .. })));
+        // granting one domain leaves every other one at NONE
+        m.protect(1, 0, PAGE_SIZE, PagePerms::RW);
+        assert!(matches!(m.read(0, 3), Err(MemFault::Protection { domain: 3, .. })));
+        m.set_domain(1);
+        assert_eq!(m.read(0, 3).unwrap(), b"sys");
     }
 
     #[test]
     fn protection_domains_enforced() {
-        let mut m = DataMemory::new();
+        let mut m = DataMemory::new(0);
         m.protect(1, 0, 2048, PagePerms::RO);
         m.protect(1, 2048, 1024, PagePerms::RW);
         m.set_domain(1);
@@ -310,8 +380,13 @@ mod tests {
         assert!(m.write(2048, b"yes").is_ok());
         // unmapped page: no access at all
         assert!(matches!(m.read(8192, 4), Err(MemFault::Protection { .. })));
-        // spanning ranges check every page
-        assert!(m.read(1500, 1000).is_err() || m.read(1500, 1000).is_ok());
+        // spanning ranges check every page: pages 1 (RO) and 2 (RW) are
+        // both readable, page 2 (RW) and the unmapped page 3 are not
+        assert!(m.read(1500, 1000).is_ok());
+        assert!(matches!(
+            m.read(2500, 1000),
+            Err(MemFault::Protection { access: Access::Read, domain: 1, .. })
+        ));
         assert!(matches!(m.write(1500, &[0; 1000]), Err(MemFault::Protection { .. })));
         // system domain bypasses
         m.set_domain(0);

@@ -95,8 +95,9 @@ pub enum CabEffect {
 pub struct NetPort {
     /// Source route to every reachable CAB, indexed by CAB id (computed
     /// by the topology layer at network build time — §2.1 source
-    /// routing).
-    pub routes: Vec<Option<Route>>,
+    /// routing). Every CAB on one HUB has the same routes, so they share
+    /// one table, which includes the route to each CAB's own port.
+    pub routes: std::rc::Rc<Vec<Option<Route>>>,
     /// The outgoing fiber is serializing until this instant.
     pub tx_busy_until: SimTime,
     pub link: LinkModel,
@@ -111,7 +112,7 @@ pub struct NetPort {
 impl NetPort {
     pub fn new(link: LinkModel) -> Self {
         NetPort {
-            routes: Vec::new(),
+            routes: Default::default(),
             tx_busy_until: SimTime::ZERO,
             link,
             no_route_drops: 0,
@@ -346,7 +347,10 @@ impl<'a> Cx<'a> {
     ) -> bool {
         self.charge(self.costs.datalink);
         self.charge(self.costs.dma_setup);
-        let Some(Some(route)) = self.net.routes.get(dst_cab as usize) else {
+        // the HUB's table routes to this CAB's own port too, but a CAB
+        // has no route to itself
+        let route = self.net.routes.get(dst_cab as usize).and_then(Option::as_ref);
+        let Some(route) = route.filter(|_| dst_cab != self.cab_id) else {
             self.net.no_route_drops += 1;
             return false;
         };

@@ -40,8 +40,8 @@ pub type SyncId = u16;
 pub const SMALL_MSG: usize = 256;
 
 /// Reserved low region of data memory (mailbox table, syncs, signal
-/// queues — modelled out-of-band, but the address space is reserved to
-/// keep heap addresses honest).
+/// queues — modelled out-of-band, so the image is backed from here up,
+/// but the address space is reserved to keep heap addresses honest).
 pub const HEAP_BASE: CabAddr = 64 * 1024;
 
 /// A reference to a message: an allocation plus the live data window
@@ -294,7 +294,7 @@ impl Default for CabShared {
 impl CabShared {
     pub fn new() -> Self {
         CabShared {
-            mem: DataMemory::new(),
+            mem: DataMemory::new(HEAP_BASE),
             heap: Heap::new(HEAP_BASE, DATA_MEMORY_SIZE - HEAP_BASE as usize),
             mailboxes: Vec::new(),
             syncs: Vec::new(),
@@ -377,7 +377,9 @@ impl CabShared {
     // ------------------------------------------------------------------
 
     /// Begin_Put: reserve a buffer of `size` bytes. Blocks (returns
-    /// `WouldBlock::NoSpace`) when the heap is exhausted.
+    /// `WouldBlock::NoSpace`) when the heap is exhausted. The only heap
+    /// allocation site, so the memory image is grown here to cover
+    /// every buffer it hands out.
     pub fn begin_put(&mut self, mbox: MboxId, size: usize) -> Result<MsgRef, WouldBlock> {
         let m = &mut self.mailboxes[mbox as usize];
         // cached small buffer fast path
@@ -394,6 +396,7 @@ impl CabShared {
         let want = if size <= SMALL_MSG { SMALL_MSG } else { size };
         match self.heap.alloc(want) {
             Some(addr) => {
+                self.mem.cover(addr as usize + want);
                 let msg_id = self.fresh_msg_id();
                 Ok(MsgRef { buf: addr, data: addr, len: size as u32, msg_id })
             }
@@ -720,7 +723,36 @@ mod tests {
         s.end_put(mb, big);
         let g = s.begin_get(mb).unwrap();
         s.end_get(mb, g);
-        assert!(s.begin_put(mb, 600_000).is_ok());
+        let m = s.begin_put(mb, 600_000).unwrap();
+        // the image never outgrows the address space: the whole heap
+        // still allocates, and backs exactly the heap
+        s.end_put(mb, m);
+        let g = s.begin_get(mb).unwrap();
+        s.end_get(mb, g);
+        let whole = s.begin_put(mb, DATA_MEMORY_SIZE - HEAP_BASE as usize).unwrap();
+        assert_eq!(whole.buf, HEAP_BASE);
+        assert_eq!(s.mem.backed(), DATA_MEMORY_SIZE - HEAP_BASE as usize);
+        s.msg_write(&whole, whole.len as usize - 4, b"last");
+        assert_eq!(&s.msg_bytes(&whole)[whole.len as usize - 4..], b"last");
+    }
+
+    #[test]
+    fn image_backs_only_what_the_heap_handed_out() {
+        use crate::memory::PAGE_SIZE;
+        use crate::proto::MTU;
+        let mut s = shared();
+        assert_eq!(s.mem.backed(), 0, "a fresh CAB backs no data memory");
+        let mb = s.create_mailbox(false, HostOpMode::SharedMemory);
+        let m = s.begin_put(mb, MTU).unwrap();
+        let end = (m.buf - HEAP_BASE) as usize + MTU;
+        assert!(s.mem.backed() >= end);
+        assert!(s.mem.backed() <= end.next_multiple_of(PAGE_SIZE));
+        // a message written before the image grows reads back after it
+        s.msg_write(&m, MTU - 5, b"tail!");
+        let later = s.begin_put(mb, 4 * MTU).unwrap();
+        assert!(s.mem.backed() > end);
+        assert_eq!(&s.msg_bytes(&m)[MTU - 5..], b"tail!");
+        assert!(s.msg_bytes(&later).iter().all(|&b| b == 0));
     }
 
     #[test]

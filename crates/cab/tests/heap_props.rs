@@ -78,7 +78,7 @@ fn allocations_do_not_alias() {
     check::cases(128, |g| {
         let count = g.usize_in(2, 30);
         let sizes: Vec<usize> = (0..count).map(|_| g.usize_in(1, 600)).collect();
-        let mut mem = DataMemory::new();
+        let mut mem = DataMemory::new(65536);
         let mut h = Heap::new(65536, 64 * 1024);
         let mut allocs = Vec::new();
         for (i, &n) in sizes.iter().enumerate() {

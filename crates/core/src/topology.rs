@@ -10,9 +10,9 @@
 //!
 //! Beyond the paper's two-HUB deployment, [`Topology::folded_clos`]
 //! generates multi-stage folded-Clos fabrics of 16×16 crossbars
-//! (leaf/spine/core), and [`Topology::routes_from`] builds the whole
-//! per-source route table from a single BFS — the route cache a CAB
-//! deploy installs, rather than one BFS per (src, dst) pair.
+//! (leaf/spine/core), and [`Topology::routes_from_hub`] builds a whole
+//! route table from a single BFS — the route cache every CAB on that
+//! HUB shares, rather than one BFS per CAB or per (src, dst) pair.
 
 use std::collections::{BTreeMap, VecDeque};
 
@@ -433,29 +433,37 @@ impl Topology {
         out.into_iter().collect()
     }
 
-    /// The per-source route cache: routes from `src` to every other
-    /// CAB, from a single BFS over the HUB graph (O(hubs·PORTS +
-    /// cabs), vs. one BFS per destination). Destinations with no path
-    /// are omitted; a destination whose path exceeds the route prefix
-    /// fails the whole table, since a fabric you cannot fully address
-    /// is a configuration error.
+    /// The route cache of one HUB: routes from any CAB attached to
+    /// `hub` to every CAB, indexed by destination, from a single BFS over
+    /// the HUB graph (O(hubs·PORTS + cabs)). CABs on one HUB differ only
+    /// in which entry is their own port, so they can share the table.
+    /// Destinations with no path are `None`; a destination whose path
+    /// exceeds the route prefix fails the whole table, since a fabric
+    /// you cannot fully address is a configuration error.
+    pub fn routes_from_hub(&self, hub: u16) -> Result<Vec<Option<Route>>, RouteError> {
+        let paths = self.hub_paths(hub);
+        self.cab_port
+            .iter()
+            .map(|&(dst_hub, dst_port)| {
+                paths[dst_hub as usize]
+                    .as_ref()
+                    .map(|path| Route::try_new([&path[..], &[dst_port]].concat()))
+                    .transpose()
+            })
+            .collect()
+    }
+
+    /// The per-source route cache: [`Topology::routes_from_hub`] of
+    /// `src`'s HUB without `src` itself.
     pub fn routes_from(&self, src: u16) -> Result<BTreeMap<u16, Route>, RouteError> {
-        let mut out = BTreeMap::new();
-        let Some(&(start_hub, _)) = self.cab_port.get(src as usize) else {
-            return Ok(out);
+        let Some(&(hub, _)) = self.cab_port.get(src as usize) else {
+            return Ok(BTreeMap::new());
         };
-        let paths = self.hub_paths(start_hub);
-        for dst in 0..self.cabs() as u16 {
-            if dst == src {
-                continue;
-            }
-            let (dst_hub, dst_port) = self.cab_port[dst as usize];
-            let Some(path) = paths[dst_hub as usize].as_ref() else { continue };
-            let mut hops = path.clone();
-            hops.push(dst_port);
-            out.insert(dst, Route::try_new(hops)?);
-        }
-        Ok(out)
+        let table = self.routes_from_hub(hub)?.into_iter().enumerate();
+        Ok(table
+            .filter_map(|(dst, r)| Some((dst as u16, r?)))
+            .filter(|&(dst, _)| dst != src)
+            .collect())
     }
 
     /// Fabric diameter in route hops: the longest shortest route

@@ -143,6 +143,7 @@ impl World {
         }
         let n = topo.cabs();
         let mut cabs = Vec::with_capacity(n);
+        let mut hub_routes = vec![None; topo.hubs];
         for i in 0..n as u16 {
             let mut cab = Cab::new(
                 i,
@@ -151,15 +152,18 @@ impl World {
                 config.tcp,
                 config.seed ^ (i as u64) << 17,
             );
-            // deploy the per-source route cache (one BFS per CAB); a
-            // fabric whose diameter exceeds the route prefix cannot be
-            // fully addressed and is rejected at boot
-            let routes = topo
-                .routes_from(i)
-                .unwrap_or_else(|e| panic!("CAB {i}: route table build failed: {e}"));
-            for (dst, route) in routes {
-                cab.set_route(dst, route);
-            }
+            // deploy the route cache: one BFS per CAB-bearing HUB, its
+            // table shared by every CAB on that HUB; a fabric whose
+            // diameter exceeds the route prefix cannot be fully
+            // addressed and is rejected at boot
+            let hub = topo.cab_port[i as usize].0;
+            let routes = hub_routes[hub as usize].get_or_insert_with(|| {
+                Rc::new(
+                    topo.routes_from_hub(hub)
+                        .unwrap_or_else(|e| panic!("HUB {hub}: route table build failed: {e}")),
+                )
+            });
+            cab.net.routes = Rc::clone(routes);
             cab.proto.ip_in_thread = config.ip_in_thread;
             cab.proto.rmp_cfg = RmpConfig { max_fragment: MTU, ..config.rmp };
             if config.batched_io {

@@ -4,7 +4,8 @@
 # dependencies, so no registry access is needed.
 #
 #   scripts/ci.sh            # fmt --check + clippy -D warnings + tests
-#                            # + the copy census on a release build
+#                            # + the copy and footprint censuses on a
+#                            # release build
 #   scripts/ci.sh --fix      # apply formatting instead of checking it
 #   scripts/ci.sh --full     # also run the full chaos sweep (40 cases) and
 #                            # regenerate the three full BENCH_*.json
@@ -54,6 +55,12 @@ cargo test --workspace -q
 echo "ci: copy census (tests/tests/copy_budget.rs, release)"
 cargo test --release -q -p nectar-integration --test copy_budget -- --nocapture \
     | grep '^copy_budget:'
+# ...and the set-up footprint beside it: backed CAB data memory and
+# distinct route tables of the 432-CAB clos_fleet world, so an image
+# allocated whole or a route table per CAB comes back by name.
+echo "ci: footprint census (tests/tests/footprint.rs, release)"
+cargo test --release -q -p nectar-integration --test footprint -- --nocapture \
+    | grep '^footprint:'
 
 # benchmark/ is its own package outside the workspace but path-depends
 # on these crates: prove it still compiles against them and that its

@@ -8,10 +8,23 @@
 //! destination, reachability must be symmetric, and the whole route
 //! table must be byte-identical run-to-run — the determinism the
 //! per-source route cache is allowed to rely on.
+//!
+//! The last three tests pin the cache a [`World`] deploys on the
+//! 432-CAB `clos_fleet` fabric: one table per CAB-bearing HUB, shared
+//! by its CABs, agreeing with the per-pair routes, and no route from a
+//! CAB to itself.
 
+use std::collections::BTreeMap;
+use std::rc::Rc;
+
+use nectar::config::Config;
 use nectar::topology::{Attachment, ClosSpec, Topology};
+use nectar::world::World;
+use nectar_cab::{CabThread, Cx, Step};
 use nectar_hub::PORTS;
-use nectar_sim::Pcg32;
+use nectar_sim::{Pcg32, SimDuration, SimTime};
+use nectar_wire::datalink::DatalinkProto;
+use nectar_wire::route::Route;
 
 /// Draw a spec satisfying the generator's documented constraints:
 /// `uplinks % spines == 0`, `cores % spines == 0`, leaf and spine port
@@ -50,7 +63,7 @@ fn sample_spec(rng: &mut Pcg32) -> ClosSpec {
 /// Walk `route` through the port map from `src`'s leaf and require it
 /// to terminate exactly at `dst`'s CAB port — the property the HUBs
 /// enforce frame by frame at runtime.
-fn assert_route_traverses(t: &Topology, src: u16, dst: u16, route: &nectar_wire::route::Route) {
+fn assert_route_traverses(t: &Topology, src: u16, dst: u16, route: &Route) {
     let (mut hub, _) = t.cab_port[src as usize];
     let hops = route.hops();
     assert!(!hops.is_empty(), "route {src}->{dst} is empty");
@@ -162,5 +175,73 @@ fn route_cache_is_byte_identical_run_to_run() {
         let b1 = route_table_bytes(&t1);
         assert!(!b1.is_empty());
         assert_eq!(b1, route_table_bytes(&t2), "{spec:?}: route cache not deterministic");
+    }
+}
+
+/// The 432-CAB `clos_fleet` fabric: 36 CAB-bearing leaves, 52 HUBs.
+fn clos_432() -> Topology {
+    Topology::folded_clos(&ClosSpec::for_cabs(432))
+}
+
+#[test]
+fn world_route_tables_match_per_pair_routes() {
+    let topo = clos_432();
+    let (world, _sim) = World::new(Config::default(), topo.clone());
+    // `route(src, dst)` reads only src's HUB, so one per-pair BFS per
+    // (HUB, dst) is the reference for every CAB on that HUB
+    let mut reference = BTreeMap::new();
+    for (src, cab) in world.cabs.iter().enumerate() {
+        let src = src as u16;
+        assert_eq!(cab.net.routes.len(), topo.cabs());
+        for dst in (0..topo.cabs() as u16).filter(|&d| d != src) {
+            let want = reference
+                .entry((topo.cab_port[src as usize].0, dst))
+                .or_insert_with(|| topo.route(src, dst).unwrap());
+            assert_eq!(cab.net.routes[dst as usize].as_ref(), Some(&*want), "route {src}->{dst}");
+        }
+    }
+}
+
+#[test]
+fn world_builds_one_route_table_per_cab_bearing_hub() {
+    let topo = clos_432();
+    let (world, _sim) = World::new(Config::default(), topo.clone());
+    let mut tables: Vec<&Rc<Vec<Option<Route>>>> = Vec::new();
+    for cab in &world.cabs {
+        if !tables.iter().any(|t| Rc::ptr_eq(t, &cab.net.routes)) {
+            tables.push(&cab.net.routes);
+        }
+    }
+    let mut leaves: Vec<u16> = topo.cab_port.iter().map(|&(hub, _)| hub).collect();
+    leaves.dedup();
+    assert_eq!(leaves.len(), 36);
+    assert_eq!(tables.len(), leaves.len(), "one shared table per CAB-bearing HUB");
+}
+
+#[test]
+fn a_datagram_to_oneself_has_no_route() {
+    // the shared table holds a route to each CAB's own port; the CAB
+    // must still refuse it, counting a no-route drop and launching
+    // nothing
+    let (mut world, mut sim) = World::new(Config::default(), clos_432());
+    world.cabs[7].fork_app(Box::new(SendOnce { dst: 7 }));
+    world.cabs[8].fork_app(Box::new(SendOnce { dst: 9 }));
+    world.run_until(&mut sim, SimTime::ZERO + SimDuration::from_millis(5));
+    assert_eq!(world.cabs[7].net.no_route_drops, 1);
+    assert_eq!(world.cabs[7].net.tx_frames, 0);
+    // the control: a send to a neighbour launches one frame
+    assert_eq!(world.cabs[8].net.no_route_drops, 0);
+    assert_eq!(world.cabs[8].net.tx_frames, 1);
+}
+
+/// A CAB thread that sends one raw datagram to `dst`, then exits.
+struct SendOnce {
+    dst: u16,
+}
+
+impl CabThread for SendOnce {
+    fn run(&mut self, cx: &mut Cx<'_>) -> Step {
+        cx.datalink_send(self.dst, DatalinkProto::Datagram, 0, b"hello");
+        Step::Done
     }
 }
