@@ -124,8 +124,7 @@ impl nectar_cab::CabThread for Drainer {
         loop {
             match cx.begin_get(self.mbox) {
                 Ok(m) => cx.end_get(self.mbox, m),
-                Err(nectar_cab::WouldBlock::Empty(c)) => return nectar_cab::Step::Block(c),
-                Err(nectar_cab::WouldBlock::NoSpace(c)) => return nectar_cab::Step::Block(c),
+                Err(c) => return nectar_cab::Step::Block(c),
             }
         }
     }

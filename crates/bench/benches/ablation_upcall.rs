@@ -13,7 +13,7 @@ use std::rc::Rc;
 
 use nectar::config::Config;
 use nectar::world::World;
-use nectar_cab::{Cx, HostOpMode, MboxId, Step, Upcall, WouldBlock};
+use nectar_cab::{Cx, HostOpMode, MboxId, Step, Upcall};
 use nectar_sim::{Histogram, SimDuration, SimTime};
 
 struct EchoThread {
@@ -29,7 +29,7 @@ impl nectar_cab::CabThread for EchoThread {
                 let _ = cx.put_message(self.reply, &bytes);
                 Step::Yield
             }
-            Err(WouldBlock::Empty(c)) | Err(WouldBlock::NoSpace(c)) => Step::Block(c),
+            Err(c) => Step::Block(c),
         }
     }
 }
@@ -77,7 +77,7 @@ impl nectar_cab::CabThread for Client {
                         Step::Yield
                     }
                 }
-                Err(WouldBlock::Empty(c)) | Err(WouldBlock::NoSpace(c)) => Step::Block(c),
+                Err(c) => Step::Block(c),
             },
         }
     }

@@ -44,8 +44,7 @@ fn measure_ctx_switch() -> f64 {
                         .map(|m| cx.shared.end_put(self.theirs, m));
                     Step::Yield
                 }
-                Err(nectar_cab::WouldBlock::Empty(c)) => Step::Block(c),
-                Err(nectar_cab::WouldBlock::NoSpace(c)) => Step::Block(c),
+                Err(c) => Step::Block(c),
             }
         }
     }

@@ -197,26 +197,40 @@ impl<'a> Cx<'a> {
         self.shared.end_put(mbox, msg);
     }
 
-    /// Whether a mailbox has queued messages. A plain read of the
-    /// count word in CAB memory — no Begin_Get transaction, so no
-    /// mailbox-op charge. Lets a thread serving many mailboxes skip
-    /// the empty ones instead of paying a failed Begin_Get on each
-    /// (the select()-before-read idiom).
-    pub fn mbox_pending(&self, mbox: MboxId) -> bool {
-        !self.shared.mailboxes[mbox as usize].queue.is_empty()
-    }
-
-    /// The condition a Begin_Get reader of this mailbox waits on. Pair
-    /// with [`Cx::mbox_pending`]: check the queue, and when it is empty
-    /// block here directly instead of discovering emptiness through a
-    /// charged Begin_Get.
+    /// The condition a Begin_Get reader of this mailbox waits on: where
+    /// a reader blocks when [`Cx::try_get`] finds the mailbox empty.
     pub fn mbox_cond(&self, mbox: MboxId) -> CondId {
         self.shared.mailboxes[mbox as usize].reader_cond
     }
 
-    pub fn begin_get(&mut self, mbox: MboxId) -> Result<MsgRef, WouldBlock> {
+    pub fn begin_get(&mut self, mbox: MboxId) -> Result<MsgRef, CondId> {
         self.charge(self.costs.mbox_begin_get);
         self.shared.begin_get(mbox)
+    }
+
+    /// Begin_Get behind the select()-before-read idiom. Emptiness is a
+    /// plain read of the queue-count word in CAB memory — no Begin_Get
+    /// transaction, so an empty mailbox costs nothing and counts no
+    /// `mbox_empty_polls` — and only a queued message pays Begin_Get.
+    /// A thread serving many mailboxes skips the empty ones for free
+    /// instead of paying a failed ~4 µs Begin_Get on each (the tax that
+    /// flattened the udp knee at scale); on `None` it blocks on
+    /// [`Cx::mbox_cond`].
+    pub fn try_get(&mut self, mbox: MboxId) -> Option<MsgRef> {
+        if self.shared.mailboxes[mbox as usize].queue.is_empty() {
+            return None;
+        }
+        Some(self.begin_get(mbox).expect("Begin_Get fails only on an empty mailbox"))
+    }
+
+    /// Read a whole message in one call ([`Cx::try_get`], copy out,
+    /// End_Get) — the twin of [`Cx::put_message`], for readers that act
+    /// on a message after releasing its buffer.
+    pub fn get_message(&mut self, mbox: MboxId) -> Option<Vec<u8>> {
+        let msg = self.try_get(mbox)?;
+        let bytes = self.shared.msg_bytes(&msg).to_vec();
+        self.end_get(mbox, msg);
+        Some(bytes)
     }
 
     pub fn end_get(&mut self, mbox: MboxId, msg: MsgRef) {

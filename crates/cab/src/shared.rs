@@ -213,11 +213,10 @@ impl Notices {
     }
 }
 
-/// Why a mailbox operation could not complete (the caller blocks).
+/// Why a Begin_Put could not complete (the caller blocks). Begin_Get's
+/// one failure, an empty mailbox, is its reader condition alone.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum WouldBlock {
-    /// Begin_Get on an empty mailbox: wait on `reader_cond`.
-    Empty(CondId),
     /// Begin_Put with no heap space: wait on `space_cond`.
     NoSpace(CondId),
 }
@@ -279,7 +278,7 @@ pub struct CabShared {
     pub cab_sigq_high: u64,
     /// Begin_Get attempts that found the mailbox empty. Each one cost
     /// the caller a full mailbox-op charge for no work — the tax the
-    /// select()-before-read idiom (`mbox_pending`) exists to avoid.
+    /// select()-before-read idiom (`Cx::try_get`) exists to avoid.
     pub mbox_empty_polls: u64,
     next_cond: CondId,
     next_msg_id: u32,
@@ -429,8 +428,10 @@ impl CabShared {
         }
     }
 
-    /// Begin_Get: take the next message for in-place reading.
-    pub fn begin_get(&mut self, mbox: MboxId) -> Result<MsgRef, WouldBlock> {
+    /// Begin_Get: take the next message for in-place reading. Its only
+    /// failure is an empty mailbox, reported as the reader condition to
+    /// wait on.
+    pub fn begin_get(&mut self, mbox: MboxId) -> Result<MsgRef, CondId> {
         let m = &mut self.mailboxes[mbox as usize];
         match m.queue.pop_front() {
             Some(msg) => {
@@ -441,7 +442,7 @@ impl CabShared {
             None => {
                 let c = m.reader_cond;
                 self.mbox_empty_polls += 1;
-                Err(WouldBlock::Empty(c))
+                Err(c)
             }
         }
     }
@@ -620,7 +621,8 @@ mod tests {
         let mut s = shared();
         let mb = s.create_mailbox(false, HostOpMode::SharedMemory);
         let rc = s.mailboxes[mb as usize].reader_cond;
-        assert_eq!(s.begin_get(mb), Err(WouldBlock::Empty(rc)));
+        assert_eq!(s.begin_get(mb), Err(rc));
+        assert_eq!(s.mbox_empty_polls, 1);
     }
 
     #[test]

@@ -15,7 +15,7 @@ use std::rc::Rc;
 use nectar_cab::proto::rr_call;
 use nectar_cab::reqs::SendReq;
 use nectar_cab::{
-    Cab, CabEffect, CabThread, CostModel, Cx, HostOpMode, LinkModel, Step, StepStatus, WouldBlock,
+    Cab, CabEffect, CabThread, CostModel, Cx, HostOpMode, LinkModel, Step, StepStatus,
 };
 use nectar_sim::{SimDuration, SimTime, Trace};
 use nectar_stack::tcp::TcpConfig;
@@ -128,7 +128,7 @@ impl CabThread for RebindCaller {
                     self.ids.borrow_mut().push(id);
                     Step::Done
                 }
-                Err(WouldBlock::Empty(c)) | Err(WouldBlock::NoSpace(c)) => Step::Block(c),
+                Err(c) => Step::Block(c),
             },
             _ => Step::Done,
         }

@@ -3,10 +3,10 @@
 //! by system threads, fork/join, condition variables with timeouts,
 //! and mutual exclusion.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
-use nectar_cab::{Cab, CabThread, CostModel, Cx, HostOpMode, LinkModel, Step, StepStatus};
+use nectar_cab::{Cab, CabThread, CostModel, Cx, HostOpMode, LinkModel, MboxId, Step, StepStatus};
 use nectar_sim::{SimDuration, SimTime, Trace};
 use nectar_stack::tcp::TcpConfig;
 
@@ -206,6 +206,60 @@ fn block_timeout_wakes_by_deadline() {
     let woke = woke_at.borrow().expect("woke");
     assert!(woke >= deadline, "woke early: {woke}");
     assert!(woke < deadline + SimDuration::from_micros(100), "woke far too late: {woke}");
+}
+
+/// The read path's charge contract. `try_get` on an empty mailbox is a
+/// free queue-count read: no charge and no counted empty poll. On a
+/// queued message it pays exactly Begin_Get. `get_message` pays
+/// Begin_Get + End_Get, returns the bytes and releases the buffer.
+#[test]
+fn try_get_and_get_message_charge_only_for_queued_messages() {
+    fn put(cx: &mut Cx<'_>, mbox: MboxId, bytes: &[u8]) {
+        let m = cx.shared.begin_put(mbox, bytes.len()).unwrap();
+        cx.shared.msg_write(&m, 0, bytes);
+        cx.shared.end_put(mbox, m);
+    }
+    struct Reader {
+        mbox: MboxId,
+        checked: Rc<Cell<bool>>,
+    }
+    impl CabThread for Reader {
+        fn run(&mut self, cx: &mut Cx<'_>) -> Step {
+            let (begin, end) = (cx.costs.mbox_begin_get, cx.costs.mbox_end_get);
+            let polls = cx.shared.mbox_empty_polls;
+            let t = cx.charged();
+            assert_eq!(cx.try_get(self.mbox), None);
+            assert_eq!(cx.charged(), t, "an empty mailbox must cost nothing");
+            assert_eq!(cx.shared.mbox_empty_polls, polls, "a free check is not an empty poll");
+
+            put(cx, self.mbox, b"queued");
+            let t = cx.charged();
+            let msg = cx.try_get(self.mbox).expect("a queued message");
+            assert_eq!(cx.charged() - t, begin, "try_get pays Begin_Get alone");
+            assert_eq!(cx.shared.msg_bytes(&msg), b"queued");
+            cx.shared.end_get(self.mbox, msg);
+
+            // larger than a small buffer, so End_Get returns it to the heap
+            let payload = vec![0x5a; 1024];
+            let in_use = cx.shared.heap.bytes_in_use();
+            put(cx, self.mbox, &payload);
+            let t = cx.charged();
+            assert_eq!(cx.get_message(self.mbox), Some(payload));
+            assert_eq!(cx.charged() - t, begin + end, "get_message pays Begin_Get + End_Get");
+            assert_eq!(cx.shared.heap.bytes_in_use(), in_use, "the buffer was not released");
+            assert_eq!(cx.get_message(self.mbox), None);
+            assert_eq!(cx.shared.mbox_empty_polls, polls);
+            self.checked.set(true);
+            Step::Done
+        }
+    }
+    let mut c = cab();
+    run_to_idle(&mut c, SimTime::ZERO);
+    let mbox = c.shared.create_mailbox(false, HostOpMode::SharedMemory);
+    let checked = Rc::new(Cell::new(false));
+    c.fork_app(Box::new(Reader { mbox, checked: checked.clone() }));
+    run_to_idle(&mut c, SimTime::from_nanos(1));
+    assert!(checked.get(), "the reader never ran");
 }
 
 #[test]

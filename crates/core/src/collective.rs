@@ -14,7 +14,7 @@ use std::rc::Rc;
 
 use nectar_cab::proto::{coll_arrive, coll_multicast};
 use nectar_cab::reqs::CollNote;
-use nectar_cab::shared::{MboxId, WouldBlock};
+use nectar_cab::shared::MboxId;
 use nectar_cab::{CabThread, Cx, HostOpMode, Step};
 use nectar_wire::collective::CombineOp;
 
@@ -202,42 +202,29 @@ impl CabThread for CollectiveMember {
             coll_arrive(cx, self.group, self.op, self.contrib);
         }
         for _ in 0..cx.proto.burst_limit {
-            // select-before-read, as everywhere: the queue-count word
-            // is free, a failed Begin_Get is not
-            if !cx.mbox_pending(self.note_mbox) {
+            let Some(bytes) = cx.get_message(self.note_mbox) else {
                 return Step::Block(cx.mbox_cond(self.note_mbox));
-            }
-            match cx.begin_get(self.note_mbox) {
-                Err(WouldBlock::Empty(c)) | Err(WouldBlock::NoSpace(c)) => return Step::Block(c),
-                Ok(msg) => {
-                    let bytes = cx.shared.msg_bytes(&msg).to_vec();
-                    cx.end_get(self.note_mbox, msg);
-                    match CollNote::decode(&bytes) {
-                        Some(CollNote::Completed { group, epoch, value })
-                            if group == self.group =>
-                        {
-                            self.h.completions.set(self.h.completions.get() + 1);
-                            self.h.last_value.set(value);
-                            if epoch + 1 < self.epochs {
-                                coll_arrive(cx, self.group, self.op, self.contrib);
-                            } else {
-                                self.h.done.set(true);
-                                self.h.finished_at.set(cx.now().as_nanos());
-                                return Step::Done;
-                            }
-                        }
-                        Some(CollNote::Failed { group, .. }) if group == self.group => {
-                            self.h.failed.set(true);
-                            return Step::Done;
-                        }
-                        Some(CollNote::Deliver { group, payload }) if group == self.group => {
-                            self.h
-                                .deliver_bytes
-                                .set(self.h.deliver_bytes.get() + payload.len() as u64);
-                        }
-                        _ => {}
+            };
+            match CollNote::decode(&bytes) {
+                Some(CollNote::Completed { group, epoch, value }) if group == self.group => {
+                    self.h.completions.set(self.h.completions.get() + 1);
+                    self.h.last_value.set(value);
+                    if epoch + 1 < self.epochs {
+                        coll_arrive(cx, self.group, self.op, self.contrib);
+                    } else {
+                        self.h.done.set(true);
+                        self.h.finished_at.set(cx.now().as_nanos());
+                        return Step::Done;
                     }
                 }
+                Some(CollNote::Failed { group, .. }) if group == self.group => {
+                    self.h.failed.set(true);
+                    return Step::Done;
+                }
+                Some(CollNote::Deliver { group, payload }) if group == self.group => {
+                    self.h.deliver_bytes.set(self.h.deliver_bytes.get() + payload.len() as u64);
+                }
+                _ => {}
             }
         }
         Step::Yield
@@ -322,23 +309,16 @@ impl CabThread for MulticastSink {
 
     fn run(&mut self, cx: &mut Cx<'_>) -> Step {
         for _ in 0..cx.proto.burst_limit {
-            if !cx.mbox_pending(self.note_mbox) {
+            let Some(bytes) = cx.get_message(self.note_mbox) else {
                 return Step::Block(cx.mbox_cond(self.note_mbox));
-            }
-            match cx.begin_get(self.note_mbox) {
-                Err(WouldBlock::Empty(c)) | Err(WouldBlock::NoSpace(c)) => return Step::Block(c),
-                Ok(msg) => {
-                    let bytes = cx.shared.msg_bytes(&msg).to_vec();
-                    cx.end_get(self.note_mbox, msg);
-                    if let Some(CollNote::Deliver { group, payload }) = CollNote::decode(&bytes) {
-                        if group == self.group {
-                            self.received.set(self.received.get() + 1);
-                            self.bytes.set(self.bytes.get() + payload.len() as u64);
-                            if self.received.get() >= self.expected {
-                                self.done.set(true);
-                                return Step::Done;
-                            }
-                        }
+            };
+            if let Some(CollNote::Deliver { group, payload }) = CollNote::decode(&bytes) {
+                if group == self.group {
+                    self.received.set(self.received.get() + 1);
+                    self.bytes.set(self.bytes.get() + payload.len() as u64);
+                    if self.received.get() >= self.expected {
+                        self.done.set(true);
+                        return Step::Done;
                     }
                 }
             }

@@ -587,28 +587,18 @@ impl CabThread for CabEcho {
             }
         }
         for _ in 0..self.burst.unwrap_or(cx.proto.burst_limit) {
-            // select-before-read: the queue-count word is a free read,
-            // so an idle wake costs nothing instead of a charged empty
-            // Begin_Get (the tax that flattened the udp knee at scale)
-            if !cx.mbox_pending(self.recv_mbox) {
+            let Some(bytes) = cx.get_message(self.recv_mbox) else {
                 return Step::Block(cx.mbox_cond(self.recv_mbox));
-            }
-            match cx.begin_get(self.recv_mbox) {
-                Err(WouldBlock::Empty(c)) | Err(WouldBlock::NoSpace(c)) => return Step::Block(c),
-                Ok(msg) => {
-                    let bytes = cx.shared.msg_bytes(&msg).to_vec();
-                    cx.end_get(self.recv_mbox, msg);
-                    match self.transport {
-                        Transport::ReqResp => {
-                            if let Some((req, payload)) = rr_reply_for(self.recv_mbox, &bytes) {
-                                proto::rr_reply(cx, req, 0, payload);
-                            }
-                        }
-                        t => {
-                            if let Some(to) = decode_reply_addr(&bytes) {
-                                proto::send(cx, t, to, t.addr(self.recv_mbox, self.port), &bytes);
-                            }
-                        }
+            };
+            match self.transport {
+                Transport::ReqResp => {
+                    if let Some((req, payload)) = rr_reply_for(self.recv_mbox, &bytes) {
+                        proto::rr_reply(cx, req, 0, payload);
+                    }
+                }
+                t => {
+                    if let Some(to) = decode_reply_addr(&bytes) {
+                        proto::send(cx, t, to, t.addr(self.recv_mbox, self.port), &bytes);
                     }
                 }
             }
@@ -697,7 +687,7 @@ impl CabThread for CabPinger {
                         Step::Yield
                     }
                 }
-                Err(WouldBlock::Empty(c)) | Err(WouldBlock::NoSpace(c)) => Step::Block(c),
+                Err(c) => Step::Block(c),
             },
         }
     }
@@ -868,7 +858,7 @@ impl CabThread for CabSink {
                         return Step::Done;
                     }
                 }
-                Err(WouldBlock::Empty(c)) | Err(WouldBlock::NoSpace(c)) => return Step::Block(c),
+                Err(c) => return Step::Block(c),
             }
         }
         Step::Yield
@@ -913,7 +903,7 @@ impl CabThread for CabTcpListener {
                 }
                 Step::Yield
             }
-            Err(WouldBlock::Empty(c)) | Err(WouldBlock::NoSpace(c)) => Step::Block(c),
+            Err(c) => Step::Block(c),
         }
     }
 }
@@ -965,10 +955,7 @@ impl CabThread for CabTcpEchoServer {
         // new connections: give each a data mailbox on the TCP
         // condition and attach it through the TCP thread (which also
         // drains anything already buffered in the socket)
-        while cx.mbox_pending(self.accept_mbox) {
-            let Ok(msg) = cx.begin_get(self.accept_mbox) else { break };
-            let bytes = cx.shared.msg_bytes(&msg).to_vec();
-            cx.end_get(self.accept_mbox, msg);
+        while let Some(bytes) = cx.get_message(self.accept_mbox) {
             if let Some((_port, conn)) = reqs::tcp_accept_decode(&bytes) {
                 let tc = cx.proto.tcp_cond;
                 let mbox =
@@ -984,15 +971,11 @@ impl CabThread for CabTcpEchoServer {
         }
         // echo: drain each connection's mailbox, then pump as much as
         // the socket will take; the remainder waits for window opening.
-        // One wake covers every connection, so check queue depth before
-        // issuing a Begin_Get — with many attached clients the failed
-        // probes on idle mailboxes would otherwise dominate the burst.
+        // One wake covers every connection, so an idle connection's
+        // mailbox must cost nothing to skip (`Cx::try_get`).
         let now = cx.now();
         for c in &mut self.conns {
-            while cx.mbox_pending(c.mbox) {
-                let Ok(msg) = cx.begin_get(c.mbox) else { break };
-                let bytes = cx.shared.msg_bytes(&msg).to_vec();
-                cx.end_get(c.mbox, msg);
+            while let Some(bytes) = cx.get_message(c.mbox) {
                 if !bytes.is_empty() {
                     c.pending.push_back(bytes);
                 }

@@ -15,7 +15,9 @@
 
 use nectar_cab::proto::Transport;
 use nectar_cab::reqs::{self, RrReplyReq, SendReq, UdpSendReq};
-use nectar_cab::shared::{CabShared, HostCondId, MboxId, MsgRef, SigEntry, SyncId, WouldBlock};
+use nectar_cab::shared::{
+    CabShared, CondId, HostCondId, MboxId, MsgRef, SigEntry, SyncId, WouldBlock,
+};
 use nectar_sim::{SimDuration, SimTime, Trace};
 
 use crate::costs::HostCostModel;
@@ -136,7 +138,7 @@ impl<'a> HostCx<'a> {
     }
 
     /// Begin_Get from the host.
-    pub fn mbox_begin_get(&mut self, mbox: MboxId) -> Result<MsgRef, WouldBlock> {
+    pub fn mbox_begin_get(&mut self, mbox: MboxId) -> Result<MsgRef, CondId> {
         self.vme(self.costs.mbox_begin_get_words);
         self.shared.begin_get(mbox)
     }

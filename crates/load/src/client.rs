@@ -411,12 +411,7 @@ impl CabThread for LoadClient {
                 }
                 State::Running => {
                     self.tcp_pump(cx);
-                    // select-before-read: drain every queued response
-                    // without ever paying a charged empty Begin_Get
-                    while cx.mbox_pending(self.my_mbox) {
-                        let Ok(msg) = cx.begin_get(self.my_mbox) else { break };
-                        let bytes = cx.shared.msg_bytes(&msg).to_vec();
-                        cx.end_get(self.my_mbox, msg);
+                    while let Some(bytes) = cx.get_message(self.my_mbox) {
                         self.handle_response(cx, bytes);
                         if matches!(self.state, State::Finished) {
                             break;

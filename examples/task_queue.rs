@@ -19,7 +19,7 @@ use std::rc::Rc;
 
 use nectar::cab::proto::{coll_arrive, coll_multicast};
 use nectar::cab::reqs::CollNote;
-use nectar::cab::{CabThread, Cx, HostOpMode, MboxId, Step, WouldBlock};
+use nectar::cab::{CabThread, Cx, HostOpMode, MboxId, Step};
 use nectar::collective::CollectiveGroup;
 use nectar::config::Config;
 use nectar::host::{HostCx, HostProcess, HostStep};
@@ -52,39 +52,32 @@ impl CabThread for Worker {
 
     fn run(&mut self, cx: &mut Cx<'_>) -> Step {
         for _ in 0..cx.proto.burst_limit {
-            if !cx.mbox_pending(self.note_mbox) {
+            let Some(bytes) = cx.get_message(self.note_mbox) else {
                 return Step::Block(cx.mbox_cond(self.note_mbox));
-            }
-            match cx.begin_get(self.note_mbox) {
-                Err(WouldBlock::Empty(c)) | Err(WouldBlock::NoSpace(c)) => return Step::Block(c),
-                Ok(msg) => {
-                    let bytes = cx.shared.msg_bytes(&msg).to_vec();
-                    cx.end_get(self.note_mbox, msg);
-                    match CollNote::decode(&bytes) {
-                        Some(CollNote::Deliver { group: GROUP, payload }) => {
-                            let phase = u32::from_be_bytes(payload[..4].try_into().unwrap()) as u64;
-                            // my slice of this phase, if any — the last
-                            // phase may be ragged when workers ∤ tasks
-                            let t = phase * self.nworkers + self.rank;
-                            let mut acc: u64 = 0;
-                            if t < self.tasks {
-                                let lo = t * self.chunk;
-                                let hi = lo + self.chunk;
-                                for v in lo..hi {
-                                    acc = acc.wrapping_add(v.wrapping_mul(v));
-                                }
-                                cx.charge(SimDuration::from_nanos(200) * self.chunk);
-                            }
-                            coll_arrive(cx, GROUP, CombineOp::Sum, acc);
+            };
+            match CollNote::decode(&bytes) {
+                Some(CollNote::Deliver { group: GROUP, payload }) => {
+                    let phase = u32::from_be_bytes(payload[..4].try_into().unwrap()) as u64;
+                    // my slice of this phase, if any — the last phase may
+                    // be ragged when workers ∤ tasks
+                    let t = phase * self.nworkers + self.rank;
+                    let mut acc: u64 = 0;
+                    if t < self.tasks {
+                        let lo = t * self.chunk;
+                        let hi = lo + self.chunk;
+                        for v in lo..hi {
+                            acc = acc.wrapping_add(v.wrapping_mul(v));
                         }
-                        Some(CollNote::Completed { group: GROUP, epoch, .. })
-                            if epoch + 1 >= self.epochs =>
-                        {
-                            return Step::Done;
-                        }
-                        _ => {}
+                        cx.charge(SimDuration::from_nanos(200) * self.chunk);
                     }
+                    coll_arrive(cx, GROUP, CombineOp::Sum, acc);
                 }
+                Some(CollNote::Completed { group: GROUP, epoch, .. })
+                    if epoch + 1 >= self.epochs =>
+                {
+                    return Step::Done;
+                }
+                _ => {}
             }
         }
         Step::Yield
@@ -113,28 +106,21 @@ impl CabThread for Coordinator {
             coll_arrive(cx, GROUP, CombineOp::Sum, 0);
         }
         for _ in 0..cx.proto.burst_limit {
-            if !cx.mbox_pending(self.note_mbox) {
+            let Some(bytes) = cx.get_message(self.note_mbox) else {
                 return Step::Block(cx.mbox_cond(self.note_mbox));
-            }
-            match cx.begin_get(self.note_mbox) {
-                Err(WouldBlock::Empty(c)) | Err(WouldBlock::NoSpace(c)) => return Step::Block(c),
-                Ok(msg) => {
-                    let bytes = cx.shared.msg_bytes(&msg).to_vec();
-                    cx.end_get(self.note_mbox, msg);
-                    if let Some(CollNote::Completed { group: GROUP, epoch, value }) =
-                        CollNote::decode(&bytes)
-                    {
-                        let mut note = Vec::with_capacity(12);
-                        note.extend_from_slice(&epoch.to_be_bytes());
-                        note.extend_from_slice(&value.to_be_bytes());
-                        let _ = cx.put_message(self.result_mbox, &note);
-                        if epoch + 1 >= self.epochs {
-                            return Step::Done;
-                        }
-                        coll_multicast(cx, GROUP, &(epoch + 1).to_be_bytes());
-                        coll_arrive(cx, GROUP, CombineOp::Sum, 0);
-                    }
+            };
+            if let Some(CollNote::Completed { group: GROUP, epoch, value }) =
+                CollNote::decode(&bytes)
+            {
+                let mut note = Vec::with_capacity(12);
+                note.extend_from_slice(&epoch.to_be_bytes());
+                note.extend_from_slice(&value.to_be_bytes());
+                let _ = cx.put_message(self.result_mbox, &note);
+                if epoch + 1 >= self.epochs {
+                    return Step::Done;
                 }
+                coll_multicast(cx, GROUP, &(epoch + 1).to_be_bytes());
+                coll_arrive(cx, GROUP, CombineOp::Sum, 0);
             }
         }
         Step::Yield

@@ -195,7 +195,7 @@ fn tcp_close_written_behind_send_requests_still_delivers_every_byte() {
 fn icmp_echo_end_to_end() {
     // ping CAB 1 from a thread on CAB 0 through IP/ICMP
     use nectar_cab::proto::{ip_for_cab, ip_output};
-    use nectar_cab::{CabThread, Cx, Step, WouldBlock};
+    use nectar_cab::{CabThread, Cx, Step};
     use nectar_wire::icmp::IcmpMessage;
     use nectar_wire::ipv4::IpProtocol;
 
@@ -223,7 +223,7 @@ fn icmp_echo_end_to_end() {
                     self.got.set(true);
                     Step::Done
                 }
-                Err(WouldBlock::Empty(c)) | Err(WouldBlock::NoSpace(c)) => Step::Block(c),
+                Err(c) => Step::Block(c),
             }
         }
     }
