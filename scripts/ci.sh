@@ -38,6 +38,14 @@ if grep -rnE '\\"[a-z_0-9]+\\":' crates/*/src crates/bench/benches \
     exit 1
 fi
 
+# one protocol-timer path: the protocol threads block on their
+# condition alone and the board's timer interrupt wakes them, so a
+# deadline retired between bursts wakes nothing (DESIGN.md §10).
+if grep -n BlockTimeout crates/cab/src/proto.rs; then
+    echo 'ci: BlockTimeout in crates/cab/src/proto.rs — protocol deadlines wake through `Cab::stack_timers`'
+    exit 1
+fi
+
 if [[ "${1:-}" == "--fix" ]]; then
     cargo fmt --all
 else

@@ -5,10 +5,11 @@
 //! CAB CPU) for zero work. Before this fix the echo services and the
 //! load client discovered emptiness *through* that charge on every
 //! wake, so the polling tax scaled with traffic — the flat udp knee at
-//! 4k rps in BENCH_load.json. With `Cx::mbox_pending` guarding every
-//! load-path poll loop, an empty mailbox costs a free queue-count read,
-//! and the only empty polls left are the constant startup probes of the
-//! per-CAB system threads.
+//! 4k rps in BENCH_load.json. Every server loop now reads through
+//! `Cx::try_get` (or `Cx::get_message`, built on it), so an empty
+//! mailbox costs a free queue-count read. The empty polls left come
+//! from readers that still Begin_Get without looking, a constant that
+//! does not grow with traffic.
 //!
 //! `CabShared::mbox_empty_polls` counts exactly those failed
 //! Begin_Gets, so the pin is: drive 4× the traffic through an echo

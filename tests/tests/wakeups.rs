@@ -6,9 +6,10 @@
 //! die in the arena instead of living on as extra poll chains.
 
 use nectar::config::Config;
-use nectar::scenario::{two_hub_pair_load, SharedFlag};
+use nectar::scenario::{two_hub_pair_load, EchoServer, Pinger, SharedFlag, Transport};
 use nectar::topology::Topology;
 use nectar::world::{Sim, World};
+use nectar_cab::HostOpMode;
 use nectar_sim::{SimDuration, SimTime};
 
 const HOSTS: usize = 26;
@@ -58,6 +59,29 @@ fn same_seed_runs_are_identical() {
         (world.metrics_json(), sim.executed(), sim.cancelled())
     };
     assert_eq!(run(), run());
+}
+
+/// A protocol deadline retired before it expires wakes nothing. After
+/// one host request-response call the reply has retired the call's
+/// retransmit deadline at interrupt level, so the client CAB has no
+/// work left: no timer wake, no context switch, no CPU time.
+#[test]
+fn a_retired_deadline_wakes_nothing() {
+    let (mut world, mut sim) = World::single_hub(Config::default(), 2);
+    let svc = world.cabs[1].shared.create_mailbox(true, HostOpMode::SharedMemory);
+    let reply = world.cabs[0].shared.create_mailbox(true, HostOpMode::SharedMemory);
+    let (echo, _) = EchoServer::new(Transport::ReqResp, svc, 0, false);
+    world.hosts[1].spawn(Box::new(echo));
+    let (ping, _, done) = Pinger::new(Transport::ReqResp, (1, svc), reply, 0, 32, 1, false);
+    world.hosts[0].spawn(Box::new(ping));
+    world.run_until_done(&mut sim, SimTime::ZERO + SimDuration::from_secs(1), |_| done.get());
+    assert!(done.get(), "the call never completed");
+    let cab = &world.cabs[0];
+    assert_eq!(cab.next_work(sim.now()), None, "the retired call's rto still wakes the CAB");
+    let (switches, busy) = (cab.rt.ctx_switches, cab.rt.cpu_busy);
+    world.run_for(&mut sim, SimDuration::from_millis(20));
+    let cab = &world.cabs[0];
+    assert_eq!((cab.rt.ctx_switches, cab.rt.cpu_busy), (switches, busy), "an idle CAB ran");
 }
 
 #[test]
