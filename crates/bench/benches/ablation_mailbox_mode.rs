@@ -121,12 +121,13 @@ struct Drainer {
 }
 impl nectar_cab::CabThread for Drainer {
     fn run(&mut self, cx: &mut nectar_cab::Cx<'_>) -> nectar_cab::Step {
-        loop {
-            match cx.begin_get(self.mbox) {
-                Ok(m) => cx.end_get(self.mbox, m),
-                Err(c) => return nectar_cab::Step::Block(c),
-            }
+        for _ in 0..cx.proto.burst_limit {
+            let Some(m) = cx.try_get(self.mbox) else {
+                return nectar_cab::Step::Block(cx.mbox_cond(self.mbox));
+            };
+            cx.end_get(self.mbox, m);
         }
+        nectar_cab::Step::Yield
     }
 }
 

@@ -22,15 +22,11 @@ struct EchoThread {
 }
 impl nectar_cab::CabThread for EchoThread {
     fn run(&mut self, cx: &mut Cx<'_>) -> Step {
-        match cx.begin_get(self.svc) {
-            Ok(m) => {
-                let bytes = cx.shared.msg_bytes(&m).to_vec();
-                cx.end_get(self.svc, m);
-                let _ = cx.put_message(self.reply, &bytes);
-                Step::Yield
-            }
-            Err(c) => Step::Block(c),
-        }
+        let Some(bytes) = cx.get_message(self.svc) else {
+            return Step::Block(cx.mbox_cond(self.svc));
+        };
+        let _ = cx.put_message(self.reply, &bytes);
+        Step::Yield
     }
 }
 
@@ -39,9 +35,7 @@ struct EchoUpcall {
 }
 impl Upcall for EchoUpcall {
     fn on_message(&mut self, cx: &mut Cx<'_>, mbox: MboxId) {
-        while let Ok(m) = cx.begin_get(mbox) {
-            let bytes = cx.shared.msg_bytes(&m).to_vec();
-            cx.end_get(mbox, m);
+        while let Some(bytes) = cx.get_message(mbox) {
             let _ = cx.put_message(self.reply, &bytes);
         }
     }
@@ -64,21 +58,21 @@ impl nectar_cab::CabThread for Client {
                 self.waiting = Some(t);
                 Step::Yield
             }
-            Some(t0) => match cx.begin_get(self.reply) {
-                Ok(m) => {
-                    cx.end_get(self.reply, m);
-                    self.times.borrow_mut().record(cx.now().saturating_since(t0));
-                    self.waiting = None;
-                    self.n -= 1;
-                    if self.n == 0 {
-                        self.done.set(true);
-                        Step::Done
-                    } else {
-                        Step::Yield
-                    }
+            Some(t0) => {
+                let Some(m) = cx.try_get(self.reply) else {
+                    return Step::Block(cx.mbox_cond(self.reply));
+                };
+                cx.end_get(self.reply, m);
+                self.times.borrow_mut().record(cx.now().saturating_since(t0));
+                self.waiting = None;
+                self.n -= 1;
+                if self.n == 0 {
+                    self.done.set(true);
+                    Step::Done
+                } else {
+                    Step::Yield
                 }
-                Err(c) => Step::Block(c),
-            },
+            }
         }
     }
 }

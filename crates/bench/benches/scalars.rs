@@ -59,11 +59,11 @@ fn measure_ctx_switch() -> f64 {
     let switches_before = world.cabs[0].rt.ctx_switches;
     world.run_until(&mut sim, t0 + SimDuration::from_secs(5));
     let switches = world.cabs[0].rt.ctx_switches - switches_before;
-    // every bounce round is one context switch plus a couple of
-    // microseconds of mailbox work; the quotient approaches the
-    // context-switch cost from above
-    // the CAB's cursor is its busy-until: the instant the last burst
-    // (the final bounce) completed
+    // every bounce round is one context switch and nothing else: the
+    // Bouncers go through the uncharged `cx.shared` mailbox operations,
+    // so the quotient is the context-switch cost itself. The CAB's
+    // cursor is its busy-until: the instant the last burst (the final
+    // bounce) completed
     let elapsed = world.cabs[0].rt.cursor.saturating_since(t0).as_micros_f64();
     elapsed / switches.max(1) as f64
 }

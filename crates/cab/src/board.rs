@@ -842,14 +842,12 @@ mod tests {
         }
         impl CabThread for Reader {
             fn run(&mut self, cx: &mut Cx<'_>) -> Step {
-                match cx.begin_get(self.mbox) {
-                    Ok(m) => {
-                        self.got.set(true);
-                        cx.end_get(self.mbox, m);
-                        Step::Done
-                    }
-                    Err(c) => Step::Block(c),
-                }
+                let Some(m) = cx.try_get(self.mbox) else {
+                    return Step::Block(cx.mbox_cond(self.mbox));
+                };
+                self.got.set(true);
+                cx.end_get(self.mbox, m);
+                Step::Done
             }
         }
         let mut c = cab(1);

@@ -203,24 +203,20 @@ impl<'a> Cx<'a> {
         self.shared.mailboxes[mbox as usize].reader_cond
     }
 
-    pub fn begin_get(&mut self, mbox: MboxId) -> Result<MsgRef, CondId> {
-        self.charge(self.costs.mbox_begin_get);
-        self.shared.begin_get(mbox)
-    }
-
-    /// Begin_Get behind the select()-before-read idiom. Emptiness is a
-    /// plain read of the queue-count word in CAB memory — no Begin_Get
-    /// transaction, so an empty mailbox costs nothing and counts no
-    /// `mbox_empty_polls` — and only a queued message pays Begin_Get.
-    /// A thread serving many mailboxes skips the empty ones for free
-    /// instead of paying a failed ~4 µs Begin_Get on each (the tax that
-    /// flattened the udp knee at scale); on `None` it blocks on
-    /// [`Cx::mbox_cond`].
+    /// Begin_Get behind the select()-before-read idiom — the one charged
+    /// mailbox read on the CAB. Emptiness is a plain read of the
+    /// queue-count word in CAB memory — no Begin_Get transaction, so an
+    /// empty mailbox costs nothing and counts no `mbox_empty_polls` —
+    /// and only a queued message pays Begin_Get. A thread serving many
+    /// mailboxes skips the empty ones for free instead of paying a
+    /// failed ~4 µs Begin_Get on each (the tax that flattened the udp
+    /// knee at scale); on `None` it blocks on [`Cx::mbox_cond`].
     pub fn try_get(&mut self, mbox: MboxId) -> Option<MsgRef> {
         if self.shared.mailboxes[mbox as usize].queue.is_empty() {
             return None;
         }
-        Some(self.begin_get(mbox).expect("Begin_Get fails only on an empty mailbox"))
+        self.charge(self.costs.mbox_begin_get);
+        Some(self.shared.begin_get(mbox).expect("Begin_Get fails only on an empty mailbox"))
     }
 
     /// Read a whole message in one call ([`Cx::try_get`], copy out,

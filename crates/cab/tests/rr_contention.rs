@@ -116,20 +116,17 @@ impl CabThread for RebindCaller {
                 self.phase = 1;
                 Step::Yield
             }
-            1 => match cx.begin_get(self.mb) {
-                Ok(msg) => {
-                    cx.end_get(self.mb, msg);
-                    self.phase = 2;
-                    let id = rr_call(
-                        cx,
-                        SendReq { dst_cab: 2, dst_mbox: 21, src_mbox: self.mb },
-                        b"to-b",
-                    );
-                    self.ids.borrow_mut().push(id);
-                    Step::Done
-                }
-                Err(c) => Step::Block(c),
-            },
+            1 => {
+                let Some(msg) = cx.try_get(self.mb) else {
+                    return Step::Block(cx.mbox_cond(self.mb));
+                };
+                cx.end_get(self.mb, msg);
+                self.phase = 2;
+                let id =
+                    rr_call(cx, SendReq { dst_cab: 2, dst_mbox: 21, src_mbox: self.mb }, b"to-b");
+                self.ids.borrow_mut().push(id);
+                Step::Done
+            }
             _ => Step::Done,
         }
     }

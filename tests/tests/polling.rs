@@ -1,25 +1,30 @@
-//! Board-level pin for the select()-before-read fix: mailbox ops per
-//! wake must not include charged empty Begin_Gets.
+//! Board-level pin for select()-before-read: no CAB reader pays a
+//! charged Begin_Get to find its mailbox empty.
 //!
 //! Every failed Begin_Get costs the full mailbox-op charge (~4 µs of
-//! CAB CPU) for zero work. Before this fix the echo services and the
-//! load client discovered emptiness *through* that charge on every
-//! wake, so the polling tax scaled with traffic — the flat udp knee at
-//! 4k rps in BENCH_load.json. Every server loop now reads through
+//! CAB CPU) for zero work. When the echo services and the load client
+//! discovered emptiness *through* that charge on every wake, the
+//! polling tax scaled with traffic — the flat udp knee at 4k rps in
+//! BENCH_load.json. Every CAB mailbox reader now reads through
 //! `Cx::try_get` (or `Cx::get_message`, built on it), so an empty
-//! mailbox costs a free queue-count read. The empty polls left come
-//! from readers that still Begin_Get without looking, a constant that
-//! does not grow with traffic.
+//! mailbox costs a free queue-count read.
 //!
-//! `CabShared::mbox_empty_polls` counts exactly those failed
-//! Begin_Gets, so the pin is: drive 4× the traffic through an echo
-//! fleet and require the world-wide empty-poll count to stay flat
-//! instead of scaling with the message count.
+//! `CabShared::mbox_empty_polls` counts exactly the failed Begin_Gets,
+//! so the pin is absolute: zero, world-wide, on the echo fleets of all
+//! five transports and on the two-HUB stream mix. What is left for it
+//! to count is host-side polling and RPC-mode gets, which none of these
+//! runs do.
 
 use nectar::config::Config;
+use nectar::scenario::two_hub_pair_load;
+use nectar::topology::Topology;
 use nectar::world::World;
 use nectar_load::{deploy_fleet, Arrival, FleetPlan, LoadTransport, SizeDist};
 use nectar_sim::{SimDuration, SimTime};
+
+fn empty_polls(world: &World) -> u64 {
+    world.cabs.iter().map(|c| c.shared.mbox_empty_polls).sum()
+}
 
 /// Run a small echo fleet for `window_ms` of load and return
 /// (world-wide empty Begin_Gets, responses served).
@@ -39,18 +44,16 @@ fn run_fleet(transport: LoadTransport, window_ms: u64) -> (u64, u64) {
     let (mut world, mut sim) = World::new(config, plan.topology());
     let fleet = deploy_fleet(&mut world, &plan);
     world.run_until(&mut sim, plan.stop + SimDuration::from_millis(30));
-    let polls = world.cabs.iter().map(|c| c.shared.mbox_empty_polls).sum();
     let responses = fleet.ledger.borrow().responses;
-    (polls, responses)
+    (empty_polls(&world), responses)
 }
 
-/// 4× the traffic, same fleet: the empty-poll count may not scale with
-/// it. Covers CabEcho (datagram/reqresp/udp) and the
-/// multiplexed LoadClient in one sweep — any of them regressing to
-/// poll-by-failed-Begin_Get makes the count track the response count.
+/// 4× the traffic, same fleet, and still not one empty Begin_Get. Covers
+/// the echo services (`CabEcho`, `CabTcpEchoServer`) and the
+/// multiplexed `LoadClient` over every transport.
 #[test]
 fn empty_mailbox_polls_do_not_scale_with_traffic() {
-    for transport in [LoadTransport::Datagram, LoadTransport::ReqResp, LoadTransport::Udp] {
+    for transport in LoadTransport::ALL {
         let (polls_small, resp_small) = run_fleet(transport, 5);
         let (polls_big, resp_big) = run_fleet(transport, 20);
         assert!(
@@ -58,27 +61,21 @@ fn empty_mailbox_polls_do_not_scale_with_traffic() {
             "{transport:?}: the long window should serve ~4x the requests \
              ({resp_small} vs {resp_big})"
         );
-        // startup probes are identical across the two runs; per-wake
-        // polling would add hundreds more in the long window
-        assert!(
-            polls_big <= polls_small + resp_big / 10,
-            "{transport:?}: empty Begin_Gets scale with traffic \
-             ({polls_small} at {resp_small} responses, {polls_big} at {resp_big})"
+        assert_eq!(
+            (polls_small, polls_big),
+            (0, 0),
+            "{transport:?}: empty Begin_Gets at {resp_small} and {resp_big} responses"
         );
     }
 }
 
-/// Absolute form of the same pin for one transport: across a whole
-/// fleet run the failed Begin_Gets stay bounded by the (constant)
-/// per-thread startup probes — mailbox ops per *wake* is then success
-/// ops only.
+/// The Figure 7 applications — `CabSink`, `CabTcpListener` and the two
+/// streamers — over 20 ms of the 26-CAB stream mix.
 #[test]
-fn echo_fleet_pays_at_most_constant_empty_polls() {
-    let (polls, responses) = run_fleet(LoadTransport::Datagram, 20);
-    assert!(responses > 50, "fleet too idle to measure: {responses} responses");
-    assert!(
-        polls < 50,
-        "a datagram echo fleet should pay only startup empty polls, got {polls} \
-         over {responses} responses"
-    );
+fn stream_mix_pays_no_empty_polls() {
+    let (mut world, mut sim) = World::new(Config::default(), Topology::two_hubs(26));
+    let handles = two_hub_pair_load(&mut world, u64::MAX / 2, 1024);
+    world.run_until(&mut sim, SimTime::ZERO + SimDuration::from_millis(20));
+    assert!(handles.iter().all(|(received, _)| received.get() > 0), "a stream never delivered");
+    assert_eq!(empty_polls(&world), 0);
 }

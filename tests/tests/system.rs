@@ -213,18 +213,16 @@ fn icmp_echo_end_to_end() {
                 ip_output(cx, ip_for_cab(1), IpProtocol::ICMP, &req.build());
                 return Step::Yield;
             }
-            match cx.begin_get(self.reply_mbox) {
-                Ok(m) => {
-                    let bytes = cx.shared.msg_bytes(&m).to_vec();
-                    cx.end_get(self.reply_mbox, m);
-                    // [src ip; 4][ident u16][seq u16]
-                    assert_eq!(&bytes[..4], &ip_for_cab(1).octets());
-                    assert_eq!(u16::from_be_bytes([bytes[4], bytes[5]]), 7);
-                    self.got.set(true);
-                    Step::Done
-                }
-                Err(c) => Step::Block(c),
-            }
+            let Some(m) = cx.try_get(self.reply_mbox) else {
+                return Step::Block(cx.mbox_cond(self.reply_mbox));
+            };
+            let bytes = cx.shared.msg_bytes(&m).to_vec();
+            cx.end_get(self.reply_mbox, m);
+            // [src ip; 4][ident u16][seq u16]
+            assert_eq!(&bytes[..4], &ip_for_cab(1).octets());
+            assert_eq!(u16::from_be_bytes([bytes[4], bytes[5]]), 7);
+            self.got.set(true);
+            Step::Done
         }
     }
     let (mut world, mut sim) = World::single_hub(Config::default(), 2);
