@@ -6,7 +6,7 @@
 //! forked from the plan seed in that same order — so two fleets built
 //! from the same plan evolve bit-identically.
 
-use nectar::scenario::{CabEcho, CabTcpEchoServer, Transport};
+use nectar::scenario::{CabEcho, CabTcpEchoServer};
 use nectar::world::{SharedLoadLedger, World};
 use nectar::{ClosSpec, Topology};
 use nectar_cab::HostOpMode;
@@ -22,11 +22,6 @@ pub const UDP_LOAD_PORT: u16 = 7;
 pub const TCP_LOAD_PORT: u16 = 5000;
 /// Each UDP client binds `UDP_CLIENT_PORT_BASE + global index`.
 pub const UDP_CLIENT_PORT_BASE: u16 = 9000;
-/// The UDP echo service drains this many datagrams a burst whatever the
-/// CAB's `burst_limit` — the constant the fleet's own UDP echo thread
-/// had before `CabEcho` absorbed it; following `burst_limit` like the
-/// other echoes would move every UDP row of `BENCH_load.json`.
-const UDP_ECHO_BURST: usize = 8;
 
 /// A declarative fleet: how many clients per transport, how they
 /// arrive, and how long they run.
@@ -121,9 +116,7 @@ pub fn deploy_fleet(world: &mut World, plan: &FleetPlan) -> Fleet {
         let addr = match t.message() {
             Some(transport) => {
                 let mbox = cab.shared.create_mailbox(false, HostOpMode::SharedMemory);
-                let mut echo = CabEcho::new(transport, mbox, UDP_LOAD_PORT);
-                echo.burst = (transport == Transport::Udp).then_some(UDP_ECHO_BURST);
-                cab.fork_app(Box::new(echo));
+                cab.fork_app(Box::new(CabEcho::new(transport, mbox, UDP_LOAD_PORT)));
                 (s, transport.addr(mbox, UDP_LOAD_PORT))
             }
             None => {
