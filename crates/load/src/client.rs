@@ -206,8 +206,7 @@ impl LoadClient {
     /// Push any still-unsent TCP request bytes into the socket.
     fn tcp_pump(&mut self, cx: &mut Cx<'_>) {
         if let (Some(conn), false) = (self.conn, self.tcp_unsent.is_empty()) {
-            let now = cx.now();
-            let n = proto::tcp_send(cx, now, conn, &self.tcp_unsent);
+            let n = proto::tcp_send(cx, conn, &self.tcp_unsent);
             self.tcp_unsent.drain(..n);
         }
     }
