@@ -38,11 +38,16 @@ if grep -rnE '\\"[a-z_0-9]+\\":' crates/*/src crates/bench/benches \
     exit 1
 fi
 
-# one protocol-timer path: the protocol threads block on their
-# condition alone and the board's timer interrupt wakes them, so a
-# deadline retired between bursts wakes nothing (DESIGN.md §10).
-if grep -n BlockTimeout crates/cab/src/proto.rs; then
-    echo 'ci: BlockTimeout in crates/cab/src/proto.rs — protocol deadlines wake through `Cab::stack_timers`'
+# one wait rule: a protocol thread ends its burst through `wait`, which
+# blocks on the thread's condition alone and only once its mailboxes
+# are empty — so a request left past the burst budget is never
+# stranded, and the board's timer interrupt is the only deadline wake
+# (DESIGN.md §10). `Step::Block` also matches `Step::BlockTimeout`.
+if awk '/^fn wait\(/ { in_wait = 1 }
+        in_wait && /^}/ { in_wait = 0; next }
+        !in_wait && /Step::Block/ { print FILENAME ":" FNR ": " $0; found = 1 }
+        END { exit !found }' crates/cab/src/proto.rs; then
+    echo 'ci: Step::Block outside `fn wait` in crates/cab/src/proto.rs — protocol threads end their burst through `wait`'
     exit 1
 fi
 
