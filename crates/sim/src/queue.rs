@@ -57,6 +57,10 @@ const BUCKETS: u64 = 256;
 /// The wheel's reach: `BUCKETS * TICK` nanoseconds (~1 ms).
 pub const HORIZON: u64 = BUCKETS * TICK;
 
+/// Schedule digest start value and multiplier (FxHash's constant).
+const DIGEST_SEED: u64 = 0xcbf2_9ce4_8422_2325;
+const DIGEST_MUL: u64 = 0x517c_c1b7_2722_0a95;
+
 /// Handle to a scheduled event, stamped with the slot's generation so a
 /// stale handle (already fired, already cancelled, or slot recycled)
 /// can never kill a different event.
@@ -119,6 +123,8 @@ pub struct Scheduler<W> {
     seq: u64,
     executed: u64,
     cancelled: u64,
+    /// Rolling hash of every executed event's `(time, seq)`.
+    digest: u64,
     /// Live (scheduled, not yet fired or cancelled) event count.
     live: usize,
     /// Tick the wheel cursor sits on; `cur` holds keys with tick ≤
@@ -152,6 +158,7 @@ impl<W> Scheduler<W> {
             seq: 0,
             executed: 0,
             cancelled: 0,
+            digest: DIGEST_SEED,
             live: 0,
             base_tick: 0,
             cur: BinaryHeap::new(),
@@ -174,6 +181,15 @@ impl<W> Scheduler<W> {
     /// detection in tests).
     pub fn executed(&self) -> u64 {
         self.executed
+    }
+
+    /// The schedule digest: every executed event's `(time, seq)` folded,
+    /// in firing order, into one 64-bit rolling hash. Two runs that
+    /// execute the same events at the same instants in the same order
+    /// read the same digest, so a change that claims to leave the
+    /// schedule alone can prove it with one comparison.
+    pub fn event_digest(&self) -> u64 {
+        self.digest
     }
 
     /// Number of events cancelled before firing.
@@ -410,6 +426,9 @@ impl<W> Scheduler<W> {
             debug_assert!(key.at >= self.now);
             self.now = key.at;
             self.executed += 1;
+            self.digest =
+                (self.digest.rotate_left(5) ^ key.at.as_nanos() ^ key.seq.rotate_left(32))
+                    .wrapping_mul(DIGEST_MUL);
             match payload {
                 Payload::Boxed(f) => f(world, self),
                 Payload::Call(f, arg) => f(world, self, arg),
@@ -515,6 +534,28 @@ mod tests {
         });
         s.run(&mut w);
         assert_eq!(w.0, vec![(1, 1), (6, 2)]);
+    }
+
+    #[test]
+    fn event_digest_follows_the_executed_schedule() {
+        let digest = |times: &[u64], cancel_first: bool| {
+            let mut s: Scheduler<Log> = Scheduler::new();
+            let ids: Vec<TimerId> = times
+                .iter()
+                .map(|&t| s.at(SimTime::from_nanos(t), |w, s| w.0.push((s.now().as_micros(), 0))))
+                .collect();
+            if cancel_first {
+                s.cancel(ids[0]);
+            }
+            s.run(&mut Log::default());
+            s.event_digest()
+        };
+        let base = digest(&[1_000, 2_000, 3_000], false);
+        assert_eq!(base, digest(&[1_000, 2_000, 3_000], false), "same schedule, same digest");
+        assert_ne!(base, digest(&[1_000, 2_000, 3_001], false), "a moved instant shows");
+        assert_ne!(base, digest(&[2_000, 1_000, 3_000], false), "a reordered seq shows");
+        assert_ne!(base, digest(&[1_000, 2_000, 3_000], true), "a cancelled event shows");
+        assert_ne!(base, Scheduler::<Log>::new().event_digest(), "an executed event shows");
     }
 
     #[test]

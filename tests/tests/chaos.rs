@@ -282,7 +282,9 @@ fn chaos_case_replays_bit_identically() {
         world.install_fault_script(&mut sim, &script);
         let _handles = two_hub_pair_load(&mut world, BYTES_PER_PAIR, 1024);
         world.run_until(&mut sim, horizon());
-        world.metrics_json()
+        (world.metrics_json(), sim.event_digest())
     };
-    assert_eq!(run(), run(), "same-seed chaos runs must be bit-identical");
+    let (a, b) = (run(), run());
+    assert_eq!(a.1, b.1, "same-seed chaos runs must execute the same schedule");
+    assert_eq!(a.0, b.0, "same-seed chaos runs must be bit-identical");
 }

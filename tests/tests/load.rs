@@ -37,8 +37,13 @@ fn big_mixed_plan(seed: u64) -> FleetPlan {
 }
 
 /// One full fleet run: returns the metric snapshot (which includes the
-/// `net/load/*` ledger) and a per-transport recorder digest.
-fn run_fleet(plan: &FleetPlan, config: Config, script: Option<&FaultScript>) -> (String, String) {
+/// `net/load/*` ledger), a per-transport recorder digest and the
+/// schedule digest.
+fn run_fleet(
+    plan: &FleetPlan,
+    config: Config,
+    script: Option<&FaultScript>,
+) -> (String, String, u64) {
     let (mut world, mut sim) = World::new(config, plan.topology());
     if let Some(s) = script {
         world.install_fault_script(&mut sim, s);
@@ -80,7 +85,7 @@ fn run_fleet(plan: &FleetPlan, config: Config, script: Option<&FaultScript>) -> 
     );
     assert!(led.requests_sent <= led.requests_intended);
     assert!(led.responses > 0, "fleet made no progress: {led:?}");
-    (world.metrics_json(), digest)
+    (world.metrics_json(), digest, sim.event_digest())
 }
 
 /// ISSUE 5 acceptance: a ≥200-client mixed-protocol fleet, run twice
@@ -91,8 +96,9 @@ fn run_fleet(plan: &FleetPlan, config: Config, script: Option<&FaultScript>) -> 
 fn mixed_fleet_double_run_is_bit_identical() {
     let plan = big_mixed_plan(0xfee1_600d);
     let config = Config { seed: plan.seed, oracle: Some(true), ..Config::default() };
-    let (m1, d1) = run_fleet(&plan, config, None);
-    let (m2, d2) = run_fleet(&plan, config, None);
+    let (m1, d1, e1) = run_fleet(&plan, config, None);
+    let (m2, d2, e2) = run_fleet(&plan, config, None);
+    assert_eq!(e1, e2, "same-seed runs executed different schedules");
     assert!(d1 == d2, "latency digests diverged:\n--- run 1\n{d1}\n--- run 2\n{d2}");
     assert!(m1 == m2, "metric snapshots diverged across same-seed runs");
     // the ledger must actually be in the snapshot
@@ -109,8 +115,8 @@ fn different_seeds_give_different_schedules() {
     let p2 = big_mixed_plan(0x0dd_5eed);
     let c1 = Config { seed: p1.seed, ..Config::default() };
     let c2 = Config { seed: p2.seed, ..Config::default() };
-    let (m1, _) = run_fleet(&p1, c1, None);
-    let (m2, _) = run_fleet(&p2, c2, None);
+    let (m1, _, _) = run_fleet(&p1, c1, None);
+    let (m2, _, _) = run_fleet(&p2, c2, None);
     assert!(m1 != m2, "independent seeds produced identical worlds");
 }
 
