@@ -91,7 +91,7 @@ fn run_shape(cfg: &FleetCfg, shape: Shape) -> ShapeResult {
     // latency figure (uniform across both shapes for a fair race)
     let coll_cfg = CollectiveConfig { rto: SimDuration::from_millis(500), max_retries: 20 };
     for &m in &group.members {
-        world.cabs[m as usize].proto.coll = CollectiveEngine::new(coll_cfg);
+        *world.cabs[m as usize].proto.coll_mut() = CollectiveEngine::new(coll_cfg);
     }
     let handles =
         deploy_barrier_fleet(&mut world, &group, CombineOp::Sum, EPOCHS, |i| i as u64 + 1);
@@ -107,10 +107,10 @@ fn run_shape(cfg: &FleetCfg, shape: Shape) -> ShapeResult {
     }
 
     let root = group.members[0] as usize;
-    let stats = world.cabs[root].proto.coll.stats();
+    let stats = world.cabs[root].proto.coll().stats();
     let root_arrives_rx = stats.arrives_rx;
     let (retrans, replicas) = group.members.iter().fold((0, 0), |(rt, rp), &m| {
-        let s = world.cabs[m as usize].proto.coll.stats();
+        let s = world.cabs[m as usize].proto.coll().stats();
         (rt + s.arrive_retransmits, rp + s.replicas)
     });
     // barrier completion = the last member's final release; the sim

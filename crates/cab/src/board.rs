@@ -146,7 +146,7 @@ impl Cab {
         children: Vec<u16>,
     ) {
         self.enable_collective();
-        self.proto.coll.install_group(group, parent, children);
+        self.proto.coll_mut().install_group(group, parent, children);
     }
 
     /// Fork an application thread (§5.3: "application-specific code can
@@ -245,15 +245,20 @@ impl Cab {
     /// A deadline retired before it expires wakes nothing; an expired
     /// one wakes the owning thread (and only that thread, so sibling
     /// waiters on the shared cond don't see spurious wakeups).
+    ///
+    /// None of the four reads scans: the RMP, request-response and
+    /// collective families remember their earliest deadline until
+    /// their `&mut` accessor next runs, and the TCP stack keeps its
+    /// sockets' deadlines in a heap.
     fn stack_timers(&self) -> [(Option<SimTime>, ThreadId); 4] {
         let [rmp_tid, rr_tid, tcp_tid] = self.timer_tids;
         [
-            (self.proto.rmp_tx.values().filter_map(|s| s.next_wakeup()).min(), rmp_tid),
-            (self.proto.rr_clients.values().filter_map(|c| c.next_wakeup()).min(), rr_tid),
+            (self.proto.rmp_next_wakeup(), rmp_tid),
+            (self.proto.rr_next_wakeup(), rr_tid),
             (self.proto.tcp.next_wakeup(), tcp_tid),
             // collective arrivals are driven inline by app threads, so
             // their retransmit deadlines live here too
-            (self.coll_tid.and(self.proto.coll.next_wakeup()), self.coll_tid.unwrap_or(0)),
+            (self.coll_tid.and_then(|_| self.proto.coll_next_wakeup()), self.coll_tid.unwrap_or(0)),
         ]
     }
 
@@ -285,10 +290,8 @@ impl Cab {
 
         // 1. pending interrupts run first
         if let Some(intr) = self.rt.pop_due_interrupt(t) {
-            let is_net =
-                matches!(intr, PendingIntr::StartOfPacket(_) | PendingIntr::EndOfPacket(_));
             let mut charged = self.run_interrupt(t, intr, &mut fx, trace, true);
-            if self.rx_coalesce && is_net {
+            if self.rx_coalesce && intr.is_net() {
                 // interrupt moderation: frames that became due while
                 // the CPU was busy are handled under this entry, paying
                 // the per-interrupt overhead once for the whole batch.
@@ -504,16 +507,17 @@ impl Cab {
     }
 
     /// Apply deferred notices: thread wakeups, upcall queueing, host
-    /// interrupt effects.
+    /// interrupt effects. The notice buffers are drained in place, so
+    /// they keep their capacity from burst to burst.
     fn apply_notices(&mut self, fx: &mut Vec<CabEffect>) {
-        let notices = self.shared.notices.take();
-        for c in notices.wake_conds {
+        let notices = &mut self.shared.notices;
+        for c in notices.wake_conds.drain(..) {
             self.rt.wake_cond(c);
         }
-        for (u, mb) in notices.upcalls {
+        for (u, mb) in notices.upcalls.drain(..) {
             self.rt.queue_upcall(u, mb);
         }
-        if notices.interrupt_host {
+        if std::mem::take(&mut notices.interrupt_host) {
             fx.push(CabEffect::InterruptHost);
         }
     }

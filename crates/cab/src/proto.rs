@@ -26,9 +26,11 @@
 //! header, cost charges and addressing are written once.
 
 use std::borrow::Cow;
+use std::cell::Cell;
 use std::collections::{BTreeMap, VecDeque};
 use std::net::Ipv4Addr;
 
+use nectar_sim::SimTime;
 use nectar_stack::collective::{CollectiveAction, CollectiveConfig, CollectiveEngine};
 use nectar_stack::icmp::{IcmpEngine, IcmpInput};
 use nectar_stack::ip::{IpEndpoint, IpInput};
@@ -165,6 +167,34 @@ pub struct ProtoStats {
     pub ip_packets_in: u64,
 }
 
+/// The earliest deadline of a family of protocol engines, remembered
+/// between changes: the family's one `&mut` accessor calls
+/// [`DeadlineCache::clear`], and the next read rescans. A board that
+/// asks for its stacks' deadlines on every burst then pays for a scan
+/// only after a burst that touched the engines. Debug builds check every
+/// remembered answer against a fresh scan.
+#[derive(Debug, Default)]
+struct DeadlineCache(Cell<Option<Option<SimTime>>>);
+
+impl DeadlineCache {
+    /// The earliest deadline, from `scan` unless remembered since the
+    /// last [`DeadlineCache::clear`].
+    fn get(&self, scan: impl Fn() -> Option<SimTime>) -> Option<SimTime> {
+        let deadline = self.0.get().unwrap_or_else(|| {
+            let fresh = scan();
+            self.0.set(Some(fresh));
+            fresh
+        });
+        debug_assert_eq!(deadline, scan(), "an engine changed without clearing its deadline cache");
+        deadline
+    }
+
+    /// Forget the remembered deadline: the engines may have changed.
+    fn clear(&mut self) {
+        *self.0.get_mut() = None;
+    }
+}
+
 /// All protocol engines and bindings on one CAB.
 pub struct ProtoState {
     pub ip: IpEndpoint,
@@ -172,9 +202,9 @@ pub struct ProtoState {
     pub udp: UdpEndpoint,
     pub tcp: TcpStack,
     pub rmp_rx: RmpReceiver,
-    pub rmp_tx: BTreeMap<(u16, u16, u16), RmpSender>,
+    rmp_tx: BTreeMap<(u16, u16, u16), RmpSender>,
     pub rmp_cfg: RmpConfig,
-    pub rr_clients: BTreeMap<u16, RrClient>,
+    rr_clients: BTreeMap<u16, RrClient>,
     pub rr_servers: BTreeMap<u16, RrServer>,
     pub rr_cfg: RrConfig,
     pub tcp_conns: BTreeMap<SocketId, TcpConn>,
@@ -184,7 +214,7 @@ pub struct ProtoState {
     pub ping_mbox: Option<MboxId>,
     /// In-network collectives: multicast fan-out, tree barrier,
     /// reduction combining (DESIGN.md §16).
-    pub coll: CollectiveEngine,
+    coll: CollectiveEngine,
     /// Collective notifications ([`reqs::CollNote`]) land here when the
     /// application registers a mailbox.
     pub coll_mbox: Option<MboxId>,
@@ -205,12 +235,69 @@ pub struct ProtoState {
     pub dg_cond: CondId,
     pub ip_cond: CondId,
     pub coll_cond: CondId,
+    /// Earliest deadline of each timer-driven engine family, cleared by
+    /// the family's `&mut` accessor.
+    rmp_wakeup: DeadlineCache,
+    rr_wakeup: DeadlineCache,
+    coll_wakeup: DeadlineCache,
 }
 
 impl ProtoState {
     /// The IP address of the CAB this state belongs to.
     pub fn addr(&self) -> Ipv4Addr {
         self.ip.addr()
+    }
+
+    /// RMP send channels by `(dst_cab, dst_mbox, src_mbox)`.
+    pub fn rmp_tx(&self) -> &BTreeMap<(u16, u16, u16), RmpSender> {
+        &self.rmp_tx
+    }
+
+    /// The RMP send channels for change: the one way to reach them
+    /// mutably, so it forgets their cached deadline.
+    pub fn rmp_tx_mut(&mut self) -> &mut BTreeMap<(u16, u16, u16), RmpSender> {
+        self.rmp_wakeup.clear();
+        &mut self.rmp_tx
+    }
+
+    /// Earliest retransmission deadline across the RMP send channels.
+    pub fn rmp_next_wakeup(&self) -> Option<SimTime> {
+        self.rmp_wakeup.get(|| self.rmp_tx.values().filter_map(RmpSender::next_wakeup).min())
+    }
+
+    /// Request-response clients by reply mailbox.
+    pub fn rr_clients(&self) -> &BTreeMap<u16, RrClient> {
+        &self.rr_clients
+    }
+
+    /// The request-response clients for change; forgets their cached
+    /// deadline.
+    pub fn rr_clients_mut(&mut self) -> &mut BTreeMap<u16, RrClient> {
+        self.rr_wakeup.clear();
+        &mut self.rr_clients
+    }
+
+    /// Earliest retransmission deadline across the request-response
+    /// clients.
+    pub fn rr_next_wakeup(&self) -> Option<SimTime> {
+        self.rr_wakeup.get(|| self.rr_clients.values().filter_map(RrClient::next_wakeup).min())
+    }
+
+    /// The collective engine.
+    pub fn coll(&self) -> &CollectiveEngine {
+        &self.coll
+    }
+
+    /// The collective engine for change; forgets its cached deadline.
+    pub fn coll_mut(&mut self) -> &mut CollectiveEngine {
+        self.coll_wakeup.clear();
+        &mut self.coll
+    }
+
+    /// Earliest `Arrive` retransmission deadline of the collective
+    /// engine.
+    pub fn coll_next_wakeup(&self) -> Option<SimTime> {
+        self.coll_wakeup.get(|| self.coll.next_wakeup())
     }
 }
 
@@ -230,6 +317,9 @@ pub fn init_protocols(
     let rr_cond = shared.alloc_cond();
     let dg_cond = shared.alloc_cond();
     let ip_cond = shared.alloc_cond();
+    // room for the fourteen well-known mailboxes and two application
+    // ones, so booting never regrows the table
+    shared.mailboxes.reserve(16);
     // host-writable request mailboxes, in the fixed well-known order
     let ids = [
         shared.create_mailbox_on(false, HostOpMode::SharedMemory, dg_cond), // MB_DG_SEND
@@ -277,6 +367,9 @@ pub fn init_protocols(
         dg_cond,
         ip_cond,
         coll_cond,
+        rmp_wakeup: DeadlineCache::default(),
+        rr_wakeup: DeadlineCache::default(),
+        coll_wakeup: DeadlineCache::default(),
     }
 }
 
@@ -406,15 +499,15 @@ pub fn rmp_submit(cx: &mut Cx<'_>, req: SendReq, payload: Vec<u8>) {
     }
     let key = (req.dst_cab, req.dst_mbox, req.src_mbox);
     let cfg = cx.proto.rmp_cfg;
+    let now = cx.now();
     let sender = cx
         .proto
-        .rmp_tx
+        .rmp_tx_mut()
         .entry(key)
         .or_insert_with(|| RmpSender::new(req.dst_cab, req.dst_mbox, req.src_mbox, cfg));
     sender.send(payload);
-    let now = cx.now();
     let mut acts = Vec::new();
-    cx.proto.rmp_tx.get_mut(&key).expect("just inserted").poll(now, &mut acts);
+    sender.poll(now, &mut acts);
     run_rmp_send_actions(cx, acts);
 }
 
@@ -452,41 +545,38 @@ pub fn rr_call(cx: &mut Cx<'_>, req: SendReq, payload: &[u8]) -> u32 {
                 cx.proto.stats.bad_requests += 1;
                 return 0;
             }
-            cx.proto.rr_clients.remove(&req.src_mbox);
+            cx.proto.rr_clients_mut().remove(&req.src_mbox);
         }
     }
     let client = cx
         .proto
-        .rr_clients
+        .rr_clients_mut()
         .entry(req.src_mbox)
         .or_insert_with(|| RrClient::new(req.dst_cab, req.dst_mbox, req.src_mbox, cfg));
     let mut acts = Vec::new();
     let id = client.call(now, payload.to_vec(), &mut acts);
-    run_rr_client_actions(cx, req.src_mbox, acts);
+    for act in acts {
+        run_rr_client_action(cx, req.src_mbox, act);
+    }
     id
 }
 
-/// Apply client actions for the client bound to `reply_mbox`.
-fn run_rr_client_actions(cx: &mut Cx<'_>, reply_mbox: u16, acts: Vec<RrClientAction>) {
-    for act in acts {
-        match act {
-            RrClientAction::Transmit { dst_cab, packet } => {
-                cx.charge(cx.costs.reqresp_proc);
-                cx.datalink_send(dst_cab, DatalinkProto::ReqResp, 0, &packet);
-            }
-            RrClientAction::Response { req_id, payload } => {
-                // responses are normally delivered by the interrupt
-                // handler straight into the reply mailbox; this arm is
-                // reached for loopback calls, which must land in the
-                // *calling* client's mailbox — not an arbitrary one
-                let prefix = req_id.to_be_bytes();
-                deliver_to_mbox(cx, reply_mbox, &prefix, &payload);
-            }
-            RrClientAction::Failed { req_id } => {
-                let _ = req_id;
-                cx.proto.stats.bad_requests += 1;
-            }
+/// Apply one action of the client bound to `reply_mbox`.
+fn run_rr_client_action(cx: &mut Cx<'_>, reply_mbox: u16, act: RrClientAction) {
+    match act {
+        RrClientAction::Transmit { dst_cab, packet } => {
+            cx.charge(cx.costs.reqresp_proc);
+            cx.datalink_send(dst_cab, DatalinkProto::ReqResp, 0, &packet);
         }
+        RrClientAction::Response { req_id, payload } => {
+            // responses are normally delivered by the interrupt handler
+            // straight into the reply mailbox; this arm is reached for
+            // loopback calls, which must land in the *calling* client's
+            // mailbox — not an arbitrary one
+            let prefix = req_id.to_be_bytes();
+            deliver_to_mbox(cx, reply_mbox, &prefix, &payload);
+        }
+        RrClientAction::Failed { .. } => cx.proto.stats.bad_requests += 1,
     }
 }
 
@@ -618,7 +708,7 @@ pub fn rx_dispatch(
         cx.charge(cx.costs.datagram_proc);
         let now = cx.now();
         let mut acts = Vec::new();
-        if cx.proto.coll.on_packet(now, src_cab, &payload, &mut acts).is_err() {
+        if cx.proto.coll_mut().on_packet(now, src_cab, &payload, &mut acts).is_err() {
             cx.proto.stats.bad_requests += 1;
             return;
         }
@@ -668,7 +758,7 @@ pub fn rx_dispatch(
                     let key = (src_cab, hdr.src_mbox, hdr.dst_mbox);
                     let now = cx.now();
                     let mut acts = Vec::new();
-                    if let Some(sender) = cx.proto.rmp_tx.get_mut(&key) {
+                    if let Some(sender) = cx.proto.rmp_tx_mut().get_mut(&key) {
                         sender.on_ack(now, &hdr, &mut acts);
                     }
                     run_rmp_send_actions(cx, acts);
@@ -705,7 +795,7 @@ pub fn rx_dispatch(
                     // hdr.dst_mbox is the client's reply mailbox
                     let now = cx.now();
                     let mut acts = Vec::new();
-                    if let Some(client) = cx.proto.rr_clients.get_mut(&hdr.dst_mbox) {
+                    if let Some(client) = cx.proto.rr_clients_mut().get_mut(&hdr.dst_mbox) {
                         client.on_reply(now, &hdr, body, &mut acts);
                     }
                     for act in acts {
@@ -785,7 +875,7 @@ pub fn coll_arrive(cx: &mut Cx<'_>, group: u16, op: CombineOp, value: u64) -> bo
     cx.charge(cx.costs.datagram_proc);
     let now = cx.now();
     let mut acts = Vec::new();
-    let ok = cx.proto.coll.arrive(now, group, op, value, &mut acts);
+    let ok = cx.proto.coll_mut().arrive(now, group, op, value, &mut acts);
     run_collective_actions(cx, 0, acts);
     ok
 }
@@ -795,7 +885,7 @@ pub fn coll_arrive(cx: &mut Cx<'_>, group: u16, op: CombineOp, value: u64) -> bo
 pub fn coll_multicast(cx: &mut Cx<'_>, group: u16, payload: &[u8]) -> bool {
     cx.charge(cx.costs.datagram_proc);
     let mut acts = Vec::new();
-    let ok = cx.proto.coll.multicast(group, payload, &mut acts);
+    let ok = cx.proto.coll_mut().multicast(group, payload, &mut acts);
     run_collective_actions(cx, 0, acts);
     ok
 }
@@ -876,16 +966,14 @@ impl CabThread for RmpThread {
             }
             cx.end_get(reqs::MB_RMP_SEND, msg);
         }
-        // retransmission timers
+        // retransmission timers: every channel polls at the same
+        // instant, and no action reaches back into the channels
         let now = cx.now();
-        let keys: Vec<(u16, u16, u16)> = cx.proto.rmp_tx.keys().copied().collect();
-        for key in keys {
-            let mut acts = Vec::new();
-            if let Some(s) = cx.proto.rmp_tx.get_mut(&key) {
-                s.poll(now, &mut acts);
-            }
-            run_rmp_send_actions(cx, acts);
+        let mut acts = Vec::new();
+        for s in cx.proto.rmp_tx_mut().values_mut() {
+            s.poll(now, &mut acts);
         }
+        run_rmp_send_actions(cx, acts);
         wait(cx, cx.proto.rmp_cond, &[reqs::MB_RMP_SEND])
     }
 }
@@ -921,15 +1009,17 @@ impl CabThread for RrThread {
             }
             cx.end_get(reqs::MB_RR_REPLY, msg);
         }
-        // client retransmission timers
+        // client retransmission timers: every client polls at the same
+        // instant, and no action reaches back into the clients
         let now = cx.now();
-        let mboxes: Vec<u16> = cx.proto.rr_clients.keys().copied().collect();
-        for mb in mboxes {
-            let mut acts = Vec::new();
-            if let Some(c) = cx.proto.rr_clients.get_mut(&mb) {
-                c.poll(now, &mut acts);
-            }
-            run_rr_client_actions(cx, mb, acts);
+        let mut acts = Vec::new();
+        let mut polled = Vec::new();
+        for (&mb, c) in cx.proto.rr_clients_mut().iter_mut() {
+            c.poll(now, &mut acts);
+            polled.extend(acts.drain(..).map(|act| (mb, act)));
+        }
+        for (mb, act) in polled {
+            run_rr_client_action(cx, mb, act);
         }
         wait(cx, cx.proto.rr_cond, &[reqs::MB_RR_SEND, reqs::MB_RR_REPLY])
     }
@@ -950,7 +1040,7 @@ impl CabThread for CollectiveThread {
     fn run(&mut self, cx: &mut Cx<'_>) -> Step {
         let now = cx.now();
         let mut acts = Vec::new();
-        cx.proto.coll.poll(now, &mut acts);
+        cx.proto.coll_mut().poll(now, &mut acts);
         if !acts.is_empty() {
             cx.charge(cx.costs.datagram_proc);
         }

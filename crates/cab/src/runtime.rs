@@ -27,6 +27,9 @@
 //! interrupts first, then upcalls, then the highest-priority runnable
 //! thread.
 
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
+
 use nectar_sim::{SimDuration, SimTime, Trace};
 use nectar_wire::datalink::{DatalinkHeader, DatalinkProto, Frame};
 use nectar_wire::route::Route;
@@ -386,26 +389,167 @@ impl<'a> Cx<'a> {
 
 // ----------------------------------------------------------------------
 // scheduler
+//
+// A burst costs the work it does, not the size of the thread table:
+// runnable threads sit in one id bitset per priority level, sleeping
+// and timed-blocked threads in one deadline heap, and blocked threads
+// in one waiter list per condition. `set_state` is the only place a
+// thread's state changes after `fork`, and it keeps all three indexes
+// in step. Debug builds check every indexed answer against the linear
+// scan it replaces.
 // ----------------------------------------------------------------------
 
+/// A thread's scheduling state: what its last [`Step`] asked for, until
+/// a wake, a timeout or the next burst changes it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum ThreadState {
     Runnable,
-    Blocked { cond: CondId, timeout: Option<SimTime> },
+    Blocked(CondId),
+    /// Blocked until the condition is signalled or the deadline passes.
+    BlockedUntil(CondId, SimTime),
     Sleeping(SimTime),
     Done,
 }
 
+impl ThreadState {
+    fn after(step: Step) -> ThreadState {
+        match step {
+            Step::Yield => ThreadState::Runnable,
+            Step::Block(c) => ThreadState::Blocked(c),
+            Step::BlockTimeout(c, t) => ThreadState::BlockedUntil(c, t),
+            Step::Sleep(t) => ThreadState::Sleeping(t),
+            Step::Done => ThreadState::Done,
+        }
+    }
+
+    /// The condition a blocked thread waits on.
+    fn cond(self) -> Option<CondId> {
+        match self {
+            ThreadState::Blocked(c) | ThreadState::BlockedUntil(c, _) => Some(c),
+            _ => None,
+        }
+    }
+
+    /// The instant a timed state ends by itself.
+    fn deadline(self) -> Option<SimTime> {
+        match self {
+            ThreadState::Sleeping(d) | ThreadState::BlockedUntil(_, d) => Some(d),
+            _ => None,
+        }
+    }
+}
+
+/// The end of a condition's waiter list.
+const NO_THREAD: ThreadId = ThreadId::MAX;
+
+/// Thread slots a runtime starts with: room for the six protocol
+/// servers every board forks at boot (`Cab::new`) and two application
+/// threads, so booting never regrows the table.
+const BOOT_THREAD_SLOTS: usize = 8;
+
+/// Most distinct priorities one CAB schedules; the runtime itself uses
+/// two, [`PRIO_SYSTEM`] and [`PRIO_APP`].
+const MAX_LEVELS: usize = 4;
+
 struct ThreadSlot {
     thread: Option<Box<dyn CabThread>>,
     state: ThreadState,
-    priority: u8,
+    /// The thread's priority level in the run queue.
+    level: u8,
     /// Threads waiting to join this one.
     join_cond: CondId,
+    /// Bumped on every state change: a deadline-heap entry stamped with
+    /// an older epoch is stale.
+    epoch: u64,
+    /// Neighbours in the waiter list of the condition the thread is
+    /// blocked on.
+    prev_waiter: ThreadId,
+    next_waiter: ThreadId,
+}
+
+/// The runnable threads: one thread-id bitset per priority level. A
+/// level's ids below 64 sit in its inline word; only higher ids spill
+/// into heap words, word `w` of level `l` at `spill[(w - 1) * MAX_LEVELS
+/// + l]`.
+#[derive(Debug, Default)]
+struct RunQueue {
+    low: [u64; MAX_LEVELS],
+    spill: Vec<u64>,
+    /// Each level's priority, in order of first use; the first `levels`
+    /// are live.
+    priority: [u8; MAX_LEVELS],
+    levels: u8,
+}
+
+impl RunQueue {
+    /// The level that schedules `priority`, opened on first use.
+    fn level_of(&mut self, priority: u8) -> u8 {
+        let live = self.levels as usize;
+        if let Some(l) = self.priority[..live].iter().position(|&p| p == priority) {
+            return l as u8;
+        }
+        assert!(live < MAX_LEVELS, "a CAB schedules at most {MAX_LEVELS} thread priorities");
+        self.priority[live] = priority;
+        self.levels += 1;
+        live as u8
+    }
+
+    fn word(&self, level: usize, w: usize) -> u64 {
+        match w {
+            0 => self.low[level],
+            _ => self.spill.get((w - 1) * MAX_LEVELS + level).copied().unwrap_or(0),
+        }
+    }
+
+    fn word_mut(&mut self, level: usize, w: usize) -> &mut u64 {
+        if w == 0 {
+            return &mut self.low[level];
+        }
+        let i = (w - 1) * MAX_LEVELS + level;
+        if self.spill.len() <= i {
+            self.spill.resize(w * MAX_LEVELS, 0);
+        }
+        &mut self.spill[i]
+    }
+
+    fn insert(&mut self, level: u8, tid: ThreadId) {
+        *self.word_mut(level as usize, tid as usize / 64) |= 1 << (tid % 64);
+    }
+
+    fn remove(&mut self, level: u8, tid: ThreadId) {
+        *self.word_mut(level as usize, tid as usize / 64) &= !(1 << (tid % 64));
+    }
+
+    fn words(&self) -> usize {
+        1 + self.spill.len() / MAX_LEVELS
+    }
+
+    fn is_empty(&self) -> bool {
+        self.low.iter().chain(&self.spill).all(|&w| w == 0)
+    }
+
+    /// The next thread to run: in the highest-priority level with a
+    /// runnable thread, the first one at or after `from`, else its
+    /// lowest id — the round-robin successor of `from` in circular id
+    /// order.
+    fn pick(&self, from: usize) -> Option<ThreadId> {
+        let words = self.words();
+        let level = (0..self.levels as usize)
+            .filter(|&l| (0..words).any(|w| self.word(l, w) != 0))
+            .max_by_key(|&l| self.priority[l])?;
+        let first = |w: usize, bits: u64| {
+            (bits != 0).then(|| (w * 64 + bits.trailing_zeros() as usize) as ThreadId)
+        };
+        let start = from / 64;
+        if let Some(tid) = first(start, self.word(level, start) & (!0u64 << (from % 64))) {
+            return Some(tid);
+        }
+        (start + 1..words).chain(0..words).find_map(|w| first(w, self.word(level, w)))
+    }
 }
 
 /// Kinds of pending interrupt work, ordered by arrival time.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum PendingIntr {
     /// First byte of a frame reached the input FIFO.
     StartOfPacket(u32),
@@ -415,15 +559,29 @@ pub(crate) enum PendingIntr {
     HostSignal,
 }
 
+impl PendingIntr {
+    /// A fiber-side (start/end-of-packet) interrupt.
+    pub(crate) fn is_net(self) -> bool {
+        matches!(self, PendingIntr::StartOfPacket(_) | PendingIntr::EndOfPacket(_))
+    }
+}
+
 /// Scheduler + interrupt state for one CAB.
 pub struct Runtime {
     threads: Vec<ThreadSlot>,
+    runnable: RunQueue,
+    /// Sleeping and timed-blocked threads as `(deadline, tid, epoch)`.
+    /// The top entry is never stale.
+    timers: BinaryHeap<Reverse<(SimTime, ThreadId, u64)>>,
+    /// Head of each condition's waiter list, indexed by condition id.
+    waiters: Vec<ThreadId>,
     last_thread: Option<ThreadId>,
     /// Round-robin rotation point within a priority level.
     rr_next: ThreadId,
-    pub(crate) intr_queue: Vec<(SimTime, u64, PendingIntr)>,
+    /// Pending interrupts in `(at, seq)` order.
+    intr_queue: VecDeque<(SimTime, u64, PendingIntr)>,
     intr_seq: u64,
-    pending_upcalls: std::collections::VecDeque<(UpcallId, MboxId)>,
+    pending_upcalls: VecDeque<(UpcallId, MboxId)>,
     upcalls: Vec<Option<Box<dyn Upcall>>>,
     /// CPU busy-until.
     pub cursor: SimTime,
@@ -450,12 +608,15 @@ impl Default for Runtime {
 impl Runtime {
     pub fn new() -> Self {
         Runtime {
-            threads: Vec::new(),
+            threads: Vec::with_capacity(BOOT_THREAD_SLOTS),
+            runnable: RunQueue::default(),
+            timers: BinaryHeap::new(),
+            waiters: Vec::new(),
             last_thread: None,
             rr_next: 0,
-            intr_queue: Vec::new(),
+            intr_queue: VecDeque::new(),
             intr_seq: 0,
-            pending_upcalls: std::collections::VecDeque::new(),
+            pending_upcalls: VecDeque::new(),
             upcalls: Vec::new(),
             cursor: SimTime::ZERO,
             ctx_switches: 0,
@@ -474,13 +635,92 @@ impl Runtime {
         priority: u8,
     ) -> ThreadId {
         let join_cond = shared.alloc_cond();
+        let level = self.runnable.level_of(priority);
+        let tid = self.threads.len() as ThreadId;
+        assert!(tid != NO_THREAD, "CAB thread table full");
+        // born runnable: in its level's runnable set, in no waiter list
+        // and with no deadline
         self.threads.push(ThreadSlot {
             thread: Some(thread),
             state: ThreadState::Runnable,
-            priority,
+            level,
             join_cond,
+            epoch: 0,
+            prev_waiter: NO_THREAD,
+            next_waiter: NO_THREAD,
         });
-        (self.threads.len() - 1) as ThreadId
+        self.runnable.insert(level, tid);
+        tid
+    }
+
+    /// Move thread `tid` to `state` — the one place a thread's state
+    /// changes after `fork` — keeping the runnable sets, the waiter lists and the
+    /// deadline heap in step with it.
+    fn set_state(&mut self, tid: ThreadId, state: ThreadState) {
+        let slot = &self.threads[tid as usize];
+        let (old, level) = (slot.state, slot.level);
+        if old == ThreadState::Runnable {
+            self.runnable.remove(level, tid);
+        }
+        if let Some(cond) = old.cond() {
+            self.unlink_waiter(tid, cond);
+        }
+        let slot = &mut self.threads[tid as usize];
+        slot.state = state;
+        slot.epoch += 1;
+        let epoch = slot.epoch;
+        if state == ThreadState::Runnable {
+            self.runnable.insert(level, tid);
+        }
+        if let Some(cond) = state.cond() {
+            self.link_waiter(tid, cond);
+        }
+        if let Some(deadline) = state.deadline() {
+            self.timers.push(Reverse((deadline, tid, epoch)));
+            // stale entries below the top are dropped in bulk once they
+            // outnumber the threads, so the heap stays O(threads)
+            if self.timers.len() > 2 * self.threads.len() + 16 {
+                let threads = &self.threads;
+                self.timers.retain(|&Reverse((_, t, e))| threads[t as usize].epoch == e);
+            }
+        }
+        // only a thread leaving a timed state can leave a stale top
+        if old.deadline().is_some() {
+            while let Some(&Reverse((_, t, e))) = self.timers.peek() {
+                if self.threads[t as usize].epoch == e {
+                    break;
+                }
+                self.timers.pop();
+            }
+        }
+    }
+
+    fn link_waiter(&mut self, tid: ThreadId, cond: CondId) {
+        let c = cond as usize;
+        if self.waiters.len() <= c {
+            self.waiters.resize(c + 1, NO_THREAD);
+        }
+        let head = self.waiters[c];
+        if head != NO_THREAD {
+            self.threads[head as usize].prev_waiter = tid;
+        }
+        let slot = &mut self.threads[tid as usize];
+        slot.prev_waiter = NO_THREAD;
+        slot.next_waiter = head;
+        self.waiters[c] = tid;
+    }
+
+    fn unlink_waiter(&mut self, tid: ThreadId, cond: CondId) {
+        let slot = &self.threads[tid as usize];
+        let (prev, next) = (slot.prev_waiter, slot.next_waiter);
+        if prev == NO_THREAD {
+            self.waiters[cond as usize] = next;
+        } else {
+            self.threads[prev as usize].next_waiter = next;
+        }
+        if next != NO_THREAD {
+            self.threads[next as usize].prev_waiter = prev;
+        }
     }
 
     /// The condition signalled when a thread exits (C Threads
@@ -509,19 +749,21 @@ impl Runtime {
     }
 
     pub(crate) fn post_interrupt(&mut self, at: SimTime, kind: PendingIntr) {
-        self.intr_queue.push((at, self.intr_seq, kind));
+        // after every entry due no later: `(at, seq)` order, as seqs rise
+        let pos = self.intr_queue.partition_point(|&(a, _, _)| a <= at);
+        self.intr_queue.insert(pos, (at, self.intr_seq, kind));
         self.intr_seq += 1;
     }
 
     /// Wake every thread blocked on `cond`.
     pub(crate) fn wake_cond(&mut self, cond: CondId) {
-        for slot in &mut self.threads {
-            if let ThreadState::Blocked { cond: c, .. } = slot.state {
-                if c == cond {
-                    slot.state = ThreadState::Runnable;
-                }
-            }
+        while let Some(&tid) = self.waiters.get(cond as usize).filter(|&&t| t != NO_THREAD) {
+            self.set_state(tid, ThreadState::Runnable);
         }
+        debug_assert!(
+            self.threads.iter().all(|s| s.state.cond() != Some(cond)),
+            "a thread blocked on cond {cond} is missing from its waiter list"
+        );
     }
 
     pub(crate) fn queue_upcall(&mut self, u: UpcallId, mbox: MboxId) {
@@ -533,36 +775,35 @@ impl Runtime {
     /// Spurious for the cond the thread waits on — thread bodies
     /// re-check their state on every burst, so this is safe.
     pub(crate) fn wake_thread_if_blocked(&mut self, tid: ThreadId) {
-        if let Some(slot) = self.threads.get_mut(tid as usize) {
-            if matches!(slot.state, ThreadState::Blocked { .. }) {
-                slot.state = ThreadState::Runnable;
-            }
+        let blocked = self.threads.get(tid as usize).map(|s| s.state);
+        if blocked.and_then(ThreadState::cond).is_some() {
+            self.set_state(tid, ThreadState::Runnable);
         }
     }
 
     /// Wake sleeping / timed-out threads whose deadline has passed.
     pub(crate) fn apply_timeouts(&mut self, t: SimTime) {
-        for slot in &mut self.threads {
-            match slot.state {
-                ThreadState::Sleeping(d) if d <= t => slot.state = ThreadState::Runnable,
-                ThreadState::Blocked { timeout: Some(d), .. } if d <= t => {
-                    slot.state = ThreadState::Runnable
-                }
-                _ => {}
+        while let Some(&Reverse((deadline, tid, _))) = self.timers.peek() {
+            if deadline > t {
+                break;
             }
+            // the state change retires this entry
+            self.set_state(tid, ThreadState::Runnable);
         }
+        debug_assert!(
+            self.threads.iter().all(|s| s.state.deadline().is_none_or(|d| d > t)),
+            "a thread past its deadline at {t} is missing from the deadline heap"
+        );
     }
 
     /// Earliest due interrupt at or before `t`, if any.
     pub(crate) fn pop_due_interrupt(&mut self, t: SimTime) -> Option<PendingIntr> {
-        let idx = self
-            .intr_queue
-            .iter()
-            .enumerate()
-            .filter(|(_, &(at, _, _))| at <= t)
-            .min_by_key(|(_, &(at, seq, _))| (at, seq))
-            .map(|(i, _)| i)?;
-        Some(self.intr_queue.remove(idx).2)
+        debug_assert_eq!(
+            self.due_by_scan(t, false),
+            self.intr_queue.front().filter(|e| e.0 <= t).map(|_| 0)
+        );
+        self.intr_queue.front().filter(|&&(at, _, _)| at <= t)?;
+        self.intr_queue.pop_front().map(|(_, _, kind)| kind)
     }
 
     /// Earliest due *network* interrupt (start/end-of-packet) at or
@@ -570,16 +811,21 @@ impl Runtime {
     /// interrupt is being serviced, every frame event already due can
     /// be handled under the same interrupt entry.
     pub(crate) fn pop_due_net_interrupt(&mut self, t: SimTime) -> Option<PendingIntr> {
-        let idx = self
-            .intr_queue
-            .iter()
-            .enumerate()
-            .filter(|(_, &(at, _, k))| {
-                at <= t && matches!(k, PendingIntr::StartOfPacket(_) | PendingIntr::EndOfPacket(_))
-            })
-            .min_by_key(|(_, &(at, seq, _))| (at, seq))
-            .map(|(i, _)| i)?;
-        Some(self.intr_queue.remove(idx).2)
+        let idx =
+            self.intr_queue.iter().take_while(|&&(at, _, _)| at <= t).position(|e| e.2.is_net());
+        debug_assert_eq!(idx, self.due_by_scan(t, true));
+        self.intr_queue.remove(idx?).map(|(_, _, kind)| kind)
+    }
+
+    /// Index of the earliest `(at, seq)` interrupt due at `t` (network
+    /// ones only if `net`), by a scan of the whole queue: the reference
+    /// the ordered queue is checked against in debug builds.
+    fn due_by_scan(&self, t: SimTime, net: bool) -> Option<usize> {
+        let due = |&(_, &(at, _, kind)): &(usize, &(SimTime, u64, PendingIntr))| {
+            at <= t && (!net || kind.is_net())
+        };
+        let idx = self.intr_queue.iter().enumerate().filter(due);
+        idx.min_by_key(|(_, &(at, seq, _))| (at, seq)).map(|(i, _)| i)
     }
 
     pub(crate) fn pop_upcall(&mut self) -> Option<(UpcallId, MboxId)> {
@@ -597,21 +843,31 @@ impl Runtime {
     /// Pick the next thread: highest priority first, round-robin within
     /// a level (the rotation point advances on every pick).
     pub(crate) fn pick_thread(&mut self) -> Option<ThreadId> {
+        let picked = self.runnable.pick(self.rr_next as usize);
+        debug_assert_eq!(
+            picked,
+            self.pick_by_scan(),
+            "runnable sets disagree with the thread table"
+        );
+        let tid = picked?;
+        self.rr_next = (tid + 1) % self.threads.len() as ThreadId;
+        Some(tid)
+    }
+
+    /// [`Runtime::pick_thread`] by a walk of every thread slot from the
+    /// rotation point: the reference for debug builds.
+    fn pick_by_scan(&self) -> Option<ThreadId> {
         let n = self.threads.len();
         let mut best: Option<(u8, ThreadId)> = None;
         for off in 0..n {
-            let tid = ((self.rr_next as usize + off) % n) as ThreadId;
-            let slot = &self.threads[tid as usize];
-            if slot.state == ThreadState::Runnable {
-                match best {
-                    Some((p, _)) if p >= slot.priority => {}
-                    _ => best = Some((slot.priority, tid)),
-                }
+            let tid = (self.rr_next as usize + off) % n;
+            let slot = &self.threads[tid];
+            let priority = self.runnable.priority[slot.level as usize];
+            if slot.state == ThreadState::Runnable && best.is_none_or(|(p, _)| priority > p) {
+                best = Some((priority, tid as ThreadId));
             }
         }
-        let (_, tid) = best?;
-        self.rr_next = (tid + 1) % n.max(1) as ThreadId;
-        Some(tid)
+        best.map(|(_, tid)| tid)
     }
 
     pub(crate) fn take_thread(&mut self, tid: ThreadId) -> Box<dyn CabThread> {
@@ -625,18 +881,10 @@ impl Runtime {
         step: Step,
         shared: &mut CabShared,
     ) {
-        let slot = &mut self.threads[tid as usize];
-        slot.thread = Some(body);
-        slot.state = match step {
-            Step::Yield => ThreadState::Runnable,
-            Step::Block(c) => ThreadState::Blocked { cond: c, timeout: None },
-            Step::BlockTimeout(c, t) => ThreadState::Blocked { cond: c, timeout: Some(t) },
-            Step::Sleep(t) => ThreadState::Sleeping(t),
-            Step::Done => ThreadState::Done,
-        };
+        self.threads[tid as usize].thread = Some(body);
+        self.set_state(tid, ThreadState::after(step));
         if step == Step::Done {
-            let jc = slot.join_cond;
-            shared.notices.wake_conds.push(jc);
+            shared.notices.wake_conds.push(self.threads[tid as usize].join_cond);
         }
         if self.last_thread != Some(tid) {
             self.ctx_switches += 1;
@@ -654,27 +902,229 @@ impl Runtime {
     /// given no external input: pending interrupts, timeouts, or
     /// runnable threads (which mean "now").
     pub(crate) fn next_internal_work(&self, after: SimTime) -> Option<SimTime> {
-        let mut next: Option<SimTime> = None;
-        let mut consider = |t: SimTime| {
-            next = Some(match next {
-                None => t,
-                Some(n) => n.min(t),
-            });
-        };
-        if !self.pending_upcalls.is_empty() {
-            consider(after);
+        let busy = !self.pending_upcalls.is_empty() || !self.runnable.is_empty();
+        let next = [
+            busy.then_some(after),
+            self.intr_queue.front().map(|&(at, _, _)| at),
+            self.timers.peek().map(|&Reverse((deadline, _, _))| deadline),
+        ]
+        .into_iter()
+        .flatten()
+        .map(|t| t.max(after))
+        .min();
+        debug_assert_eq!(next, self.next_work_by_scan(after), "runtime indexes disagree");
+        next
+    }
+
+    /// [`Runtime::next_internal_work`] by a scan of every interrupt and
+    /// thread slot: the reference for debug builds.
+    fn next_work_by_scan(&self, after: SimTime) -> Option<SimTime> {
+        let threads = self.threads.iter().filter_map(|s| match s.state {
+            ThreadState::Runnable => Some(after),
+            state => state.deadline(),
+        });
+        let upcalls = (!self.pending_upcalls.is_empty()).then_some(after);
+        let intrs = self.intr_queue.iter().map(|&(at, _, _)| at);
+        upcalls.into_iter().chain(intrs).chain(threads).map(|t| t.max(after)).min()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use nectar_sim::check::{cases, Gen, DEFAULT_CASES};
+
+    /// The scheduler as a linear scan over the thread table, as it was
+    /// written before the runnable sets, the deadline heap and the
+    /// waiter lists: the reference the indexed [`Runtime`] must match
+    /// pick for pick.
+    #[derive(Default)]
+    struct Linear {
+        threads: Vec<(ThreadState, u8)>,
+        rr_next: ThreadId,
+        intr: Vec<(SimTime, u64, PendingIntr)>,
+        seq: u64,
+    }
+
+    impl Linear {
+        fn fork(&mut self, priority: u8) {
+            self.threads.push((ThreadState::Runnable, priority));
         }
-        for &(at, _, _) in &self.intr_queue {
-            consider(at.max(after));
-        }
-        for slot in &self.threads {
-            match slot.state {
-                ThreadState::Runnable => consider(after),
-                ThreadState::Sleeping(d) => consider(d.max(after)),
-                ThreadState::Blocked { timeout: Some(d), .. } => consider(d.max(after)),
-                _ => {}
+
+        fn wake_cond(&mut self, cond: CondId) {
+            for (state, _) in &mut self.threads {
+                if state.cond() == Some(cond) {
+                    *state = ThreadState::Runnable;
+                }
             }
         }
-        next
+
+        fn wake_thread_if_blocked(&mut self, tid: ThreadId) {
+            if let Some((state, _)) = self.threads.get_mut(tid as usize) {
+                if state.cond().is_some() {
+                    *state = ThreadState::Runnable;
+                }
+            }
+        }
+
+        fn apply_timeouts(&mut self, t: SimTime) {
+            for (state, _) in &mut self.threads {
+                match *state {
+                    ThreadState::Sleeping(d) | ThreadState::BlockedUntil(_, d) if d <= t => {
+                        *state = ThreadState::Runnable
+                    }
+                    _ => {}
+                }
+            }
+        }
+
+        fn pick(&mut self) -> Option<ThreadId> {
+            let n = self.threads.len();
+            let mut best: Option<(u8, ThreadId)> = None;
+            for off in 0..n {
+                let tid = ((self.rr_next as usize + off) % n) as ThreadId;
+                let (state, priority) = self.threads[tid as usize];
+                if state == ThreadState::Runnable {
+                    match best {
+                        Some((p, _)) if p >= priority => {}
+                        _ => best = Some((priority, tid)),
+                    }
+                }
+            }
+            let (_, tid) = best?;
+            self.rr_next = (tid + 1) % n.max(1) as ThreadId;
+            Some(tid)
+        }
+
+        fn finish(&mut self, tid: ThreadId, step: Step) {
+            self.threads[tid as usize].0 = ThreadState::after(step);
+        }
+
+        fn post(&mut self, at: SimTime, kind: PendingIntr) {
+            self.intr.push((at, self.seq, kind));
+            self.seq += 1;
+        }
+
+        fn pop_due(&mut self, t: SimTime, net: bool) -> Option<PendingIntr> {
+            let idx = self
+                .intr
+                .iter()
+                .enumerate()
+                .filter(|(_, &(at, _, k))| at <= t && (!net || k.is_net()))
+                .min_by_key(|(_, &(at, seq, _))| (at, seq))
+                .map(|(i, _)| i)?;
+            Some(self.intr.remove(idx).2)
+        }
+
+        fn next_internal_work(&self, after: SimTime) -> Option<SimTime> {
+            let mut next: Option<SimTime> = None;
+            let mut consider = |t: SimTime| next = Some(next.map_or(t, |n| n.min(t)));
+            for &(at, _, _) in &self.intr {
+                consider(at.max(after));
+            }
+            for &(state, _) in &self.threads {
+                match state {
+                    ThreadState::Runnable => consider(after),
+                    ThreadState::Sleeping(d) | ThreadState::BlockedUntil(_, d) => {
+                        consider(d.max(after))
+                    }
+                    _ => {}
+                }
+            }
+            next
+        }
+    }
+
+    struct Idle;
+
+    impl CabThread for Idle {
+        fn run(&mut self, _cx: &mut Cx<'_>) -> Step {
+            Step::Yield
+        }
+    }
+
+    /// Both schedulers see the same random fork / pick-and-finish /
+    /// wake / timeout / interrupt sequence, on up to 130 threads so ids
+    /// spill past the inline word, and must agree on every pick, every
+    /// popped interrupt, every `next_internal_work` and every thread's
+    /// liveness.
+    #[test]
+    fn indexed_scheduler_matches_the_linear_scan() {
+        const PRIORITIES: [u8; 3] = [PRIO_SYSTEM, PRIO_APP, 1];
+        cases(DEFAULT_CASES, |g: &mut Gen| {
+            let mut shared = CabShared::new();
+            let mut rt = Runtime::new();
+            let mut lin = Linear::default();
+            let mut now = SimTime::ZERO;
+            let max_threads = g.usize_in(1, 131);
+            let conds = g.usize_in(1, 12) as CondId;
+            let fork = |g: &mut Gen, rt: &mut Runtime, lin: &mut Linear, shared: &mut CabShared| {
+                let priority = *g.pick(&PRIORITIES);
+                rt.fork(shared, Box::new(Idle), priority);
+                lin.fork(priority);
+            };
+            for _ in 0..g.usize_in(1, max_threads + 1) {
+                fork(g, &mut rt, &mut lin, &mut shared);
+            }
+            for _ in 0..g.usize_in(50, 600) {
+                let later =
+                    |g: &mut Gen| now + SimDuration::from_nanos(g.usize_in(0, 5_000) as u64);
+                match g.usize_in(0, 10) {
+                    0 if lin.threads.len() < max_threads => fork(g, &mut rt, &mut lin, &mut shared),
+                    0..=2 => {
+                        let picked = rt.pick_thread();
+                        assert_eq!(picked, lin.pick(), "pick");
+                        if let Some(tid) = picked {
+                            let cond = g.usize_in(0, conds as usize) as CondId;
+                            let step = match g.usize_in(0, 12) {
+                                0..=2 => Step::Yield,
+                                3..=5 => Step::Block(cond),
+                                6 | 7 => Step::BlockTimeout(cond, later(g)),
+                                8..=10 => Step::Sleep(later(g)),
+                                _ => Step::Done,
+                            };
+                            let body = rt.take_thread(tid);
+                            rt.finish_thread_burst(tid, body, step, &mut shared);
+                            lin.finish(tid, step);
+                        }
+                    }
+                    3 => {
+                        let cond = g.usize_in(0, conds as usize + 2) as CondId;
+                        rt.wake_cond(cond);
+                        lin.wake_cond(cond);
+                    }
+                    4 => {
+                        let tid = g.usize_in(0, lin.threads.len() + 2) as ThreadId;
+                        rt.wake_thread_if_blocked(tid);
+                        lin.wake_thread_if_blocked(tid);
+                    }
+                    5 | 6 => {
+                        now = later(g);
+                        rt.apply_timeouts(now);
+                        lin.apply_timeouts(now);
+                    }
+                    7 => {
+                        let slot = g.usize_in(0, 4) as u32;
+                        let kind = *g.pick(&[
+                            PendingIntr::StartOfPacket(slot),
+                            PendingIntr::EndOfPacket(slot),
+                            PendingIntr::HostSignal,
+                        ]);
+                        let at = later(g);
+                        rt.post_interrupt(at, kind);
+                        lin.post(at, kind);
+                    }
+                    8 => assert_eq!(rt.pop_due_interrupt(now), lin.pop_due(now, false), "pop"),
+                    _ => {
+                        let popped = rt.pop_due_net_interrupt(now);
+                        assert_eq!(popped, lin.pop_due(now, true), "net pop");
+                    }
+                }
+                assert_eq!(rt.next_internal_work(now), lin.next_internal_work(now), "next work");
+                for (tid, &(state, _)) in lin.threads.iter().enumerate() {
+                    assert_eq!(rt.is_done(tid as ThreadId), state == ThreadState::Done);
+                }
+            }
+        });
     }
 }

@@ -149,7 +149,7 @@ fn rr_call_rebinds_an_idle_reply_mailbox_to_the_new_server() {
         // from the request frame is not possible here, so replicate the
         // wire format the server would use: dst_mbox is the reply mbox.
         // The client is the only RR client on this CAB.
-        let mut mbs: Vec<u16> = c.proto.rr_clients.keys().copied().collect();
+        let mut mbs: Vec<u16> = c.proto.rr_clients().keys().copied().collect();
         assert_eq!(mbs.len(), 1);
         mbs.pop().unwrap()
     };

@@ -727,7 +727,7 @@ impl CabThread for CabRmpStreamer {
             return Step::Done;
         }
         let key = (self.dst.0, self.dst.1, self.my_mbox);
-        let backlog = cx.proto.rmp_tx.get(&key).map(|s| s.backlog()).unwrap_or(0);
+        let backlog = cx.proto.rmp_tx().get(&key).map(|s| s.backlog()).unwrap_or(0);
         if backlog >= 2 {
             // wait for ack progress (the interrupt path signals
             // rmp_cond on delivery)

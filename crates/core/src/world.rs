@@ -355,7 +355,7 @@ impl World {
         // `net/frames_launched` and once at its receiver.
         let mut agg = nectar_stack::collective::CollectiveStats::default();
         for cab in &self.cabs {
-            let s = cab.proto.coll.stats();
+            let s = cab.proto.coll().stats();
             agg.multicasts += s.multicasts;
             agg.replicas += s.replicas;
             agg.delivers += s.delivers;
@@ -465,7 +465,7 @@ impl World {
             let mut rmp_retx = 0u64;
             let mut msgs_delivered = 0u64;
             let mut msgs_failed = 0u64;
-            for tx in cab.proto.rmp_tx.values() {
+            for tx in cab.proto.rmp_tx().values() {
                 let st = tx.stats();
                 frags_sent += st.fragments_sent;
                 rmp_retx += st.retransmits;

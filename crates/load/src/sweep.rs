@@ -218,10 +218,10 @@ pub fn measure_point(plan: &FleetPlan, config: Config, offered_rps: u64) -> (Loa
         drops += cab.stats.frames_fifo_dropped + cab.stats.frames_crc_dropped;
         retransmits += match t {
             LoadTransport::Rmp => {
-                cab.proto.rmp_tx.values().map(|tx| tx.stats().retransmits).sum::<u64>()
+                cab.proto.rmp_tx().values().map(|tx| tx.stats().retransmits).sum::<u64>()
             }
             LoadTransport::ReqResp => {
-                cab.proto.rr_clients.values().map(|c| c.stats().retransmits).sum::<u64>()
+                cab.proto.rr_clients().values().map(|c| c.stats().retransmits).sum::<u64>()
             }
             LoadTransport::Tcp => cab.proto.tcp.total_socket_stats().retransmits,
             LoadTransport::Datagram | LoadTransport::Udp => 0,

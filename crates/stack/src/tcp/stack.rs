@@ -2,7 +2,8 @@
 //! table, listening ports, ISN generation, and RST generation for
 //! segments that match no connection.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
 use std::net::Ipv4Addr;
 
 use nectar_sim::{Pcg32, SimTime};
@@ -54,6 +55,10 @@ pub struct TcpStack {
     next_ephemeral: u16,
     isn_rng: Pcg32,
     stats: TcpStackStats,
+    /// Every socket's earliest timer as `(deadline, id)`, pushed when it
+    /// changes. An entry whose socket no longer has that deadline is
+    /// stale; the top entry never is, so it is the stack's next wakeup.
+    wakeups: BinaryHeap<Reverse<(SimTime, SocketId)>>,
 }
 
 impl TcpStack {
@@ -70,6 +75,7 @@ impl TcpStack {
             next_ephemeral: 32768,
             isn_rng: Pcg32::new(seed, 0x7cb),
             stats: TcpStackStats::default(),
+            wakeups: BinaryHeap::new(),
         }
     }
 
@@ -122,9 +128,58 @@ impl TcpStack {
     fn register(&mut self, sock: TcpSocket, tuple: (u16, Ipv4Addr, u16)) -> SocketId {
         let id = self.next_id;
         self.next_id += 1;
+        if let Some(at) = sock.next_wakeup() {
+            self.wakeups.push(Reverse((at, id)));
+        }
         self.sockets.insert(id, sock);
         self.by_tuple.insert(tuple, id);
         id
+    }
+
+    /// Run `op` on socket `id`, if it exists, and index the socket's
+    /// earliest timer if `op` moved it.
+    fn on_socket<R>(&mut self, id: SocketId, op: impl FnOnce(&mut TcpSocket) -> R) -> Option<R> {
+        let sock = self.sockets.get_mut(&id)?;
+        let before = sock.next_wakeup();
+        let out = op(sock);
+        let after = sock.next_wakeup();
+        if Self::reindex(&mut self.wakeups, id, before, after) {
+            self.drop_stale_wakeups();
+        }
+        Some(out)
+    }
+
+    /// Index socket `id`'s earliest timer, which moved from `before` to
+    /// `after`; true if that left a stale entry behind.
+    fn reindex(
+        wakeups: &mut BinaryHeap<Reverse<(SimTime, SocketId)>>,
+        id: SocketId,
+        before: Option<SimTime>,
+        after: Option<SimTime>,
+    ) -> bool {
+        if after == before {
+            return false;
+        }
+        if let Some(at) = after {
+            wakeups.push(Reverse((at, id)));
+        }
+        before.is_some()
+    }
+
+    /// Pop stale entries off the top of the wakeup heap, and drop the
+    /// ones below it once they outnumber the sockets, so the heap stays
+    /// O(sockets).
+    fn drop_stale_wakeups(&mut self) {
+        let sockets = &self.sockets;
+        let live = |&Reverse((at, id)): &Reverse<(SimTime, SocketId)>| {
+            sockets.get(&id).and_then(TcpSocket::next_wakeup) == Some(at)
+        };
+        while self.wakeups.peek().is_some_and(|top| !live(top)) {
+            self.wakeups.pop();
+        }
+        if self.wakeups.len() > 2 * sockets.len() + 16 {
+            self.wakeups.retain(live);
+        }
     }
 
     fn wrap(&mut self, id: SocketId, ev: Vec<TcpEvent>) -> Vec<TcpStackEvent> {
@@ -168,9 +223,7 @@ impl TcpStack {
         let tuple = (hdr.dst_port, ip.src, hdr.src_port);
         if let Some(&id) = self.by_tuple.get(&tuple) {
             let mut ev = Vec::new();
-            if let Some(sock) = self.sockets.get_mut(&id) {
-                sock.on_segment(now, &hdr, payload, &mut ev);
-            }
+            self.on_socket(id, |sock| sock.on_segment(now, &hdr, payload, &mut ev));
             return self.wrap(id, ev);
         }
         // No connection. A SYN to a listening port opens one.
@@ -223,41 +276,32 @@ impl TcpStack {
     /// Queue data on a socket. Returns bytes accepted and any segments.
     pub fn send(&mut self, now: SimTime, id: SocketId, data: &[u8]) -> (usize, Vec<TcpStackEvent>) {
         let mut ev = Vec::new();
-        let n = match self.sockets.get_mut(&id) {
-            Some(s) => s.send(now, data, &mut ev),
-            None => 0,
-        };
+        let n = self.on_socket(id, |s| s.send(now, data, &mut ev)).unwrap_or(0);
         (n, self.wrap(id, ev))
     }
 
     /// Read in-order data from a socket.
     pub fn recv(&mut self, id: SocketId, max: usize) -> Vec<u8> {
-        self.sockets.get_mut(&id).map(|s| s.recv(max)).unwrap_or_default()
+        self.on_socket(id, |s| s.recv(max)).unwrap_or_default()
     }
 
     /// Release `n` bytes a reader took in place through
     /// [`TcpSocket::peek`].
     pub fn consume(&mut self, id: SocketId, n: usize) {
-        if let Some(s) = self.sockets.get_mut(&id) {
-            s.consume(n);
-        }
+        self.on_socket(id, |s| s.consume(n));
     }
 
     /// Close the send side of a socket.
     pub fn close(&mut self, now: SimTime, id: SocketId) -> Vec<TcpStackEvent> {
         let mut ev = Vec::new();
-        if let Some(s) = self.sockets.get_mut(&id) {
-            s.close(now, &mut ev);
-        }
+        self.on_socket(id, |s| s.close(now, &mut ev));
         self.wrap(id, ev)
     }
 
     /// Abort a socket with RST.
     pub fn abort(&mut self, now: SimTime, id: SocketId) -> Vec<TcpStackEvent> {
         let mut ev = Vec::new();
-        if let Some(s) = self.sockets.get_mut(&id) {
-            s.abort(now, &mut ev);
-        }
+        self.on_socket(id, |s| s.abort(now, &mut ev));
         self.wrap(id, ev)
     }
 
@@ -271,6 +315,9 @@ impl TcpStack {
             if self.by_tuple.get(&tuple) == Some(&id) {
                 self.by_tuple.remove(&tuple);
             }
+            if s.next_wakeup().is_some() {
+                self.drop_stale_wakeups();
+            }
         }
     }
 
@@ -279,16 +326,30 @@ impl TcpStack {
         // nothing is allocated unless a socket has something to say
         let mut out = Vec::new();
         let mut ev = Vec::new();
+        let mut stale = false;
         for (&id, s) in self.sockets.iter_mut() {
+            let before = s.next_wakeup();
             s.poll(now, &mut ev);
+            stale |= Self::reindex(&mut self.wakeups, id, before, s.next_wakeup());
             Self::wrap_into(&mut self.by_tuple, id, Some(s), ev.drain(..), &mut out);
+        }
+        if stale {
+            self.drop_stale_wakeups();
         }
         out
     }
 
-    /// Earliest timer deadline across all sockets.
+    /// Earliest timer deadline across all sockets: the top of the
+    /// wakeup heap, checked against a scan of every socket in debug
+    /// builds.
     pub fn next_wakeup(&self) -> Option<SimTime> {
-        self.sockets.values().filter_map(|s| s.next_wakeup()).min()
+        let next = self.wakeups.peek().map(|&Reverse((at, _))| at);
+        debug_assert_eq!(
+            next,
+            self.sockets.values().filter_map(TcpSocket::next_wakeup).min(),
+            "a socket's timer moved without reindexing"
+        );
+        next
     }
 
     /// Direct access (tests and diagnostics).

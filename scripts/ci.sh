@@ -15,7 +15,7 @@ cd "$(dirname "$0")/.."
 
 # determinism by construction: simulator source keeps no hash-ordered
 # container, so no iteration order can leak the host's RandomState
-# into a run (ROADMAP 5(d)).
+# into a run.
 if grep -rnE 'Hash(Map|Set)' crates/*/src; then
     echo "ci: HashMap/HashSet in crates/*/src — use BTreeMap/BTreeSet or a Vec"
     exit 1
@@ -63,11 +63,15 @@ cargo test --workspace -q
 
 # copy census on optimised code: heap bytes allocated per payload byte
 # delivered and allocations per message on the two-HUB stream mix, as
-# counts that repeat exactly (DESIGN.md §9). The workspace pass above
-# already ran it unoptimised; this one puts the trajectory in the log.
-echo "ci: copy census (tests/tests/copy_budget.rs, release)"
+# counts that repeat exactly (DESIGN.md §9), and beside it the set-up
+# census: allocations and heap bytes to build the stream_twohub world
+# and one rpc_mixed fleet — the deterministic witness that set-up did
+# not grow, where wall-clock set-up time flips between process-level
+# modes. The workspace pass above already ran both unoptimised; this
+# one puts the trajectory in the log.
+echo "ci: copy + set-up census (tests/tests/copy_budget.rs, release)"
 cargo test --release -q -p nectar-integration --test copy_budget -- --nocapture \
-    | grep '^copy_budget:'
+    | grep -E '^(copy_budget|setup_census):'
 # ...and the set-up footprint beside it: backed CAB data memory and
 # distinct route tables of the 432-CAB clos_fleet world, so an image
 # allocated whole or a route table per CAB comes back by name.

@@ -10,6 +10,12 @@
 //! profile. DESIGN.md §9 has the ownership table the budget is derived
 //! from.
 //!
+//! The same counters take a set-up census: the allocations and bytes
+//! of building the `stream_twohub` world and one `rpc_mixed` fleet.
+//! Wall-clock set-up time swings between process-level modes from run
+//! to run; these counts do not, so they are the witness that set-up
+//! did not grow.
+//!
 //! This file is its own test binary with exactly one `#[test]`, so no
 //! other test's allocations land in the counters.
 
@@ -21,6 +27,7 @@ use nectar::scenario::{two_hub_pair_load, CabSink, CabTcpListener, CabTcpStreame
 use nectar::topology::Topology;
 use nectar::world::World;
 use nectar_cab::HostOpMode;
+use nectar_load::{deploy_fleet, Arrival, FleetPlan, LoadTransport, SizeDist};
 use nectar_sim::{SimDuration, SimTime};
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
@@ -69,14 +76,22 @@ static GLOBAL: Counting = Counting;
 
 const MSG_BYTES: usize = 4096;
 
-/// The budget on the two-HUB mix. The byte path as built reads 3.46 heap
-/// bytes per payload byte and 23.8 allocations per message (8.23 and
-/// 33.4 before it had a budget; the issue that set one asked for 4.5
-/// and 28). One more message-sized copy on the TCP streams alone adds
-/// 0.44 B/B and on the RMP streams alone 0.57, so the bound sits closer
-/// than either: a single copy creeping back in fails.
+/// The budget on the two-HUB mix. The byte path as built reads 3.45 heap
+/// bytes per payload byte and 19.4 allocations per message. Before it
+/// had a budget it read 8.23 and 33.4, and the first budget was 4.5 and
+/// 28; 23.8 allocations before the CAB reused its notice buffers and
+/// stopped collecting engine keys on every burst. One more
+/// message-sized copy on the TCP streams alone adds 0.44 B/B and on the
+/// RMP streams alone 0.57, so the bound sits closer than either: a
+/// single copy creeping back in fails.
 const MAX_BYTES_PER_BYTE: f64 = 3.6;
-const MAX_ALLOCS_PER_MSG: f64 = 25.0;
+const MAX_ALLOCS_PER_MSG: f64 = 21.0;
+/// Set-up budgets, as (allocations, heap bytes): what building each
+/// world cost when the census was introduced, before a CAB sized its
+/// thread and mailbox tables for what it creates at boot (350 / 193222
+/// and 302 / 235895 after).
+const MAX_TWOHUB_SETUP: (u64, u64) = (428, 225_670);
+const MAX_RPC_MIXED_SETUP: (u64, u64) = (332, 248_375);
 const WARM: SimDuration = SimDuration::from_millis(50);
 const END: SimDuration = SimDuration::from_millis(350);
 
@@ -111,6 +126,53 @@ fn census(mut world: World, mut sim: nectar::world::Sim, received: &[SharedCount
     }
 }
 
+/// `build`'s result and the (allocations, bytes) it took to build it.
+fn counted<T>(build: impl FnOnce() -> T) -> (T, (u64, u64)) {
+    let (allocs0, bytes0) = (ALLOCS.load(Ordering::Relaxed), BYTES.load(Ordering::Relaxed));
+    let built = build();
+    let cost = (ALLOCS.load(Ordering::Relaxed) - allocs0, BYTES.load(Ordering::Relaxed) - bytes0);
+    (built, cost)
+}
+
+/// Building the `stream_twohub` world: topology, world and the 13
+/// stream pairs.
+fn twohub_setup() -> (u64, u64) {
+    counted(|| {
+        let (mut world, sim) = World::new(config(), Topology::two_hubs(26));
+        let handles = two_hub_pair_load(&mut world, u64::MAX / 2, MSG_BYTES);
+        (world, sim, handles)
+    })
+    .1
+}
+
+/// Building one `rpc_mixed` fleet as the benchmark builds its light
+/// step: twelve endpoints of each transport, twelve clients per CAB,
+/// 64 B requests at 5000 rps aggregate, seed 13.
+fn rpc_mixed_setup() -> (u64, u64) {
+    let (rps, endpoints) = (5_000u64, 60u64);
+    let start = SimTime::ZERO + SimDuration::from_millis(20);
+    let plan = FleetPlan {
+        seed: 13 ^ rps,
+        mix: LoadTransport::ALL.iter().map(|t| (*t, endpoints as usize / 5)).collect(),
+        clients_per_cab: 12,
+        endpoints_per_client: 1,
+        arrival: Arrival::Open {
+            mean_gap: SimDuration::from_nanos(endpoints * 1_000_000_000 / rps),
+        },
+        size: SizeDist::Fixed(64),
+        timeout: SimDuration::from_millis(50),
+        start,
+        stop: start + SimDuration::from_millis(500),
+    };
+    counted(|| {
+        let config = Config { seed: plan.seed, oracle: Some(false), ..Config::default() };
+        let (mut world, sim) = World::new(config, plan.topology());
+        let fleet = deploy_fleet(&mut world, &plan);
+        (world, sim, fleet)
+    })
+    .1
+}
+
 /// The benchmark's stream mix: 13 pairs over two HUBs.
 fn twohub_mix() -> Census {
     let (mut world, sim) = World::new(config(), Topology::two_hubs(26));
@@ -141,6 +203,26 @@ fn tcp_pair() -> Census {
 
 #[test]
 fn byte_path_stays_inside_its_copy_budget() {
+    let twohub = twohub_setup();
+    let rpc = rpc_mixed_setup();
+    println!(
+        "setup_census: allocs / heap B to build — stream_twohub world {} / {}, \
+         rpc_mixed fleet {} / {}",
+        twohub.0, twohub.1, rpc.0, rpc.1
+    );
+    for (what, cost, max) in [
+        ("stream_twohub world", twohub, MAX_TWOHUB_SETUP),
+        ("rpc_mixed fleet", rpc, MAX_RPC_MIXED_SETUP),
+    ] {
+        assert!(
+            cost.0 <= max.0 && cost.1 <= max.1,
+            "building the {what} took {} allocations / {} B (budget {} / {})",
+            cost.0,
+            cost.1,
+            max.0,
+            max.1
+        );
+    }
     let mix = twohub_mix();
     let rmp = rmp_pair();
     let tcp = tcp_pair();
