@@ -64,7 +64,7 @@ fn measure_ctx_switch() -> f64 {
     // so the quotient is the context-switch cost itself. The CAB's
     // cursor is its busy-until: the instant the last burst (the final
     // bounce) completed
-    let elapsed = world.cabs[0].rt.cursor.saturating_since(t0).as_micros_f64();
+    let elapsed = world.cabs[0].cpu.cursor().saturating_since(t0).as_micros_f64();
     elapsed / switches.max(1) as f64
 }
 

@@ -32,7 +32,7 @@ pub mod reqs;
 pub mod runtime;
 pub mod shared;
 
-pub use board::{BoardStats, Cab, StepStatus};
+pub use board::{BoardStats, Cab};
 pub use costs::{CostModel, LinkModel};
 pub use runtime::{CabEffect, CabThread, Cx, Step, Upcall, PRIO_APP, PRIO_SYSTEM};
 pub use shared::{CabShared, HostOpMode, MboxId, MsgRef, SigEntry, WouldBlock};

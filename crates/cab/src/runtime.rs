@@ -30,7 +30,7 @@
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
-use nectar_sim::{SimDuration, SimTime, Trace};
+use nectar_sim::{Burst, SimDuration, SimTime, Trace};
 use nectar_wire::datalink::{DatalinkHeader, DatalinkProto, Frame};
 use nectar_wire::route::Route;
 
@@ -152,8 +152,8 @@ pub struct Cx<'a> {
     /// The thread currently executing (interrupt/upcall context uses
     /// `None`).
     pub cur_thread: Option<ThreadId>,
-    pub(crate) t0: SimTime,
-    pub(crate) charged: SimDuration,
+    /// The clock of the burst this context runs in.
+    pub burst: Burst,
     pub shared: &'a mut CabShared,
     pub proto: &'a mut ProtoState,
     pub costs: &'a CostModel,
@@ -166,17 +166,12 @@ pub struct Cx<'a> {
 impl<'a> Cx<'a> {
     /// Current simulated time within this burst.
     pub fn now(&self) -> SimTime {
-        self.t0 + self.charged
+        self.burst.now()
     }
 
     /// Account simulated CPU time.
     pub fn charge(&mut self, d: SimDuration) {
-        self.charged += d;
-    }
-
-    /// Total time charged by this burst so far.
-    pub fn charged(&self) -> SimDuration {
-        self.charged
+        self.burst.charge(d);
     }
 
     /// Record a trace stamp at the current instant.
@@ -583,8 +578,6 @@ pub struct Runtime {
     intr_seq: u64,
     pending_upcalls: VecDeque<(UpcallId, MboxId)>,
     upcalls: Vec<Option<Box<dyn Upcall>>>,
-    /// CPU busy-until.
-    pub cursor: SimTime,
     /// Interrupts masked (while an interrupt handler runs, implicitly;
     /// this flag is for threads that explicitly disable them).
     pub ctx_switches: u64,
@@ -594,9 +587,6 @@ pub struct Runtime {
     /// entry/exit.
     pub interrupts_coalesced: u64,
     pub upcalls_run: u64,
-    /// Total CPU time charged across every burst — the serial-resource
-    /// busy-time meter (`node/<id>/cab/cpu_busy_ns`).
-    pub cpu_busy: SimDuration,
 }
 
 impl Default for Runtime {
@@ -618,12 +608,10 @@ impl Runtime {
             intr_seq: 0,
             pending_upcalls: VecDeque::new(),
             upcalls: Vec::new(),
-            cursor: SimTime::ZERO,
             ctx_switches: 0,
             interrupts_taken: 0,
             interrupts_coalesced: 0,
             upcalls_run: 0,
-            cpu_busy: SimDuration::ZERO,
         }
     }
 

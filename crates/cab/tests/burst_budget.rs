@@ -6,7 +6,7 @@
 //! the CAB idle.
 
 use nectar_cab::reqs::{UdpSendReq, MB_RAW_SEND, MB_UDP_SEND};
-use nectar_cab::{Cab, CabThread, CostModel, Cx, LinkModel, MboxId, Step, StepStatus};
+use nectar_cab::{Cab, CabThread, CostModel, Cx, LinkModel, MboxId, Step};
 use nectar_sim::{SimDuration, SimTime, Trace};
 use nectar_stack::tcp::TcpConfig;
 
@@ -16,10 +16,9 @@ fn run_to_idle(c: &mut Cab, start: SimTime) -> SimTime {
     let mut now = start;
     for _ in 0..100_000 {
         let (_, status) = c.step(now, &mut trace);
-        match status {
-            StepStatus::Ran { next } => now = next,
-            StepStatus::Idle { next: Some(next) } if next > now => now = next,
-            StepStatus::Idle { .. } => return now,
+        match status.wake(now) {
+            Some(at) => now = at,
+            None => return now,
         }
     }
     panic!("cab never went idle");

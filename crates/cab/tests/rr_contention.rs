@@ -14,10 +14,8 @@ use std::rc::Rc;
 
 use nectar_cab::proto::rr_call;
 use nectar_cab::reqs::SendReq;
-use nectar_cab::{
-    Cab, CabEffect, CabThread, CostModel, Cx, HostOpMode, LinkModel, Step, StepStatus,
-};
-use nectar_sim::{SimDuration, SimTime, Trace};
+use nectar_cab::{Cab, CabEffect, CabThread, CostModel, Cx, HostOpMode, LinkModel, Step};
+use nectar_sim::{SimDuration, SimTime, StepStatus, Trace};
 use nectar_stack::tcp::TcpConfig;
 use nectar_wire::datalink::{DatalinkHeader, DatalinkProto, Frame};
 use nectar_wire::nectar::{ReqRespHeader, ReqRespKind};
@@ -42,11 +40,8 @@ fn run_to_idle(c: &mut Cab, start: SimTime, dsts: &mut Vec<u16>) -> SimTime {
             }
         }
         match status {
-            StepStatus::Ran { next } => now = next,
-            StepStatus::Idle { next: Some(next) } if next <= now => {
-                now += SimDuration::from_nanos(1)
-            }
-            StepStatus::Idle { .. } => return now,
+            StepStatus::Idle { next } if next.is_none_or(|t| t > now) => return now,
+            _ => now = status.wake(now).expect("a burst ran or work is due"),
         }
     }
     panic!("cab never went idle");

@@ -6,8 +6,8 @@
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
-use nectar_cab::{Cab, CabThread, CostModel, Cx, HostOpMode, LinkModel, MboxId, Step, StepStatus};
-use nectar_sim::{SimDuration, SimTime, Trace};
+use nectar_cab::{Cab, CabThread, CostModel, Cx, HostOpMode, LinkModel, MboxId, Step};
+use nectar_sim::{SimDuration, SimTime, StepStatus, Trace};
 use nectar_stack::tcp::TcpConfig;
 
 fn cab() -> Cab {
@@ -19,10 +19,9 @@ fn run_to_idle(c: &mut Cab, start: SimTime) -> SimTime {
     let mut now = start;
     for _ in 0..100_000 {
         let (_, status) = c.step(now, &mut trace);
-        match status {
-            StepStatus::Ran { next } => now = next,
-            StepStatus::Idle { next: Some(next) } if next > now => now = next,
-            StepStatus::Idle { .. } => return now,
+        match status.wake(now) {
+            Some(at) => now = at,
+            None => return now,
         }
     }
     panic!("never idle");
@@ -227,15 +226,15 @@ fn try_get_and_get_message_charge_only_for_queued_messages() {
         fn run(&mut self, cx: &mut Cx<'_>) -> Step {
             let (begin, end) = (cx.costs.mbox_begin_get, cx.costs.mbox_end_get);
             let polls = cx.shared.mbox_empty_polls;
-            let t = cx.charged();
+            let t = cx.burst.charged();
             assert_eq!(cx.try_get(self.mbox), None);
-            assert_eq!(cx.charged(), t, "an empty mailbox must cost nothing");
+            assert_eq!(cx.burst.charged(), t, "an empty mailbox must cost nothing");
             assert_eq!(cx.shared.mbox_empty_polls, polls, "a free check is not an empty poll");
 
             put(cx, self.mbox, b"queued");
-            let t = cx.charged();
+            let t = cx.burst.charged();
             let msg = cx.try_get(self.mbox).expect("a queued message");
-            assert_eq!(cx.charged() - t, begin, "try_get pays Begin_Get alone");
+            assert_eq!(cx.burst.charged() - t, begin, "try_get pays Begin_Get alone");
             assert_eq!(cx.shared.msg_bytes(&msg), b"queued");
             cx.shared.end_get(self.mbox, msg);
 
@@ -243,9 +242,9 @@ fn try_get_and_get_message_charge_only_for_queued_messages() {
             let payload = vec![0x5a; 1024];
             let in_use = cx.shared.heap.bytes_in_use();
             put(cx, self.mbox, &payload);
-            let t = cx.charged();
+            let t = cx.burst.charged();
             assert_eq!(cx.get_message(self.mbox), Some(payload));
-            assert_eq!(cx.charged() - t, begin + end, "get_message pays Begin_Get + End_Get");
+            assert_eq!(cx.burst.charged() - t, begin + end, "get_message pays Begin_Get + End_Get");
             assert_eq!(cx.shared.heap.bytes_in_use(), in_use, "the buffer was not released");
             assert_eq!(cx.get_message(self.mbox), None);
             assert_eq!(cx.shared.mbox_empty_polls, polls);

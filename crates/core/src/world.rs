@@ -12,8 +12,8 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use nectar_cab::proto::MTU;
-use nectar_cab::{Cab, CabEffect, StepStatus};
-use nectar_host::{Host, HostEffect, HostStepStatus};
+use nectar_cab::{Cab, CabEffect};
+use nectar_host::{Host, HostEffect};
 use nectar_hub::{Hub, HubDecision};
 use nectar_sim::{SchedStats, Scheduler, SimDuration, SimTime, TimerId, Trace};
 use nectar_stack::rmp::RmpConfig;
@@ -394,7 +394,7 @@ impl World {
 
         for (i, cab) in self.cabs.iter().enumerate() {
             let p = |suffix: &str| format!("node/{i}/{suffix}");
-            r.set(p("cab/cpu_busy_ns"), cab.rt.cpu_busy.as_nanos());
+            r.set(p("cab/cpu_busy_ns"), cab.cpu.busy().as_nanos());
             r.set(p("cab/ctx_switches"), cab.rt.ctx_switches);
             r.set(p("cab/interrupts_taken"), cab.rt.interrupts_taken);
             r.set(p("cab/upcalls_run"), cab.rt.upcalls_run);
@@ -485,7 +485,7 @@ impl World {
 
         for (i, host) in self.hosts.iter().enumerate() {
             let p = |suffix: &str| format!("node/{i}/host/{suffix}");
-            r.set(p("cpu_busy_ns"), host.stats.cpu_busy.as_nanos());
+            r.set(p("cpu_busy_ns"), host.cpu.busy().as_nanos());
             r.set(p("proc_switches"), host.stats.proc_switches);
             r.set(p("cab_interrupts"), host.stats.cab_interrupts);
             r.set(p("vme_words"), host.stats.vme_words);
@@ -568,16 +568,8 @@ pub fn kick_cab(w: &mut World, sim: &mut Sim, i: usize) {
         let trace = &mut w.trace;
         w.cabs[i].step(now, trace)
     };
-    let burst_end = match status {
-        StepStatus::Ran { next } => next,
-        _ => now,
-    };
-    route_cab_effects(w, sim, i, fx, burst_end);
-    let wake = match status {
-        StepStatus::Ran { next } => Some(next),
-        StepStatus::Idle { next } => next.map(|t| t.max(now + SimDuration::from_nanos(1))),
-    };
-    if let Some(at) = wake {
+    route_cab_effects(w, sim, i, fx, status.burst_end(now));
+    if let Some(at) = status.wake(now) {
         debug_assert!(w.cab_wake[i].is_none(), "CAB {i} would hold two live self-wakes");
         w.cab_wake[i] = Some(sim.at_call(at, kick_cab_event, i as u64));
     }
@@ -602,10 +594,7 @@ pub fn kick_host(w: &mut World, sim: &mut Sim, i: usize) {
     };
     // side effects (doorbell writes) become visible when the burst's
     // stores have actually crossed the bus: at burst end
-    let burst_end = match status {
-        HostStepStatus::Ran { next } => next,
-        _ => now,
-    };
+    let burst_end = status.burst_end(now);
     for e in fx {
         match e {
             HostEffect::InterruptCab => {
@@ -632,11 +621,7 @@ pub fn kick_host(w: &mut World, sim: &mut Sim, i: usize) {
             }
         }
     }
-    let wake = match status {
-        HostStepStatus::Ran { next } => Some(next),
-        HostStepStatus::Idle { next } => next.map(|t| t.max(now + SimDuration::from_nanos(1))),
-    };
-    if let Some(at) = wake {
+    if let Some(at) = status.wake(now) {
         debug_assert!(w.host_wake[i].is_none(), "host {i} would hold two live self-wakes");
         w.host_wake[i] = Some(sim.at_call(at, kick_host_event, i as u64));
     }

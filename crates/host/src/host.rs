@@ -7,17 +7,10 @@
 //! CAB bursts on the global event queue.
 
 use nectar_cab::shared::{CabShared, HostCondId, SigEntry};
-use nectar_sim::{SimDuration, SimTime, Trace};
+use nectar_sim::{Cpu, SimTime, StepStatus, Trace};
 
 use crate::costs::HostCostModel;
 use crate::process::{HostCx, HostEffect, HostProcess, HostStep, ProcId};
-
-/// Result of one host step (same contract as the CAB's).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum HostStepStatus {
-    Ran { next: SimTime },
-    Idle { next: Option<SimTime> },
-}
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum ProcState {
@@ -38,9 +31,6 @@ pub struct HostStats {
     pub proc_switches: u64,
     pub cab_interrupts: u64,
     pub vme_words: u64,
-    /// Total CPU time charged across every burst (interrupt service +
-    /// process bursts) — the `node/<id>/host/cpu_busy_ns` meter.
-    pub cpu_busy: SimDuration,
 }
 
 /// One host workstation attached to a CAB over VME.
@@ -52,7 +42,9 @@ pub struct Host {
     procs: Vec<ProcSlot>,
     last_proc: Option<ProcId>,
     rr_next: usize,
-    cursor: SimTime,
+    /// The host's one CPU: busy-until cursor and busy-time meter
+    /// (interrupt service and process bursts alike).
+    pub cpu: Cpu,
     pending_intr: Vec<SimTime>,
     pub stats: HostStats,
 }
@@ -66,7 +58,7 @@ impl Host {
             procs: Vec::new(),
             last_proc: None,
             rr_next: 0,
-            cursor: SimTime::ZERO,
+            cpu: Cpu::default(),
             pending_intr: Vec::new(),
             stats: HostStats::default(),
         }
@@ -89,7 +81,7 @@ impl Host {
 
     /// Earliest instant this host has work, absent new input.
     pub fn next_work(&self, after: SimTime) -> Option<SimTime> {
-        let after = after.max(self.cursor);
+        let after = after.max(self.cpu.cursor());
         let mut next: Option<SimTime> = None;
         let mut consider = |t: SimTime| {
             next = Some(match next {
@@ -117,8 +109,9 @@ impl Host {
         now: SimTime,
         shared: &mut CabShared,
         trace: &mut Trace,
-    ) -> (Vec<HostEffect>, HostStepStatus) {
-        let t = self.cursor.max(now);
+    ) -> (Vec<HostEffect>, StepStatus) {
+        let burst = self.cpu.burst(now);
+        let t = burst.now();
         // wake sleepers
         for p in &mut self.procs {
             if let ProcState::Sleeping(d) = p.state {
@@ -128,20 +121,29 @@ impl Host {
             }
         }
         let mut fx = Vec::new();
+        let mut cx = HostCx {
+            host_id: self.id,
+            cab_id: self.cab_id,
+            burst,
+            costs: &self.costs,
+            shared,
+            fx: &mut fx,
+            trace,
+            vme_words: 0,
+            doorbell: false,
+        };
 
-        // 1. driver interrupt service: drain the host signal queue
-        if let Some(idx) =
-            self.pending_intr.iter().enumerate().filter(|(_, &at)| at <= t).map(|(i, _)| i).next()
-        {
+        let yielded = if let Some(idx) = self.pending_intr.iter().position(|&at| at <= t) {
+            // 1. driver interrupt service: drain the host signal queue
             self.pending_intr.remove(idx);
             self.stats.cab_interrupts += 1;
-            let depth = shared.host_sigq.len() as u64;
-            if depth > shared.host_sigq_high {
-                shared.host_sigq_high = depth;
+            let depth = cx.shared.host_sigq.len() as u64;
+            if depth > cx.shared.host_sigq_high {
+                cx.shared.host_sigq_high = depth;
             }
-            let mut charged = self.costs.interrupt_service;
-            while let Some(entry) = shared.host_sigq.pop_front() {
-                charged += self.costs.vme_word * 2;
+            cx.charge(cx.costs.interrupt_service);
+            while let Some(entry) = cx.shared.host_sigq.pop_front() {
+                cx.vme(2);
                 if let SigEntry::HostCondSignalled(hc) = entry {
                     for p in &mut self.procs {
                         if p.state == ProcState::Blocked(hc) {
@@ -150,48 +152,19 @@ impl Host {
                     }
                 }
             }
-            self.stats.cpu_busy += charged;
-            self.cursor = t + charged;
-            return (fx, HostStepStatus::Ran { next: self.cursor });
-        }
-
-        // 2. processes (round robin; single CPU)
-        let n = self.procs.len();
-        let mut picked = None;
-        for off in 0..n {
-            let pid = (self.rr_next + off) % n;
-            if self.procs[pid].state == ProcState::Runnable {
-                picked = Some(pid);
-                break;
-            }
-        }
-        if let Some(pid) = picked {
-            self.rr_next = (pid + 1) % n.max(1);
-            let switch = self.last_proc != Some(pid as ProcId);
-            let mut body = self.procs[pid].body.take().expect("process in flight");
-            let mut cx = HostCx {
-                host_id: self.id,
-                cab_id: self.cab_id,
-                t0: t,
-                charged: SimDuration::ZERO,
-                costs: &self.costs,
-                shared,
-                fx: &mut fx,
-                trace,
-                vme_words: 0,
-                doorbell: false,
-            };
-            if switch {
+            false
+        } else if let Some(pid) = (0..self.procs.len())
+            .map(|off| (self.rr_next + off) % self.procs.len())
+            .find(|&pid| self.procs[pid].state == ProcState::Runnable)
+        {
+            // 2. processes (round robin; single CPU)
+            self.rr_next = (pid + 1) % self.procs.len();
+            if self.last_proc != Some(pid as ProcId) {
                 cx.charge(cx.costs.proc_switch);
                 self.stats.proc_switches += 1;
             }
+            let mut body = self.procs[pid].body.take().expect("process in flight");
             let step = body.run(&mut cx);
-            let mut charged = cx.charged();
-            if charged == SimDuration::ZERO && step == HostStep::Yield {
-                charged = SimDuration::from_micros(1);
-            }
-            let doorbell = cx.doorbell;
-            self.stats.vme_words += cx.vme_words;
             self.procs[pid].body = Some(body);
             self.procs[pid].state = match step {
                 HostStep::Yield => ProcState::Runnable,
@@ -200,16 +173,17 @@ impl Host {
                 HostStep::Done => ProcState::Done,
             };
             self.last_proc = Some(pid as ProcId);
-            if doorbell {
-                fx.push(HostEffect::InterruptCab);
+            if cx.doorbell {
+                cx.fx.push(HostEffect::InterruptCab);
             }
-            self.stats.cpu_busy += charged;
-            self.cursor = t + charged;
-            return (fx, HostStepStatus::Ran { next: self.cursor });
-        }
-
-        // 3. idle
-        (fx, HostStepStatus::Idle { next: self.next_work(t) })
+            step == HostStep::Yield
+        } else {
+            // 3. idle
+            return (fx, StepStatus::Idle { next: self.next_work(t) });
+        };
+        self.stats.vme_words += cx.vme_words;
+        let next = self.cpu.finish(cx.burst, yielded);
+        (fx, StepStatus::Ran { next })
     }
 }
 

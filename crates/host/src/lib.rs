@@ -19,5 +19,5 @@ pub mod host;
 pub mod process;
 
 pub use costs::HostCostModel;
-pub use host::{Host, HostStats, HostStepStatus};
+pub use host::{Host, HostStats};
 pub use process::{HostCx, HostEffect, HostProcess, HostStep, ProcId};

@@ -18,7 +18,7 @@ use nectar_cab::reqs::{self, RrReplyReq, SendReq, UdpSendReq};
 use nectar_cab::shared::{
     CabShared, CondId, HostCondId, MboxId, MsgRef, SigEntry, SyncId, WouldBlock,
 };
-use nectar_sim::{SimDuration, SimTime, Trace};
+use nectar_sim::{Burst, SimDuration, SimTime, Trace};
 
 use crate::costs::HostCostModel;
 
@@ -64,8 +64,8 @@ pub enum HostEffect {
 pub struct HostCx<'a> {
     pub host_id: u16,
     pub cab_id: u16,
-    pub(crate) t0: SimTime,
-    pub(crate) charged: SimDuration,
+    /// The clock of the burst this context runs in.
+    pub burst: Burst,
     pub costs: &'a HostCostModel,
     pub shared: &'a mut CabShared,
     pub fx: &'a mut Vec<HostEffect>,
@@ -76,15 +76,11 @@ pub struct HostCx<'a> {
 
 impl<'a> HostCx<'a> {
     pub fn now(&self) -> SimTime {
-        self.t0 + self.charged
+        self.burst.now()
     }
 
     pub fn charge(&mut self, d: SimDuration) {
-        self.charged += d;
-    }
-
-    pub fn charged(&self) -> SimDuration {
-        self.charged
+        self.burst.charge(d);
     }
 
     /// Trace stamp; host nodes are numbered 0x1000 + host id so they

@@ -4,9 +4,9 @@
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
-use nectar_cab::shared::CabShared;
+use nectar_cab::shared::{CabShared, SigEntry};
 use nectar_cab::HostOpMode;
-use nectar_host::{Host, HostCostModel, HostCx, HostProcess, HostStep, HostStepStatus};
+use nectar_host::{Host, HostCostModel, HostCx, HostProcess, HostStep};
 use nectar_sim::{SimDuration, SimTime, Trace};
 
 fn run_to_idle(h: &mut Host, shared: &mut CabShared, start: SimTime) -> SimTime {
@@ -14,10 +14,9 @@ fn run_to_idle(h: &mut Host, shared: &mut CabShared, start: SimTime) -> SimTime 
     let mut now = start;
     for _ in 0..100_000 {
         let (_, status) = h.step(now, shared, &mut trace);
-        match status {
-            HostStepStatus::Ran { next } => now = next,
-            HostStepStatus::Idle { next: Some(next) } if next > now => now = next,
-            HostStepStatus::Idle { .. } => return now,
+        match status.wake(now) {
+            Some(at) => now = at,
+            None => return now,
         }
     }
     panic!("host never idle");
@@ -117,6 +116,22 @@ fn vme_word_accounting() {
     run_to_idle(&mut h, &mut shared, SimTime::ZERO);
     let expected = (costs.mbox_begin_put_words + costs.mbox_end_put_words + 16 + 2) as u64;
     assert_eq!(h.stats.vme_words, expected, "every word over the bus must be accounted");
+}
+
+/// The driver's interrupt service reads each signal-queue entry over
+/// the bus: the words it charges are the words it counts.
+#[test]
+fn interrupt_service_counts_its_vme_words() {
+    let costs = HostCostModel::default();
+    let mut h = Host::new(0, 0, costs);
+    let mut shared = CabShared::new();
+    let hc = shared.create_host_cond();
+    shared.host_sigq.push_back(SigEntry::HostCondSignalled(hc));
+    h.cab_interrupt(SimTime::ZERO);
+    run_to_idle(&mut h, &mut shared, SimTime::ZERO);
+    assert_eq!(h.stats.cab_interrupts, 1);
+    assert_eq!(h.stats.vme_words, 2, "one queued entry is two words over the bus");
+    assert_eq!(h.cpu.busy(), costs.interrupt_service + costs.vme_word * 2);
 }
 
 #[test]

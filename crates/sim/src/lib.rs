@@ -15,6 +15,7 @@
 //! property tests replay scenarios from seeds.
 
 pub mod check;
+pub mod cpu;
 pub mod json;
 pub mod metrics;
 pub mod par;
@@ -24,6 +25,7 @@ pub mod stats;
 pub mod time;
 pub mod trace;
 
+pub use cpu::{Burst, Cpu, StepStatus};
 pub use metrics::MetricsSnapshot;
 pub use par::par_map;
 pub use queue::{EventCall, EventFn, SchedStats, Scheduler, TimerId};

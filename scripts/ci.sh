@@ -51,6 +51,16 @@ if awk '/^fn wait\(/ { in_wait = 1 }
     exit 1
 fi
 
+# one CPU accountant: the CAB and the host charge a burst through
+# nectar_sim::cpu, whose `Cpu::finish` is the only place a CPU's
+# cursor and busy meter advance (DESIGN.md "burst-atomic execution").
+if grep -rnE 'cpu_busy \+=|cursor = t \+|charged \+=' crates/*/src \
+    | grep -v '^crates/sim/src/cpu\.rs:' \
+    || grep -rn 'HostStepStatus' crates/*/src; then
+    echo 'ci: burst bookkeeping outside crates/sim/src/cpu.rs — charge a `Burst` and end it with `Cpu::finish`'
+    exit 1
+fi
+
 if [[ "${1:-}" == "--fix" ]]; then
     cargo fmt --all
 else

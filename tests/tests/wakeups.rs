@@ -78,10 +78,10 @@ fn a_retired_deadline_wakes_nothing() {
     assert!(done.get(), "the call never completed");
     let cab = &world.cabs[0];
     assert_eq!(cab.next_work(sim.now()), None, "the retired call's rto still wakes the CAB");
-    let (switches, busy) = (cab.rt.ctx_switches, cab.rt.cpu_busy);
+    let (switches, busy) = (cab.rt.ctx_switches, cab.cpu.busy());
     world.run_for(&mut sim, SimDuration::from_millis(20));
     let cab = &world.cabs[0];
-    assert_eq!((cab.rt.ctx_switches, cab.rt.cpu_busy), (switches, busy), "an idle CAB ran");
+    assert_eq!((cab.rt.ctx_switches, cab.cpu.busy()), (switches, busy), "an idle CAB ran");
 }
 
 #[test]
