@@ -478,17 +478,6 @@ impl<W> Scheduler<W> {
         }
         false
     }
-
-    /// Run at most `max_events` events (a guard for tests that want to
-    /// detect event storms / livelock).
-    pub fn run_capped(&mut self, world: &mut W, max_events: u64) -> bool {
-        for _ in 0..max_events {
-            if !self.step(world) {
-                return true;
-            }
-        }
-        self.live == 0
-    }
 }
 
 #[cfg(test)]
@@ -641,20 +630,6 @@ mod tests {
         assert!(s.run_until_or(&mut w, SimTime::from_nanos(30_000), |w| w.0.len() == 3));
         assert_eq!(s.now(), SimTime::from_nanos(30_000));
         assert_eq!(s.pending(), 0);
-    }
-
-    #[test]
-    fn run_capped_detects_storms() {
-        let mut s: Scheduler<Log> = Scheduler::new();
-        let mut w = Log::default();
-        // A self-perpetuating event chain.
-        fn storm(w: &mut Log, s: &mut Scheduler<Log>) {
-            w.0.push((s.now().as_micros(), 0));
-            s.after(SimDuration::from_nanos(1), storm);
-        }
-        s.immediately(storm);
-        assert!(!s.run_capped(&mut w, 1000));
-        assert_eq!(w.0.len(), 1000);
     }
 
     #[test]

@@ -50,11 +50,6 @@ impl SimTime {
     pub fn saturating_since(self, earlier: SimTime) -> SimDuration {
         SimDuration(self.0.saturating_sub(earlier.0))
     }
-
-    /// Checked duration since an earlier instant.
-    pub fn checked_since(self, earlier: SimTime) -> Option<SimDuration> {
-        self.0.checked_sub(earlier.0).map(SimDuration)
-    }
 }
 
 impl SimDuration {
@@ -75,21 +70,6 @@ impl SimDuration {
 
     pub const fn from_secs(s: u64) -> Self {
         SimDuration(s * 1_000_000_000)
-    }
-
-    /// Construct from a float number of seconds (for cost models that are
-    /// naturally expressed as rates). Saturates at the representable range
-    /// and treats non-finite or negative inputs as zero.
-    pub fn from_secs_f64(s: f64) -> Self {
-        if !s.is_finite() || s <= 0.0 {
-            return SimDuration(0);
-        }
-        let ns = s * 1e9;
-        if ns >= u64::MAX as f64 {
-            SimDuration(u64::MAX)
-        } else {
-            SimDuration(ns as u64)
-        }
     }
 
     pub const fn as_nanos(self) -> u64 {
@@ -246,11 +226,6 @@ mod tests {
         assert_eq!(d.as_micros(), 6);
         // saturating: earlier - later == 0
         assert_eq!((SimTime::from_nanos(5) - SimTime::from_nanos(9)).as_nanos(), 0);
-        assert_eq!(
-            SimTime::from_nanos(9).checked_since(SimTime::from_nanos(5)),
-            Some(SimDuration::from_nanos(4))
-        );
-        assert_eq!(SimTime::from_nanos(5).checked_since(SimTime::from_nanos(9)), None);
     }
 
     #[test]
@@ -263,15 +238,6 @@ mod tests {
         assert_eq!(SimDuration::serialization(1, 0), SimDuration::MAX);
         // zero bytes take zero time
         assert_eq!(SimDuration::serialization(0, 100_000_000), SimDuration::ZERO);
-    }
-
-    #[test]
-    fn from_secs_f64_edges() {
-        assert_eq!(SimDuration::from_secs_f64(-1.0), SimDuration::ZERO);
-        assert_eq!(SimDuration::from_secs_f64(f64::NAN), SimDuration::ZERO);
-        assert_eq!(SimDuration::from_secs_f64(1e-9).as_nanos(), 1);
-        assert_eq!(SimDuration::from_secs_f64(f64::INFINITY), SimDuration::ZERO);
-        assert_eq!(SimDuration::from_secs_f64(1e30), SimDuration::MAX);
     }
 
     #[test]

@@ -307,11 +307,6 @@ impl RrServer {
             }
         }
     }
-
-    /// Number of cached replies held (test observability).
-    pub fn cached_replies(&self) -> usize {
-        self.clients.values().filter(|s| s.cached_reply.is_some()).count()
-    }
 }
 
 #[cfg(test)]
@@ -320,6 +315,11 @@ mod tests {
 
     fn t(us: u64) -> SimTime {
         SimTime::from_nanos(us * 1000)
+    }
+
+    /// Number of replies the server holds cached.
+    fn cached_replies(server: &RrServer) -> usize {
+        server.clients.values().filter(|s| s.cached_reply.is_some()).count()
     }
 
     fn cfg() -> RrConfig {
@@ -360,9 +360,9 @@ mod tests {
         // reply-ack goes back and releases the cache
         let RrClientAction::Transmit { packet, .. } = &cacts[1] else { panic!() };
         let (ahdr, _) = parse(packet);
-        assert_eq!(server.cached_replies(), 1);
+        assert_eq!(cached_replies(&server), 1);
         server.on_reply_ack(1, &ahdr);
-        assert_eq!(server.cached_replies(), 0);
+        assert_eq!(cached_replies(&server), 0);
         assert_eq!(client.outstanding(), 0);
     }
 
@@ -490,11 +490,11 @@ mod tests {
         let mut acts = Vec::new();
         server.on_request(1, &mk(1), b"one", &mut acts);
         server.reply(1, 11, 1, b"ONE".to_vec(), &mut acts);
-        assert_eq!(server.cached_replies(), 1);
+        assert_eq!(cached_replies(&server), 1);
         // client moved on without acking; its next call releases the slot
         acts.clear();
         server.on_request(1, &mk(2), b"two", &mut acts);
-        assert_eq!(server.cached_replies(), 0);
+        assert_eq!(cached_replies(&server), 0);
         assert!(matches!(acts[0], RrServerAction::Execute { .. }));
         // a stale request id 1 now gets nothing (no cache, older id)
         acts.clear();
@@ -519,6 +519,6 @@ mod tests {
         server.reply(1, 11, 1, b"SLOW".to_vec(), &mut acts);
         // reply still transmitted (client will ignore it) but not cached
         assert_eq!(acts.len(), 1);
-        assert_eq!(server.cached_replies(), 0);
+        assert_eq!(cached_replies(&server), 0);
     }
 }

@@ -166,11 +166,6 @@ impl RmpSender {
         &self.stats
     }
 
-    /// True when the channel has died (a fragment exhausted retries).
-    pub fn is_failed(&self) -> bool {
-        self.failed
-    }
-
     /// Number of unfinished messages (queued or in flight).
     pub fn backlog(&self) -> usize {
         self.queue.len() + self.flights.len()
@@ -606,7 +601,6 @@ mod tests {
             }
         }
         assert!(failed);
-        assert!(tx.is_failed());
         // further polls do nothing
         out.clear();
         tx.poll(now + SimDuration::from_secs(1), &mut out);

@@ -38,13 +38,12 @@ pub struct UdpStats {
 #[derive(Debug, Default)]
 pub struct UdpEndpoint {
     bindings: BTreeMap<u16, u32>,
-    next_ephemeral: u16,
     stats: UdpStats,
 }
 
 impl UdpEndpoint {
     pub fn new() -> Self {
-        UdpEndpoint { bindings: BTreeMap::new(), next_ephemeral: 49152, stats: UdpStats::default() }
+        UdpEndpoint::default()
     }
 
     pub fn stats(&self) -> &UdpStats {
@@ -58,22 +57,6 @@ impl UdpEndpoint {
         }
         self.bindings.insert(port, token);
         true
-    }
-
-    /// Bind an ephemeral port, returning it.
-    pub fn bind_ephemeral(&mut self, token: u32) -> u16 {
-        loop {
-            let port = self.next_ephemeral;
-            self.next_ephemeral =
-                if self.next_ephemeral == u16::MAX { 49152 } else { self.next_ephemeral + 1 };
-            if self.bind(port, token) {
-                return port;
-            }
-        }
-    }
-
-    pub fn unbind(&mut self, port: u16) -> bool {
-        self.bindings.remove(&port).is_some()
     }
 
     pub fn lookup(&self, port: u16) -> Option<u32> {
@@ -156,25 +139,11 @@ mod tests {
     }
 
     #[test]
-    fn double_bind_refused_unbind_frees() {
+    fn double_bind_refused() {
         let mut e = UdpEndpoint::new();
         assert!(e.bind(80, 1));
         assert!(!e.bind(80, 2));
-        assert!(e.unbind(80));
-        assert!(!e.unbind(80));
-        assert!(e.bind(80, 2));
-        assert_eq!(e.lookup(80), Some(2));
-    }
-
-    #[test]
-    fn ephemeral_ports_unique() {
-        let mut e = UdpEndpoint::new();
-        let p1 = e.bind_ephemeral(1);
-        let p2 = e.bind_ephemeral(2);
-        assert_ne!(p1, p2);
-        assert!(p1 >= 49152);
-        assert_eq!(e.lookup(p1), Some(1));
-        assert_eq!(e.lookup(p2), Some(2));
+        assert_eq!(e.lookup(80), Some(1));
     }
 
     #[test]

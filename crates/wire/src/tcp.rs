@@ -101,10 +101,6 @@ macro_rules! bitflags_lite {
             pub fn contains(self, other: $name) -> bool {
                 self.0 & other.0 == other.0
             }
-
-            pub fn intersects(self, other: $name) -> bool {
-                self.0 & other.0 != 0
-            }
         }
 
         impl std::ops::BitOr for $name {
@@ -445,8 +441,6 @@ mod tests {
         assert!(f.contains(TcpFlags::SYN));
         assert!(f.contains(TcpFlags::ACK));
         assert!(!f.contains(TcpFlags::FIN));
-        assert!(f.intersects(TcpFlags::SYN | TcpFlags::FIN));
-        assert!(!f.intersects(TcpFlags::FIN));
     }
 
     #[test]
