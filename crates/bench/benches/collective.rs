@@ -91,7 +91,7 @@ fn run_shape(cfg: &FleetCfg, shape: Shape) -> ShapeResult {
     // latency figure (uniform across both shapes for a fair race)
     let coll_cfg = CollectiveConfig { rto: SimDuration::from_millis(500), max_retries: 20 };
     for &m in &group.members {
-        *world.cabs[m as usize].proto.coll_mut() = CollectiveEngine::new(coll_cfg);
+        world.cabs[m as usize].proto.with_coll(|c| *c = CollectiveEngine::new(coll_cfg));
     }
     let handles =
         deploy_barrier_fleet(&mut world, &group, CombineOp::Sum, EPOCHS, |i| i as u64 + 1);

@@ -138,7 +138,7 @@ impl Cab {
         children: Vec<u16>,
     ) {
         self.enable_collective();
-        self.proto.coll_mut().install_group(group, parent, children);
+        self.proto.with_coll(|c| c.install_group(group, parent, children));
     }
 
     /// Fork an application thread (§5.3: "application-specific code can
@@ -238,19 +238,18 @@ impl Cab {
     /// one wakes the owning thread (and only that thread, so sibling
     /// waiters on the shared cond don't see spurious wakeups).
     ///
-    /// None of the four reads scans: the RMP, request-response and
-    /// collective families remember their earliest deadline until
-    /// their `&mut` accessor next runs, and the TCP stack keeps its
-    /// sockets' deadlines in a heap.
+    /// None of the four reads scans: each instance's deadline is
+    /// re-indexed by whatever touched it (DESIGN.md §9).
     fn stack_timers(&self) -> [(Option<SimTime>, ThreadId); 4] {
         let [rmp_tid, rr_tid, tcp_tid] = self.timer_tids;
+        let [rmp, rr, coll] = self.proto.next_wakeups();
         [
-            (self.proto.rmp_next_wakeup(), rmp_tid),
-            (self.proto.rr_next_wakeup(), rr_tid),
+            (rmp, rmp_tid),
+            (rr, rr_tid),
             (self.proto.tcp.next_wakeup(), tcp_tid),
             // collective arrivals are driven inline by app threads, so
             // their retransmit deadlines live here too
-            (self.coll_tid.and_then(|_| self.proto.coll_next_wakeup()), self.coll_tid.unwrap_or(0)),
+            (self.coll_tid.and(coll), self.coll_tid.unwrap_or(0)),
         ]
     }
 

@@ -26,11 +26,10 @@
 //! header, cost charges and addressing are written once.
 
 use std::borrow::Cow;
-use std::cell::Cell;
 use std::collections::{BTreeMap, VecDeque};
 use std::net::Ipv4Addr;
 
-use nectar_sim::SimTime;
+use nectar_sim::{Deadlines, SimTime};
 use nectar_stack::collective::{CollectiveAction, CollectiveConfig, CollectiveEngine};
 use nectar_stack::icmp::{IcmpEngine, IcmpInput};
 use nectar_stack::ip::{IpEndpoint, IpInput};
@@ -62,7 +61,7 @@ pub fn ip_for_cab(cab: u16) -> Ipv4Addr {
 }
 
 /// Inverse of [`ip_for_cab`].
-pub fn cab_for_ip(ip: Ipv4Addr) -> Option<u16> {
+fn cab_for_ip(ip: Ipv4Addr) -> Option<u16> {
     let o = ip.octets();
     if o[0] != 10 || o[1] != 0 {
         return None;
@@ -167,33 +166,8 @@ pub struct ProtoStats {
     pub ip_packets_in: u64,
 }
 
-/// The earliest deadline of a family of protocol engines, remembered
-/// between changes: the family's one `&mut` accessor calls
-/// [`DeadlineCache::clear`], and the next read rescans. A board that
-/// asks for its stacks' deadlines on every burst then pays for a scan
-/// only after a burst that touched the engines. Debug builds check every
-/// remembered answer against a fresh scan.
-#[derive(Debug, Default)]
-struct DeadlineCache(Cell<Option<Option<SimTime>>>);
-
-impl DeadlineCache {
-    /// The earliest deadline, from `scan` unless remembered since the
-    /// last [`DeadlineCache::clear`].
-    fn get(&self, scan: impl Fn() -> Option<SimTime>) -> Option<SimTime> {
-        let deadline = self.0.get().unwrap_or_else(|| {
-            let fresh = scan();
-            self.0.set(Some(fresh));
-            fresh
-        });
-        debug_assert_eq!(deadline, scan(), "an engine changed without clearing its deadline cache");
-        deadline
-    }
-
-    /// Forget the remembered deadline: the engines may have changed.
-    fn clear(&mut self) {
-        *self.0.get_mut() = None;
-    }
-}
+/// An RMP send channel's key: `(dst_cab, dst_mbox, src_mbox)`.
+type RmpKey = (u16, u16, u16);
 
 /// All protocol engines and bindings on one CAB.
 pub struct ProtoState {
@@ -202,7 +176,7 @@ pub struct ProtoState {
     pub udp: UdpEndpoint,
     pub tcp: TcpStack,
     pub rmp_rx: RmpReceiver,
-    rmp_tx: BTreeMap<(u16, u16, u16), RmpSender>,
+    rmp_tx: BTreeMap<RmpKey, RmpSender>,
     pub rmp_cfg: RmpConfig,
     rr_clients: BTreeMap<u16, RrClient>,
     pub rr_servers: BTreeMap<u16, RrServer>,
@@ -235,11 +209,12 @@ pub struct ProtoState {
     pub dg_cond: CondId,
     pub ip_cond: CondId,
     pub coll_cond: CondId,
-    /// Earliest deadline of each timer-driven engine family, cleared by
-    /// the family's `&mut` accessor.
-    rmp_wakeup: DeadlineCache,
-    rr_wakeup: DeadlineCache,
-    coll_wakeup: DeadlineCache,
+    /// Each RMP send channel's and request-response client's
+    /// retransmission deadline, and the collective engine's, re-read
+    /// after every change to that instance.
+    rmp_deadlines: Deadlines<RmpKey>,
+    rr_deadlines: Deadlines<u16>,
+    coll_deadline: Option<SimTime>,
 }
 
 impl ProtoState {
@@ -249,20 +224,17 @@ impl ProtoState {
     }
 
     /// RMP send channels by `(dst_cab, dst_mbox, src_mbox)`.
-    pub fn rmp_tx(&self) -> &BTreeMap<(u16, u16, u16), RmpSender> {
+    pub fn rmp_tx(&self) -> &BTreeMap<RmpKey, RmpSender> {
         &self.rmp_tx
     }
 
-    /// The RMP send channels for change: the one way to reach them
-    /// mutably, so it forgets their cached deadline.
-    pub fn rmp_tx_mut(&mut self) -> &mut BTreeMap<(u16, u16, u16), RmpSender> {
-        self.rmp_wakeup.clear();
-        &mut self.rmp_tx
-    }
-
-    /// Earliest retransmission deadline across the RMP send channels.
-    pub fn rmp_next_wakeup(&self) -> Option<SimTime> {
-        self.rmp_wakeup.get(|| self.rmp_tx.values().filter_map(RmpSender::next_wakeup).min())
+    /// Run `op` on RMP send channel `key`, if it is open, and re-index
+    /// its deadline.
+    fn with_rmp_tx<R>(&mut self, key: RmpKey, op: impl FnOnce(&mut RmpSender) -> R) -> Option<R> {
+        let sender = self.rmp_tx.get_mut(&key)?;
+        let out = op(sender);
+        self.rmp_deadlines.set(key, sender.next_wakeup());
+        Some(out)
     }
 
     /// Request-response clients by reply mailbox.
@@ -270,17 +242,13 @@ impl ProtoState {
         &self.rr_clients
     }
 
-    /// The request-response clients for change; forgets their cached
-    /// deadline.
-    pub fn rr_clients_mut(&mut self) -> &mut BTreeMap<u16, RrClient> {
-        self.rr_wakeup.clear();
-        &mut self.rr_clients
-    }
-
-    /// Earliest retransmission deadline across the request-response
-    /// clients.
-    pub fn rr_next_wakeup(&self) -> Option<SimTime> {
-        self.rr_wakeup.get(|| self.rr_clients.values().filter_map(RrClient::next_wakeup).min())
+    /// Run `op` on the request-response client bound to reply mailbox
+    /// `mbox`, if there is one, and re-index its deadline.
+    fn with_rr_client<R>(&mut self, mbox: u16, op: impl FnOnce(&mut RrClient) -> R) -> Option<R> {
+        let client = self.rr_clients.get_mut(&mbox)?;
+        let out = op(client);
+        self.rr_deadlines.set(mbox, client.next_wakeup());
+        Some(out)
     }
 
     /// The collective engine.
@@ -288,16 +256,26 @@ impl ProtoState {
         &self.coll
     }
 
-    /// The collective engine for change; forgets its cached deadline.
-    pub fn coll_mut(&mut self) -> &mut CollectiveEngine {
-        self.coll_wakeup.clear();
-        &mut self.coll
+    /// Run `op` on the collective engine and re-read its deadline.
+    pub fn with_coll<R>(&mut self, op: impl FnOnce(&mut CollectiveEngine) -> R) -> R {
+        let out = op(&mut self.coll);
+        self.coll_deadline = self.coll.next_wakeup();
+        out
     }
 
-    /// Earliest `Arrive` retransmission deadline of the collective
-    /// engine.
-    pub fn coll_next_wakeup(&self) -> Option<SimTime> {
-        self.coll_wakeup.get(|| self.coll.next_wakeup())
+    /// Earliest retransmission deadline of the RMP send channels, the
+    /// request-response clients and the collective engine, checked
+    /// against a scan of every instance in debug builds.
+    pub(crate) fn next_wakeups(&self) -> [Option<SimTime>; 3] {
+        let next = [self.rmp_deadlines.peek(), self.rr_deadlines.peek(), self.coll_deadline];
+        let rmp = || self.rmp_tx.values().filter_map(RmpSender::next_wakeup).min();
+        let rr = || self.rr_clients.values().filter_map(RrClient::next_wakeup).min();
+        debug_assert_eq!(
+            next,
+            [rmp(), rr(), self.coll.next_wakeup()],
+            "a protocol instance changed without re-indexing"
+        );
+        next
     }
 }
 
@@ -367,9 +345,9 @@ pub fn init_protocols(
         dg_cond,
         ip_cond,
         coll_cond,
-        rmp_wakeup: DeadlineCache::default(),
-        rr_wakeup: DeadlineCache::default(),
-        coll_wakeup: DeadlineCache::default(),
+        rmp_deadlines: Deadlines::new(),
+        rr_deadlines: Deadlines::new(),
+        coll_deadline: None,
     }
 }
 
@@ -380,7 +358,7 @@ pub fn init_protocols(
 /// Deliver `prefix + payload` as one message into `mbox`. Drops (with
 /// a counter) when the mailbox does not exist or the heap is full —
 /// the unreliable-layer semantics of the datagram path.
-pub fn deliver_to_mbox(cx: &mut Cx<'_>, mbox: MboxId, prefix: &[u8], payload: &[u8]) -> bool {
+fn deliver_to_mbox(cx: &mut Cx<'_>, mbox: MboxId, prefix: &[u8], payload: &[u8]) -> bool {
     deliver_with(cx, mbox, prefix.len() + payload.len(), |cx, m| {
         cx.shared.msg_write(m, 0, prefix);
         cx.shared.msg_write(m, prefix.len(), payload);
@@ -440,7 +418,7 @@ pub fn ip_output(cx: &mut Cx<'_>, dst: Ipv4Addr, protocol: IpProtocol, payload: 
 /// IP input processing (§4.1). Runs at interrupt level by default, or
 /// from the IP thread in ablation A1. Demultiplexes complete datagrams
 /// to the higher protocols' input mailboxes with Enqueue semantics.
-pub fn process_ip_input(cx: &mut Cx<'_>, packet: &[u8]) {
+fn process_ip_input(cx: &mut Cx<'_>, packet: &[u8]) {
     cx.charge(cx.costs.ip_proc);
     cx.charge(cx.costs.ip_header_checksum);
     cx.proto.stats.ip_packets_in += 1;
@@ -492,7 +470,7 @@ pub fn process_ip_input(cx: &mut Cx<'_>, packet: &[u8]) {
 /// keeps the message until it is acknowledged, so it takes `payload`
 /// by value: the caller's one copy out of wherever the message lay is
 /// the copy the sender retransmits from.
-pub fn rmp_submit(cx: &mut Cx<'_>, req: SendReq, payload: Vec<u8>) {
+fn rmp_submit(cx: &mut Cx<'_>, req: SendReq, payload: Vec<u8>) {
     if req.dst_cab == cx.cab_id {
         deliver_to_mbox(cx, req.dst_mbox, &[], &payload);
         return;
@@ -500,18 +478,19 @@ pub fn rmp_submit(cx: &mut Cx<'_>, req: SendReq, payload: Vec<u8>) {
     let key = (req.dst_cab, req.dst_mbox, req.src_mbox);
     let cfg = cx.proto.rmp_cfg;
     let now = cx.now();
-    let sender = cx
-        .proto
-        .rmp_tx_mut()
+    cx.proto
+        .rmp_tx
         .entry(key)
         .or_insert_with(|| RmpSender::new(req.dst_cab, req.dst_mbox, req.src_mbox, cfg));
-    sender.send(payload);
     let mut acts = Vec::new();
-    sender.poll(now, &mut acts);
+    cx.proto.with_rmp_tx(key, |sender| {
+        sender.send(payload);
+        sender.poll(now, &mut acts);
+    });
     run_rmp_send_actions(cx, acts);
 }
 
-pub fn run_rmp_send_actions(cx: &mut Cx<'_>, acts: Vec<RmpSendAction>) {
+fn run_rmp_send_actions(cx: &mut Cx<'_>, acts: Vec<RmpSendAction>) {
     for act in acts {
         match act {
             RmpSendAction::Transmit { dst_cab, packet } => {
@@ -545,16 +524,19 @@ pub fn rr_call(cx: &mut Cx<'_>, req: SendReq, payload: &[u8]) -> u32 {
                 cx.proto.stats.bad_requests += 1;
                 return 0;
             }
-            cx.proto.rr_clients_mut().remove(&req.src_mbox);
+            // idle: no deadline to retire
+            cx.proto.rr_clients.remove(&req.src_mbox);
         }
     }
-    let client = cx
-        .proto
-        .rr_clients_mut()
+    cx.proto
+        .rr_clients
         .entry(req.src_mbox)
         .or_insert_with(|| RrClient::new(req.dst_cab, req.dst_mbox, req.src_mbox, cfg));
     let mut acts = Vec::new();
-    let id = client.call(now, payload.to_vec(), &mut acts);
+    let id = cx
+        .proto
+        .with_rr_client(req.src_mbox, |client| client.call(now, payload.to_vec(), &mut acts))
+        .expect("client just bound");
     for act in acts {
         run_rr_client_action(cx, req.src_mbox, act);
     }
@@ -582,7 +564,7 @@ fn run_rr_client_action(cx: &mut Cx<'_>, reply_mbox: u16, act: RrClientAction) {
 
 /// Send an unreliable datagram to `req.dst_mbox` on `req.dst_cab`;
 /// delivery within this CAB skips the wire.
-pub fn datagram_send(cx: &mut Cx<'_>, req: SendReq, msg_id: u32, payload: &[u8]) {
+fn datagram_send(cx: &mut Cx<'_>, req: SendReq, msg_id: u32, payload: &[u8]) {
     cx.charge(cx.costs.datagram_proc);
     cx.stamp("cab_dg_send", msg_id as u64);
     if req.dst_cab == cx.cab_id {
@@ -594,7 +576,7 @@ pub fn datagram_send(cx: &mut Cx<'_>, req: SendReq, msg_id: u32, payload: &[u8])
 }
 
 /// Send a UDP datagram from `req.src_port` through IP.
-pub fn udp_send(cx: &mut Cx<'_>, req: UdpSendReq, payload: &[u8]) {
+fn udp_send(cx: &mut Cx<'_>, req: UdpSendReq, payload: &[u8]) {
     cx.charge(cx.costs.udp_proc);
     let src = cx.proto.addr();
     let dst = ip_for_cab(req.dst_cab);
@@ -708,7 +690,7 @@ pub fn rx_dispatch(
         cx.charge(cx.costs.datagram_proc);
         let now = cx.now();
         let mut acts = Vec::new();
-        if cx.proto.coll_mut().on_packet(now, src_cab, &payload, &mut acts).is_err() {
+        if cx.proto.with_coll(|c| c.on_packet(now, src_cab, &payload, &mut acts)).is_err() {
             cx.proto.stats.bad_requests += 1;
             return;
         }
@@ -758,9 +740,7 @@ pub fn rx_dispatch(
                     let key = (src_cab, hdr.src_mbox, hdr.dst_mbox);
                     let now = cx.now();
                     let mut acts = Vec::new();
-                    if let Some(sender) = cx.proto.rmp_tx_mut().get_mut(&key) {
-                        sender.on_ack(now, &hdr, &mut acts);
-                    }
+                    cx.proto.with_rmp_tx(key, |sender| sender.on_ack(now, &hdr, &mut acts));
                     run_rmp_send_actions(cx, acts);
                 }
             }
@@ -795,9 +775,9 @@ pub fn rx_dispatch(
                     // hdr.dst_mbox is the client's reply mailbox
                     let now = cx.now();
                     let mut acts = Vec::new();
-                    if let Some(client) = cx.proto.rr_clients_mut().get_mut(&hdr.dst_mbox) {
-                        client.on_reply(now, &hdr, body, &mut acts);
-                    }
+                    cx.proto.with_rr_client(hdr.dst_mbox, |client| {
+                        client.on_reply(now, &hdr, body, &mut acts)
+                    });
                     for act in acts {
                         match act {
                             RrClientAction::Transmit { dst_cab, packet } => {
@@ -833,7 +813,7 @@ pub fn rx_dispatch(
 /// frames, downstream replication rides the zero-copy datalink path,
 /// and application-facing events become [`reqs::CollNote`]s in the
 /// registered collective mailbox.
-pub fn run_collective_actions(cx: &mut Cx<'_>, msg_id: u32, acts: Vec<CollectiveAction>) {
+fn run_collective_actions(cx: &mut Cx<'_>, msg_id: u32, acts: Vec<CollectiveAction>) {
     for act in acts {
         match act {
             CollectiveAction::Transmit { dst_cab, packet } => {
@@ -875,7 +855,7 @@ pub fn coll_arrive(cx: &mut Cx<'_>, group: u16, op: CombineOp, value: u64) -> bo
     cx.charge(cx.costs.datagram_proc);
     let now = cx.now();
     let mut acts = Vec::new();
-    let ok = cx.proto.coll_mut().arrive(now, group, op, value, &mut acts);
+    let ok = cx.proto.with_coll(|c| c.arrive(now, group, op, value, &mut acts));
     run_collective_actions(cx, 0, acts);
     ok
 }
@@ -885,7 +865,7 @@ pub fn coll_arrive(cx: &mut Cx<'_>, group: u16, op: CombineOp, value: u64) -> bo
 pub fn coll_multicast(cx: &mut Cx<'_>, group: u16, payload: &[u8]) -> bool {
     cx.charge(cx.costs.datagram_proc);
     let mut acts = Vec::new();
-    let ok = cx.proto.coll_mut().multicast(group, payload, &mut acts);
+    let ok = cx.proto.with_coll(|c| c.multicast(group, payload, &mut acts));
     run_collective_actions(cx, 0, acts);
     ok
 }
@@ -970,8 +950,9 @@ impl CabThread for RmpThread {
         // instant, and no action reaches back into the channels
         let now = cx.now();
         let mut acts = Vec::new();
-        for s in cx.proto.rmp_tx_mut().values_mut() {
+        for (&key, s) in cx.proto.rmp_tx.iter_mut() {
             s.poll(now, &mut acts);
+            cx.proto.rmp_deadlines.set(key, s.next_wakeup());
         }
         run_rmp_send_actions(cx, acts);
         wait(cx, cx.proto.rmp_cond, &[reqs::MB_RMP_SEND])
@@ -1014,8 +995,9 @@ impl CabThread for RrThread {
         let now = cx.now();
         let mut acts = Vec::new();
         let mut polled = Vec::new();
-        for (&mb, c) in cx.proto.rr_clients_mut().iter_mut() {
+        for (&mb, c) in cx.proto.rr_clients.iter_mut() {
             c.poll(now, &mut acts);
+            cx.proto.rr_deadlines.set(mb, c.next_wakeup());
             polled.extend(acts.drain(..).map(|act| (mb, act)));
         }
         for (mb, act) in polled {
@@ -1040,7 +1022,7 @@ impl CabThread for CollectiveThread {
     fn run(&mut self, cx: &mut Cx<'_>) -> Step {
         let now = cx.now();
         let mut acts = Vec::new();
-        cx.proto.coll_mut().poll(now, &mut acts);
+        cx.proto.with_coll(|c| c.poll(now, &mut acts));
         if !acts.is_empty() {
             cx.charge(cx.costs.datagram_proc);
         }

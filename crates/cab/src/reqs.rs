@@ -135,23 +135,6 @@ pub fn rr_deliver_decode(b: &[u8]) -> Option<(u16, u16, u32, &[u8])> {
     Some((u16be(b, 0), u16be(b, 2), u32be(b, 4), &b[RR_DELIVER_PREFIX..]))
 }
 
-/// The prefix of a response delivered into the client's reply mailbox.
-pub const RR_RESPONSE_PREFIX: usize = 4;
-
-pub fn rr_response_encode(req_id: u32, payload: &[u8]) -> Vec<u8> {
-    let mut v = Vec::with_capacity(RR_RESPONSE_PREFIX + payload.len());
-    v.extend_from_slice(&req_id.to_be_bytes());
-    v.extend_from_slice(payload);
-    v
-}
-
-pub fn rr_response_decode(b: &[u8]) -> Option<(u32, &[u8])> {
-    if b.len() < RR_RESPONSE_PREFIX {
-        return None;
-    }
-    Some((u32be(b, 0), &b[RR_RESPONSE_PREFIX..]))
-}
-
 /// TCP control operations (MB_TCP_CTL messages).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TcpCtl {
@@ -394,13 +377,10 @@ mod tests {
     }
 
     #[test]
-    fn rr_deliver_and_response_roundtrip() {
+    fn rr_deliver_roundtrip() {
         let b = rr_deliver_encode(5, 31, 7, b"args");
         assert_eq!(rr_deliver_decode(&b), Some((5, 31, 7, &b"args"[..])));
-        let b = rr_response_encode(7, b"out");
-        assert_eq!(rr_response_decode(&b), Some((7, &b"out"[..])));
         assert!(rr_deliver_decode(&[0; 4]).is_none());
-        assert!(rr_response_decode(&[0; 2]).is_none());
     }
 
     #[test]

@@ -27,10 +27,9 @@
 //! interrupts first, then upcalls, then the highest-priority runnable
 //! thread.
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 
-use nectar_sim::{Burst, SimDuration, SimTime, Trace};
+use nectar_sim::{Burst, Deadlines, SimDuration, SimTime, Trace};
 use nectar_wire::datalink::{DatalinkHeader, DatalinkProto, Frame};
 use nectar_wire::route::Route;
 
@@ -387,7 +386,7 @@ impl<'a> Cx<'a> {
 //
 // A burst costs the work it does, not the size of the thread table:
 // runnable threads sit in one id bitset per priority level, sleeping
-// and timed-blocked threads in one deadline heap, and blocked threads
+// and timed-blocked threads in one deadline index, and blocked threads
 // in one waiter list per condition. `set_state` is the only place a
 // thread's state changes after `fork`, and it keeps all three indexes
 // in step. Debug builds check every indexed answer against the linear
@@ -453,9 +452,6 @@ struct ThreadSlot {
     level: u8,
     /// Threads waiting to join this one.
     join_cond: CondId,
-    /// Bumped on every state change: a deadline-heap entry stamped with
-    /// an older epoch is stale.
-    epoch: u64,
     /// Neighbours in the waiter list of the condition the thread is
     /// blocked on.
     prev_waiter: ThreadId,
@@ -565,9 +561,8 @@ impl PendingIntr {
 pub struct Runtime {
     threads: Vec<ThreadSlot>,
     runnable: RunQueue,
-    /// Sleeping and timed-blocked threads as `(deadline, tid, epoch)`.
-    /// The top entry is never stale.
-    timers: BinaryHeap<Reverse<(SimTime, ThreadId, u64)>>,
+    /// Sleeping and timed-blocked threads by deadline.
+    timers: Deadlines<ThreadId>,
     /// Head of each condition's waiter list, indexed by condition id.
     waiters: Vec<ThreadId>,
     last_thread: Option<ThreadId>,
@@ -600,7 +595,7 @@ impl Runtime {
         Runtime {
             threads: Vec::with_capacity(BOOT_THREAD_SLOTS),
             runnable: RunQueue::default(),
-            timers: BinaryHeap::new(),
+            timers: Deadlines::new(),
             waiters: Vec::new(),
             last_thread: None,
             rr_next: 0,
@@ -633,7 +628,6 @@ impl Runtime {
             state: ThreadState::Runnable,
             level,
             join_cond,
-            epoch: 0,
             prev_waiter: NO_THREAD,
             next_waiter: NO_THREAD,
         });
@@ -643,7 +637,7 @@ impl Runtime {
 
     /// Move thread `tid` to `state` — the one place a thread's state
     /// changes after `fork` — keeping the runnable sets, the waiter lists and the
-    /// deadline heap in step with it.
+    /// deadline index in step with it.
     fn set_state(&mut self, tid: ThreadId, state: ThreadState) {
         let slot = &self.threads[tid as usize];
         let (old, level) = (slot.state, slot.level);
@@ -653,33 +647,16 @@ impl Runtime {
         if let Some(cond) = old.cond() {
             self.unlink_waiter(tid, cond);
         }
-        let slot = &mut self.threads[tid as usize];
-        slot.state = state;
-        slot.epoch += 1;
-        let epoch = slot.epoch;
+        self.threads[tid as usize].state = state;
         if state == ThreadState::Runnable {
             self.runnable.insert(level, tid);
         }
         if let Some(cond) = state.cond() {
             self.link_waiter(tid, cond);
         }
-        if let Some(deadline) = state.deadline() {
-            self.timers.push(Reverse((deadline, tid, epoch)));
-            // stale entries below the top are dropped in bulk once they
-            // outnumber the threads, so the heap stays O(threads)
-            if self.timers.len() > 2 * self.threads.len() + 16 {
-                let threads = &self.threads;
-                self.timers.retain(|&Reverse((_, t, e))| threads[t as usize].epoch == e);
-            }
-        }
-        // only a thread leaving a timed state can leave a stale top
-        if old.deadline().is_some() {
-            while let Some(&Reverse((_, t, e))) = self.timers.peek() {
-                if self.threads[t as usize].epoch == e {
-                    break;
-                }
-                self.timers.pop();
-            }
+        // Runnable <-> Blocked, the common transitions, keep no deadline
+        if state.deadline() != old.deadline() {
+            self.timers.set(tid, state.deadline());
         }
     }
 
@@ -771,16 +748,12 @@ impl Runtime {
 
     /// Wake sleeping / timed-out threads whose deadline has passed.
     pub(crate) fn apply_timeouts(&mut self, t: SimTime) {
-        while let Some(&Reverse((deadline, tid, _))) = self.timers.peek() {
-            if deadline > t {
-                break;
-            }
-            // the state change retires this entry
+        while let Some(tid) = self.timers.pop_due(t) {
             self.set_state(tid, ThreadState::Runnable);
         }
         debug_assert!(
             self.threads.iter().all(|s| s.state.deadline().is_none_or(|d| d > t)),
-            "a thread past its deadline at {t} is missing from the deadline heap"
+            "a thread past its deadline at {t} is missing from the deadline index"
         );
     }
 
@@ -894,7 +867,7 @@ impl Runtime {
         let next = [
             busy.then_some(after),
             self.intr_queue.front().map(|&(at, _, _)| at),
-            self.timers.peek().map(|&Reverse((deadline, _, _))| deadline),
+            self.timers.peek(),
         ]
         .into_iter()
         .flatten()
@@ -923,7 +896,7 @@ mod tests {
     use nectar_sim::check::{cases, Gen, DEFAULT_CASES};
 
     /// The scheduler as a linear scan over the thread table, as it was
-    /// written before the runnable sets, the deadline heap and the
+    /// written before the runnable sets, the deadline index and the
     /// waiter lists: the reference the indexed [`Runtime`] must match
     /// pick for pick.
     #[derive(Default)]

@@ -128,7 +128,7 @@ impl LinkPlan {
     /// A plan that can never affect a frame. Noop plans are pruned at
     /// install time so a script full of zeros leaves the engine
     /// disabled (⇒ bit-exact legacy schedule).
-    pub fn is_noop(&self) -> bool {
+    fn is_noop(&self) -> bool {
         self.loss <= 0.0
             && self.corrupt <= 0.0
             && self.burst.is_none()

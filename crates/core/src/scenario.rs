@@ -40,7 +40,7 @@ pub fn encode_reply_addr(cab: u16, mbox_or_port: u16) -> [u8; 4] {
 }
 
 /// Inverse of [`encode_reply_addr`].
-pub fn decode_reply_addr(b: &[u8]) -> Option<(u16, u16)> {
+fn decode_reply_addr(b: &[u8]) -> Option<(u16, u16)> {
     if b.len() < 4 {
         return None;
     }

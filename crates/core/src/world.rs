@@ -277,7 +277,7 @@ impl World {
     }
 
     /// Write every instrument into a snapshot.
-    pub fn publish_metrics(&self, r: &mut nectar_sim::MetricsSnapshot) {
+    fn publish_metrics(&self, r: &mut nectar_sim::MetricsSnapshot) {
         let s = &self.stats;
         r.set("net/frames_launched", s.frames_launched);
         r.set("net/frames_lost_injected", s.frames_lost_injected);

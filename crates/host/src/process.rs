@@ -120,7 +120,7 @@ impl<'a> HostCx<'a> {
     }
 
     /// Read message contents across the bus.
-    pub fn msg_read(&mut self, msg: &MsgRef) -> Vec<u8> {
+    fn msg_read(&mut self, msg: &MsgRef) -> Vec<u8> {
         self.vme_bytes(msg.len as usize);
         self.shared.msg_bytes(msg).to_vec()
     }

@@ -24,7 +24,7 @@ thread_local! {
 }
 
 /// The seed of the in-flight [`cases`] case, if any.
-pub fn current_seed() -> Option<u64> {
+fn current_seed() -> Option<u64> {
     CURRENT_SEED.with(|c| c.get())
 }
 

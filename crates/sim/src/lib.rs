@@ -16,6 +16,7 @@
 
 pub mod check;
 pub mod cpu;
+pub mod deadlines;
 pub mod json;
 pub mod metrics;
 pub mod par;
@@ -26,6 +27,7 @@ pub mod time;
 pub mod trace;
 
 pub use cpu::{Burst, Cpu, StepStatus};
+pub use deadlines::Deadlines;
 pub use metrics::MetricsSnapshot;
 pub use par::par_map;
 pub use queue::{EventCall, EventFn, SchedStats, Scheduler, TimerId};

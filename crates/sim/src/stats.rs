@@ -262,7 +262,7 @@ impl RateMeter {
 
     /// Throughput in Mbit/s (the paper's unit) over the window from first
     /// record to `end`.
-    pub fn mbits_per_sec(&self, end: SimTime) -> f64 {
+    fn mbits_per_sec(&self, end: SimTime) -> f64 {
         match self.started {
             None => 0.0,
             Some(start) => {

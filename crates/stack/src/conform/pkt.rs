@@ -31,13 +31,16 @@
 //!
 //! Commands: `connect`, `listen`, `send N`, `recv N`, `close`, `abort`,
 //! `state NAME`, `quiet` (assert nothing was emitted up to this time),
-//! `tolerance SECS`, and `opt k=v …` (config overrides; must precede
-//! the open — including `sack=1` and `wscale=N`).
+//! `checksum_drops N` (assert the stack's count of segments dropped
+//! for a bad checksum), `tolerance SECS`, and `opt k=v …` (config
+//! overrides; must precede the open — including `sack=1` and
+//! `wscale=N`).
 //!
 //! Segment lines may also carry `wscale=N` and `sackok=1` (SYN
 //! options) and `sack=L-R/L-R…` (SACK blocks, edges relative with the
 //! same base as `ack=`): on `<` lines they are injected, on `>` lines
-//! asserted.
+//! asserted. `csum=bad` on a `<` line corrupts the built segment's
+//! checksum.
 //!
 //! # IP scripts
 //!
@@ -128,6 +131,8 @@ struct Fields {
     sackok: bool,
     /// SACK blocks (`sack=l-r/l-r…`), edges relative like `ack=`.
     sack: Option<Vec<(u32, u32)>>,
+    /// Corrupt the checksum of an injected segment (`csum=bad`).
+    bad_csum: bool,
 }
 
 fn parse_fields(line_no: usize, line: &str, toks: &[&str]) -> Fields {
@@ -151,6 +156,10 @@ fn parse_fields(line_no: usize, line: &str, toks: &[&str]) -> Fields {
                 blocks.push((l, r));
             }
             f.sack = Some(blocks);
+            continue;
+        }
+        if (k, v) == ("csum", "bad") {
+            f.bad_csum = true;
             continue;
         }
         let n: u64 =
@@ -182,6 +191,12 @@ fn parse_flags(line_no: usize, line: &str, s: &str) -> TcpFlags {
         };
     }
     flags
+}
+
+/// The `N` of a `TIME VERB N` command.
+fn count<T: std::str::FromStr>(line_no: usize, line: &str, toks: &[&str]) -> T {
+    let n = toks.get(2).and_then(|s| s.parse().ok());
+    n.unwrap_or_else(|| fail(line_no, line, format!("{} N", toks[1])))
 }
 
 fn parse_state(line_no: usize, line: &str, s: &str) -> TcpState {
@@ -307,13 +322,20 @@ impl TcpRunner {
         }
         let rel = f.seq.unwrap_or(0);
         let payload: Vec<u8> = (0..f.len as u32).map(|j| pattern_byte(rel + j)).collect();
-        let segment = h.build(REMOTE, LOCAL, &payload, true);
+        let mut segment = h.build(REMOTE, LOCAL, &payload, true);
+        if f.bad_csum {
+            // x ^ 0xff00 is never x's ones'-complement twin, so it can not verify
+            segment[16] ^= 0xff;
+        }
         let ip = Ipv4Header::new(REMOTE, LOCAL, IpProtocol::TCP, segment.len());
         let evs = self.stack().on_packet(t, &ip, &segment);
         self.absorb(t, evs);
     }
 
     fn expect(&mut self, line_no: usize, line: &str, t: SimTime, flags: TcpFlags, f: Fields) {
+        if f.bad_csum {
+            fail(line_no, line, "csum=bad applies to injected segments only".into());
+        }
         // run timers forward until something is emitted or the window
         // for this expectation has passed
         while self.pending.is_empty() {
@@ -474,10 +496,7 @@ fn run_tcp(lines: &[(usize, &str)]) {
             }
             "send" => {
                 r.advance_to(t);
-                let n: u32 = toks
-                    .get(2)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| fail(line_no, line, "send N".into()));
+                let n: u32 = count(line_no, line, &toks);
                 let data: Vec<u8> = (0..n).map(|k| pattern_byte(r.sent + k + 1)).collect();
                 let id = r.id(line_no, line);
                 let (accepted, evs) = r.stack().send(t, id, &data);
@@ -489,10 +508,7 @@ fn run_tcp(lines: &[(usize, &str)]) {
             }
             "recv" => {
                 r.advance_to(t);
-                let n: usize = toks
-                    .get(2)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| fail(line_no, line, "recv N".into()));
+                let n: usize = count(line_no, line, &toks);
                 let id = r.id(line_no, line);
                 let got = r.stack().recv(id, n);
                 if got.len() != n {
@@ -537,6 +553,14 @@ fn run_tcp(lines: &[(usize, &str)]) {
                     .state();
                 if got != want {
                     fail(line_no, line, format!("state {got:?} ≠ expected {want:?}"));
+                }
+            }
+            "checksum_drops" => {
+                r.advance_to(t);
+                let want: u64 = count(line_no, line, &toks);
+                let got = r.stack().stats().checksum_drops;
+                if got != want {
+                    fail(line_no, line, format!("checksum drops {got} ≠ expected {want}"));
                 }
             }
             "quiet" => {

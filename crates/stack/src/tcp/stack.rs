@@ -2,11 +2,10 @@
 //! table, listening ports, ISN generation, and RST generation for
 //! segments that match no connection.
 
-use std::cmp::Reverse;
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
+use std::collections::{BTreeMap, BTreeSet};
 use std::net::Ipv4Addr;
 
-use nectar_sim::{Pcg32, SimTime};
+use nectar_sim::{Deadlines, Pcg32, SimTime};
 use nectar_wire::ipv4::Ipv4Header;
 use nectar_wire::tcp::{SeqNum, TcpFlags, TcpHeader};
 
@@ -55,10 +54,8 @@ pub struct TcpStack {
     next_ephemeral: u16,
     isn_rng: Pcg32,
     stats: TcpStackStats,
-    /// Every socket's earliest timer as `(deadline, id)`, pushed when it
-    /// changes. An entry whose socket no longer has that deadline is
-    /// stale; the top entry never is, so it is the stack's next wakeup.
-    wakeups: BinaryHeap<Reverse<(SimTime, SocketId)>>,
+    /// Every socket's earliest timer, set by whatever touched the socket.
+    deadlines: Deadlines<SocketId>,
 }
 
 impl TcpStack {
@@ -75,7 +72,7 @@ impl TcpStack {
             next_ephemeral: 32768,
             isn_rng: Pcg32::new(seed, 0x7cb),
             stats: TcpStackStats::default(),
-            wakeups: BinaryHeap::new(),
+            deadlines: Deadlines::new(),
         }
     }
 
@@ -128,58 +125,19 @@ impl TcpStack {
     fn register(&mut self, sock: TcpSocket, tuple: (u16, Ipv4Addr, u16)) -> SocketId {
         let id = self.next_id;
         self.next_id += 1;
-        if let Some(at) = sock.next_wakeup() {
-            self.wakeups.push(Reverse((at, id)));
-        }
+        self.deadlines.set(id, sock.next_wakeup());
         self.sockets.insert(id, sock);
         self.by_tuple.insert(tuple, id);
         id
     }
 
     /// Run `op` on socket `id`, if it exists, and index the socket's
-    /// earliest timer if `op` moved it.
+    /// earliest timer.
     fn on_socket<R>(&mut self, id: SocketId, op: impl FnOnce(&mut TcpSocket) -> R) -> Option<R> {
         let sock = self.sockets.get_mut(&id)?;
-        let before = sock.next_wakeup();
         let out = op(sock);
-        let after = sock.next_wakeup();
-        if Self::reindex(&mut self.wakeups, id, before, after) {
-            self.drop_stale_wakeups();
-        }
+        self.deadlines.set(id, sock.next_wakeup());
         Some(out)
-    }
-
-    /// Index socket `id`'s earliest timer, which moved from `before` to
-    /// `after`; true if that left a stale entry behind.
-    fn reindex(
-        wakeups: &mut BinaryHeap<Reverse<(SimTime, SocketId)>>,
-        id: SocketId,
-        before: Option<SimTime>,
-        after: Option<SimTime>,
-    ) -> bool {
-        if after == before {
-            return false;
-        }
-        if let Some(at) = after {
-            wakeups.push(Reverse((at, id)));
-        }
-        before.is_some()
-    }
-
-    /// Pop stale entries off the top of the wakeup heap, and drop the
-    /// ones below it once they outnumber the sockets, so the heap stays
-    /// O(sockets).
-    fn drop_stale_wakeups(&mut self) {
-        let sockets = &self.sockets;
-        let live = |&Reverse((at, id)): &Reverse<(SimTime, SocketId)>| {
-            sockets.get(&id).and_then(TcpSocket::next_wakeup) == Some(at)
-        };
-        while self.wakeups.peek().is_some_and(|top| !live(top)) {
-            self.wakeups.pop();
-        }
-        if self.wakeups.len() > 2 * sockets.len() + 16 {
-            self.wakeups.retain(live);
-        }
     }
 
     fn wrap(&mut self, id: SocketId, ev: Vec<TcpEvent>) -> Vec<TcpStackEvent> {
@@ -315,9 +273,7 @@ impl TcpStack {
             if self.by_tuple.get(&tuple) == Some(&id) {
                 self.by_tuple.remove(&tuple);
             }
-            if s.next_wakeup().is_some() {
-                self.drop_stale_wakeups();
-            }
+            self.deadlines.set(id, None);
         }
     }
 
@@ -326,24 +282,18 @@ impl TcpStack {
         // nothing is allocated unless a socket has something to say
         let mut out = Vec::new();
         let mut ev = Vec::new();
-        let mut stale = false;
         for (&id, s) in self.sockets.iter_mut() {
-            let before = s.next_wakeup();
             s.poll(now, &mut ev);
-            stale |= Self::reindex(&mut self.wakeups, id, before, s.next_wakeup());
+            self.deadlines.set(id, s.next_wakeup());
             Self::wrap_into(&mut self.by_tuple, id, Some(s), ev.drain(..), &mut out);
-        }
-        if stale {
-            self.drop_stale_wakeups();
         }
         out
     }
 
-    /// Earliest timer deadline across all sockets: the top of the
-    /// wakeup heap, checked against a scan of every socket in debug
-    /// builds.
+    /// Earliest timer deadline across all sockets, checked against a
+    /// scan of every socket in debug builds.
     pub fn next_wakeup(&self) -> Option<SimTime> {
-        let next = self.wakeups.peek().map(|&Reverse((at, _))| at);
+        let next = self.deadlines.peek();
         debug_assert_eq!(
             next,
             self.sockets.values().filter_map(TcpSocket::next_wakeup).min(),

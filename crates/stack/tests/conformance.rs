@@ -47,6 +47,7 @@ macro_rules! pkt_case {
 
 pkt_case!(
     accept_basic,
+    bad_checksum,
     connect_basic,
     fast_retransmit,
     fin_in_flight,

@@ -196,7 +196,7 @@ mod clmul {
     const PX: i64 = 0x1_db71_0641; // P(x), reflected
     const MU: i64 = 0x1_f701_1641; // Barrett µ
 
-    pub fn supported() -> bool {
+    pub(super) fn supported() -> bool {
         std::arch::is_x86_feature_detected!("pclmulqdq")
             && std::arch::is_x86_feature_detected!("sse4.1")
     }

@@ -82,7 +82,7 @@ impl Route {
     }
 
     /// Append a hop, rejecting growth past [`MAX_HOPS`].
-    pub fn try_push(&mut self, port: u8) -> Result<(), RouteError> {
+    fn try_push(&mut self, port: u8) -> Result<(), RouteError> {
         if self.hops.len() >= MAX_HOPS {
             return Err(RouteError::TooLong { len: self.hops.len() + 1, max: MAX_HOPS });
         }
@@ -90,8 +90,7 @@ impl Route {
         Ok(())
     }
 
-    /// Append a hop. Panics past [`MAX_HOPS`] — use [`Route::try_push`]
-    /// for computed routes.
+    /// Append a hop. Panics past [`MAX_HOPS`].
     pub fn push(&mut self, port: u8) {
         self.try_push(port).expect("route exceeds MAX_HOPS");
     }

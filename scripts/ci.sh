@@ -61,6 +61,17 @@ if grep -rnE 'cpu_busy \+=|cursor = t \+|charged \+=' crates/*/src \
     exit 1
 fi
 
+# one deadline index: every per-instance timer (a CAB thread's sleep, a
+# TCP socket's, RMP channel's, request-response client's retransmit) is
+# kept in nectar_sim::Deadlines; the event queue is the only other heap
+# (DESIGN.md §9).
+if grep -rn 'BinaryHeap' crates/*/src \
+    | grep -vE '^crates/sim/src/(queue|deadlines)\.rs:' \
+    || grep -rn 'DeadlineCache' crates/*/src; then
+    echo 'ci: a timer heap outside crates/sim/src/{queue,deadlines}.rs — keep deadlines in `nectar_sim::Deadlines`'
+    exit 1
+fi
+
 if [[ "${1:-}" == "--fix" ]]; then
     cargo fmt --all
 else
