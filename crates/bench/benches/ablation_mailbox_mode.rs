@@ -13,7 +13,7 @@ use std::rc::Rc;
 
 use nectar::config::Config;
 use nectar::world::World;
-use nectar_cab::shared::{SigEntry, SyncId};
+use nectar_cab::shared::SyncId;
 use nectar_cab::{HostOpMode, MboxId};
 use nectar_host::{HostCx, HostProcess, HostStep};
 use nectar_sim::{Histogram, SimDuration, SimTime};
@@ -29,7 +29,7 @@ struct PutBench {
 
 enum State {
     Idle,
-    WaitBeginPut { sync: SyncId, registered: bool },
+    WaitBeginPut { sync: SyncId },
     WaitEndPut { sync: SyncId },
     Finished,
 }
@@ -68,20 +68,12 @@ impl HostProcess for PutBench {
                 } else {
                     // RPC mode: ship Begin_Put to the CAB, wait on the
                     // sync for the handle
-                    let sync = cx.sync_alloc();
-                    cx.shared.cab_sigq.push_back(SigEntry::RpcBeginPut {
-                        mbox: self.mbox,
-                        size: 64,
-                        reply: sync,
-                    });
-                    cx.vme(3);
-                    cx.fx.push(nectar_host::HostEffect::InterruptCab);
-                    self.state = State::WaitBeginPut { sync, registered: false };
+                    let sync = cx.rpc_begin_put(self.mbox, 64);
+                    self.state = State::WaitBeginPut { sync };
                     HostStep::Yield
                 }
             }
-            State::WaitBeginPut { sync, registered } => {
-                let _ = registered;
+            State::WaitBeginPut { sync } => {
                 match cx.sync_poll(sync) {
                     None => HostStep::Yield,    // poll the sync (§3.2 fast path)
                     Some(0) => HostStep::Yield, // no space: retry
@@ -89,15 +81,8 @@ impl HostProcess for PutBench {
                         let idx = v - 1;
                         let m = cx.shared.handles.get(idx).expect("handle");
                         cx.msg_write(&m, 0, &[7u8; 64]);
-                        let done_sync = cx.sync_alloc();
-                        cx.shared.cab_sigq.push_back(SigEntry::RpcEndPut {
-                            mbox: self.mbox,
-                            msg_index: idx,
-                            reply: done_sync,
-                        });
-                        cx.vme(3);
-                        cx.fx.push(nectar_host::HostEffect::InterruptCab);
-                        self.state = State::WaitEndPut { sync: done_sync };
+                        let sync = cx.rpc_end_put(self.mbox, idx);
+                        self.state = State::WaitEndPut { sync };
                         HostStep::Yield
                     }
                 }

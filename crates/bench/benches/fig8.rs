@@ -8,53 +8,10 @@
 //! 7.2 Mbit/s because it bypasses the VME bus.
 
 use nectar::config::Config;
-use nectar::netdev::{eth_port, HostStackSink, HostStackStreamer, HostWire, NETDEV_MTU};
-use nectar::world::World;
 use nectar_bench::{
-    host_throughput, print_series, print_size_header, size_sweep, volume_for, StreamProto,
+    ethernet_throughput, host_throughput, netdev_mode_throughput, print_series, print_size_header,
+    size_sweep, volume_for, StreamProto,
 };
-use nectar_sim::{SimDuration, SimTime};
-
-fn netdev_mode_throughput() -> f64 {
-    let (mut world, mut sim) = World::single_hub(Config::default(), 2);
-    let total = 400_000u64;
-    let (sink, meter, received, done) =
-        HostStackSink::new(1, HostWire::CabRaw { dst_cab: 0 }, 5000, total);
-    world.hosts[1].spawn(Box::new(sink));
-    let (streamer, _) =
-        HostStackStreamer::new(0, HostWire::CabRaw { dst_cab: 1 }, 5000, NETDEV_MTU - 44, total);
-    world.hosts[0].spawn(Box::new(streamer));
-    world.run_until_done(&mut sim, SimTime::ZERO + SimDuration::from_secs(120), |_| done.get());
-    assert!(done.get(), "netdev sink got {}/{total}", received.get());
-    let m = meter.borrow().mbits_per_sec_to_last();
-    m
-}
-
-fn ethernet_throughput() -> f64 {
-    let (mut world, mut sim) = World::single_hub(Config::default(), 2);
-    let total = 400_000u64;
-    let rx1 = eth_port(&mut world, 1);
-    let rx0 = eth_port(&mut world, 0);
-    let (sink, meter, received, done) = HostStackSink::new(
-        1,
-        HostWire::Ethernet { dst_host: 0, rx: rx1, bits_per_sec: 10_000_000 },
-        5000,
-        total,
-    );
-    world.hosts[1].spawn(Box::new(sink));
-    let (streamer, _) = HostStackStreamer::new(
-        0,
-        HostWire::Ethernet { dst_host: 1, rx: rx0, bits_per_sec: 10_000_000 },
-        5000,
-        NETDEV_MTU - 44,
-        total,
-    );
-    world.hosts[0].spawn(Box::new(streamer));
-    world.run_until_done(&mut sim, SimTime::ZERO + SimDuration::from_secs(120), |_| done.get());
-    assert!(done.get(), "ethernet sink got {}/{total}", received.get());
-    let m = meter.borrow().mbits_per_sec_to_last();
-    m
-}
 
 fn main() {
     let sizes = size_sweep();

@@ -7,6 +7,7 @@
 //! tests and examples.
 
 use nectar::config::Config;
+use nectar::netdev::{eth_port, HostStackSink, HostStackStreamer, HostWire, NETDEV_MTU};
 use nectar::scenario::{
     CabEcho, CabPinger, CabRmpStreamer, CabSink, CabTcpListener, CabTcpStreamer, EchoServer,
     HostRmpStreamer, HostSink, HostTcpStreamer, Pinger, Transport,
@@ -179,6 +180,39 @@ pub fn host_throughput(mut config: Config, proto: StreamProto, msg_size: usize, 
     world.run_until_done(&mut sim, until(600), |_| done.get());
     assert!(done.get(), "host {proto:?} sink got {}/{total}", received.get());
     emit_snapshot(&format!("host_throughput_{proto:?}_{msg_size}"), &world);
+    let m = meter.borrow().mbits_per_sec_to_last();
+    m
+}
+
+/// Figure 8's first comparison point: host-resident TCP/IP with the CAB
+/// as a simple network device (§5.1).
+pub fn netdev_mode_throughput() -> f64 {
+    host_stack_throughput(|_, _, peer| HostWire::CabRaw { dst_cab: peer })
+}
+
+/// Figure 8's second comparison point: host-resident TCP/IP over the
+/// hosts' own 10 Mbit/s Ethernet, which bypasses the VME bus (§6.3).
+pub fn ethernet_throughput() -> f64 {
+    host_stack_throughput(|world, host, peer| HostWire::Ethernet {
+        dst_host: peer,
+        rx: eth_port(world, host as usize),
+        bits_per_sec: 10_000_000,
+    })
+}
+
+/// Stream 400 kB between host-resident TCP/IP stacks from host 0 to
+/// host 1; `wire(world, host, peer)` is host `host`'s wire to `peer`.
+fn host_stack_throughput(mut wire: impl FnMut(&mut World, u16, u16) -> HostWire) -> f64 {
+    let (mut world, mut sim) = World::single_hub(Config::default(), 2);
+    let total = 400_000u64;
+    let sink_wire = wire(&mut world, 1, 0);
+    let streamer_wire = wire(&mut world, 0, 1);
+    let (sink, meter, received, done) = HostStackSink::new(1, sink_wire, TCP_PORT, total);
+    world.hosts[1].spawn(Box::new(sink));
+    let (streamer, _) = HostStackStreamer::new(0, streamer_wire, TCP_PORT, NETDEV_MTU - 44, total);
+    world.hosts[0].spawn(Box::new(streamer));
+    world.run_until_done(&mut sim, until(120), |_| done.get());
+    assert!(done.get(), "host-stack sink got {}/{total}", received.get());
     let m = meter.borrow().mbits_per_sec_to_last();
     m
 }

@@ -8,7 +8,10 @@
 
 use nectar::config::Config;
 use nectar::scenario::Transport;
-use nectar_bench::{cab_rtt, cab_throughput, host_rtt, host_throughput, volume_for, StreamProto};
+use nectar_bench::{
+    cab_rtt, cab_throughput, ethernet_throughput, host_rtt, host_throughput,
+    netdev_mode_throughput, volume_for, StreamProto,
+};
 
 #[test]
 fn drivers_stop_at_completion_and_the_paper_numbers_do_not_move() {
@@ -43,6 +46,10 @@ fn drivers_stop_at_completion_and_the_paper_numbers_do_not_move() {
     {
         assert_eq!(cab_throughput(config, proto, 8192, volume_for(8192)), mbps, "{proto:?}");
     }
+    // Figure 8's comparison points (print as 9.3 and 9.6): host-resident
+    // TCP/IP over the CAB as a network device, and over Ethernet
+    assert_eq!(netdev_mode_throughput(), 9.297955542290472);
+    assert_eq!(ethernet_throughput(), 9.586370864814077);
 
     // The echo server's host polls until the world stops. A hundred
     // 342 µs round trips are 34 ms; run to the 60 s hang guard, its CPU

@@ -428,11 +428,6 @@ impl Cab {
                             }
                         }
                         SigEntry::CondSignal(c) => cx.shared.notices.wake_conds.push(c),
-                        SigEntry::SyncWrite(s, v) => {
-                            let t = cx.now();
-                            cx.shared.sync_write_at(s, v, t);
-                        }
-                        SigEntry::SyncCancel(s) => cx.shared.sync_cancel(s),
                         SigEntry::RpcBeginPut { mbox, size, reply } => {
                             let r = match cx.shared.begin_put(mbox, size as usize) {
                                 Ok(m) => cx.shared.handles.insert(m) + 1,
@@ -448,20 +443,6 @@ impl Cab {
                             let t = cx.now();
                             cx.shared.sync_write_at(reply, 1, t);
                         }
-                        SigEntry::RpcBeginGet { mbox, reply } => {
-                            let r = match cx.shared.begin_get(mbox) {
-                                Ok(m) => cx.shared.handles.insert(m) + 1,
-                                Err(_) => 0,
-                            };
-                            let t = cx.now();
-                            cx.shared.sync_write_at(reply, r, t);
-                        }
-                        SigEntry::RpcEndGet { mbox, msg_index } => {
-                            if let Some(m) = cx.shared.handles.remove(msg_index) {
-                                cx.shared.end_get(mbox, m);
-                            }
-                        }
-                        SigEntry::HostCondSignalled(_) | SigEntry::Request(..) => {}
                     }
                 }
                 *burst = cx.burst;
@@ -810,7 +791,7 @@ mod tests {
         c.shared.cab_sigq.push_back(SigEntry::RpcBeginPut { mbox: mb, size: 16, reply: sync });
         c.host_interrupt(t0);
         let (_, t1) = run_to_idle(&mut c, t0, &mut trace);
-        let r = c.shared.sync_read(sync).expect("sync written");
+        let r = c.shared.sync_read_at(sync, t1).expect("sync written");
         assert!(r > 0);
         let idx = r - 1;
         let m = c.shared.handles.get(idx).unwrap();
@@ -822,7 +803,8 @@ mod tests {
             reply: done_sync,
         });
         c.host_interrupt(t1);
-        run_to_idle(&mut c, t1, &mut trace);
+        let (_, t2) = run_to_idle(&mut c, t1, &mut trace);
+        assert_eq!(c.shared.sync_read_at(done_sync, t2), Some(1));
         let got = c.shared.begin_get(mb).unwrap();
         assert_eq!(c.shared.msg_bytes(&got), b"rpc mode payload");
     }

@@ -32,9 +32,6 @@ pub struct CostModel {
     pub mbox_begin_get: SimDuration,
     /// Mailbox End_Get: release storage.
     pub mbox_end_get: SimDuration,
-    /// Mailbox Enqueue (§3.3: "moves the message without copying the
-    /// data … by simply moving pointers").
-    pub mbox_enqueue: SimDuration,
     /// Sync Write / Read fast path.
     pub sync_op: SimDuration,
     /// Fixed per-packet transport processing, datagram protocol (thin).
@@ -76,7 +73,6 @@ impl Default for CostModel {
             mbox_end_put: SimDuration::from_micros(5),
             mbox_begin_get: SimDuration::from_micros(4),
             mbox_end_get: SimDuration::from_micros(5),
-            mbox_enqueue: SimDuration::from_micros(3),
             sync_op: SimDuration::from_micros(3),
             datagram_proc: SimDuration::from_micros(8),
             rmp_proc: SimDuration::from_micros(10),

@@ -231,11 +231,6 @@ impl<'a> Cx<'a> {
         self.shared.end_get(mbox, msg);
     }
 
-    pub fn enqueue(&mut self, msg: MsgRef, to: MboxId) {
-        self.charge(self.costs.mbox_enqueue);
-        self.shared.enqueue(msg, to);
-    }
-
     /// Write a full message into a mailbox in one call (allocate, fill,
     /// publish). The per-byte fill is a CAB-local memory copy; the
     /// charge models the store loop at one word per ~3 cycles.
@@ -256,12 +251,6 @@ impl<'a> Cx<'a> {
         self.charge(self.costs.sync_op);
         let now = self.now();
         self.shared.sync_write_at(id, value, now);
-    }
-
-    pub fn sync_read(&mut self, id: crate::shared::SyncId) -> Option<u32> {
-        self.charge(self.costs.sync_op);
-        let now = self.now();
-        self.shared.sync_read_at(id, now)
     }
 
     // ------------------------------------------------------------------

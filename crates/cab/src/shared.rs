@@ -85,8 +85,9 @@ pub enum HostOpMode {
     /// shared-memory mapping (≈2× faster per the paper).
     #[default]
     SharedMemory,
-    /// The host ships each operation to the CAB via the signal-queue
-    /// RPC mechanism and waits on a sync for the result.
+    /// The host ships Begin_Put and End_Put to the CAB through the
+    /// signal queue and polls a sync for the result (put-only: A2's
+    /// comparison measures the put).
     Rpc,
 }
 
@@ -127,8 +128,6 @@ pub enum SyncState {
     Empty,
     /// Written with a one-word value.
     Written(u32),
-    /// Reader gave up; the next Write frees it.
-    Canceled,
 }
 
 /// A sync: a one-word value plus synchronization (§3.4: "Syncs allow a
@@ -158,38 +157,23 @@ pub struct HostCond {
     pub wants_interrupt: bool,
 }
 
-/// An entry in either signal queue: "fixed-size elements that consist
-/// of an opcode and a parameter" (§3.2).
+/// An entry in the host → CAB signal queue: "fixed-size elements that
+/// consist of an opcode and a parameter" (§3.2). The CAB → host queue
+/// carries only the host condition that was signalled.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SigEntry {
-    /// CAB → host: a host condition was signalled.
-    HostCondSignalled(HostCondId),
-    /// Host → CAB: a mailbox was written in shared-memory mode; wake
-    /// its CAB readers / run its upcall.
+    /// A mailbox was written in shared-memory mode; wake its CAB
+    /// readers / run its upcall.
     MailboxWritten(MboxId),
-    /// Host → CAB: signal a CAB condition variable (generic wake used
-    /// when host-side shared-memory operations would have woken CAB
-    /// threads — e.g. End_Get freeing heap space writers wait on).
+    /// Signal a CAB condition variable: a host End_Get freed heap space
+    /// a CAB writer blocked on.
     CondSignal(CondId),
-    /// Host → CAB: execute Write on a sync (the host "offloads the
-    /// execution of Write to the CAB", §3.4).
-    SyncWrite(SyncId, u32),
-    /// Host → CAB: Cancel a sync.
-    SyncCancel(SyncId),
-    /// Host → CAB RPC: perform Begin_Put; deliver the MsgRef through
-    /// the given sync (address packed as the sync value).
+    /// RPC: perform Begin_Put; deliver the handle index + 1 (0: no
+    /// space) through the given sync.
     RpcBeginPut { mbox: MboxId, size: u32, reply: SyncId },
-    /// Host → CAB RPC: perform End_Put of a previously returned
-    /// handle; completion is reported through the sync.
+    /// RPC: perform End_Put of a previously returned handle;
+    /// completion is reported through the sync.
     RpcEndPut { mbox: MboxId, msg_index: u32, reply: SyncId },
-    /// Host → CAB RPC: Begin_Get; result via sync (index+1, or 0 for
-    /// empty).
-    RpcBeginGet { mbox: MboxId, reply: SyncId },
-    /// Host → CAB RPC: End_Get of a handle.
-    RpcEndGet { mbox: MboxId, msg_index: u32 },
-    /// Generic request for higher layers (TCP control, etc.): opcode +
-    /// parameter, with the payload in a mailbox.
-    Request(u32, u32),
 }
 
 /// Deferred cross-boundary effects of shared-state operations.
@@ -264,8 +248,9 @@ pub struct CabShared {
     pub mailboxes: Vec<Mailbox>,
     pub syncs: Vec<Sync>,
     pub host_conds: Vec<HostCond>,
-    /// CAB → host signal queue.
-    pub host_sigq: VecDeque<SigEntry>,
+    /// CAB → host signal queue: the host conditions signalled while a
+    /// host process was blocked on them.
+    pub host_sigq: VecDeque<HostCondId>,
     /// Host → CAB signal queue.
     pub cab_sigq: VecDeque<SigEntry>,
     /// Outstanding two-phase handles for host RPC-mode operations.
@@ -461,12 +446,6 @@ impl CabShared {
         self.notices.wake_conds.push(space_cond);
     }
 
-    /// Enqueue: move a message (obtained via Begin_Get or built by a
-    /// protocol) to another mailbox without copying (§3.3).
-    pub fn enqueue(&mut self, msg: MsgRef, to: MboxId) {
-        self.end_put(to, msg);
-    }
-
     /// Read a message's bytes (system access — protocol code).
     pub fn msg_bytes(&self, msg: &MsgRef) -> &[u8] {
         self.mem.dma_read(msg.data, msg.len as usize)
@@ -503,29 +482,17 @@ impl CabShared {
         (self.syncs.len() - 1) as SyncId
     }
 
-    /// Write: deposit the value and wake the reader; a canceled sync is
-    /// freed instead. `now` is the burst-accurate store time: a reader
-    /// polling earlier must not observe the write.
+    /// Write: deposit the value and wake the reader. `now` is the
+    /// burst-accurate store time: a reader polling earlier must not
+    /// observe the write.
     pub fn sync_write_at(&mut self, id: SyncId, value: u32, now: SimTime) {
         let s = &mut self.syncs[id as usize];
-        match s.state {
-            SyncState::Canceled => {
-                s.free = true;
-            }
-            _ => {
-                s.state = SyncState::Written(value);
-                s.written_at = now;
-                let cond = s.cond;
-                let hc = s.host_cond;
-                self.notices.wake_conds.push(cond);
-                self.signal_host_cond(hc);
-            }
-        }
-    }
-
-    /// Write without a timestamp (immediately visible).
-    pub fn sync_write(&mut self, id: SyncId, value: u32) {
-        self.sync_write_at(id, value, SimTime::ZERO);
+        s.state = SyncState::Written(value);
+        s.written_at = now;
+        let cond = s.cond;
+        let hc = s.host_cond;
+        self.notices.wake_conds.push(cond);
+        self.signal_host_cond(hc);
     }
 
     /// Read at `now`: non-blocking attempt; `None` means not yet
@@ -541,24 +508,9 @@ impl CabShared {
         }
     }
 
-    /// Read with immediate visibility (CAB-local readers within the
-    /// same burst ordering).
-    pub fn sync_read(&mut self, id: SyncId) -> Option<u32> {
-        self.sync_read_at(id, SimTime::MAX)
-    }
-
     /// The host condition a blocked host sync reader waits on.
     pub fn sync_host_cond(&self, id: SyncId) -> HostCondId {
         self.syncs[id as usize].host_cond
-    }
-
-    /// Cancel: reader is no longer interested.
-    pub fn sync_cancel(&mut self, id: SyncId) {
-        let s = &mut self.syncs[id as usize];
-        match s.state {
-            SyncState::Written(_) => s.free = true,
-            _ => s.state = SyncState::Canceled,
-        }
     }
 
     // ------------------------------------------------------------------
@@ -573,7 +525,7 @@ impl CabShared {
         c.poll_value = c.poll_value.wrapping_add(1);
         if c.wants_interrupt {
             c.wants_interrupt = false;
-            self.host_sigq.push_back(SigEntry::HostCondSignalled(hc));
+            self.host_sigq.push_back(hc);
             self.notices.interrupt_host = true;
         }
     }
@@ -647,7 +599,7 @@ mod tests {
         s.host_cond_register_waiter(hc);
         s.signal_host_cond(hc);
         assert!(s.notices.interrupt_host);
-        assert_eq!(s.host_sigq.pop_front(), Some(SigEntry::HostCondSignalled(hc)));
+        assert_eq!(s.host_sigq.pop_front(), Some(hc));
         // one-shot: a second signal without re-registration does not
         // re-post
         s.notices = Notices::default();
@@ -684,7 +636,7 @@ mod tests {
         let orig_buf = got.buf;
         // strip the 3-byte "ip " header in place, then move to b
         got.trim_front(3);
-        s.enqueue(got, b);
+        s.end_put(b, got);
         let final_msg = s.begin_get(b).unwrap();
         assert_eq!(final_msg.buf, orig_buf, "no copy: same buffer");
         assert_eq!(&s.msg_bytes(&final_msg)[..6], b"packet");
@@ -761,35 +713,14 @@ mod tests {
     fn sync_lifecycle() {
         let mut s = shared();
         let id = s.sync_alloc();
-        assert_eq!(s.sync_read(id), None);
-        s.sync_write(id, 42);
+        let t = SimTime::ZERO + nectar_sim::SimDuration::from_micros(5);
+        assert_eq!(s.sync_read_at(id, t), None);
+        s.sync_write_at(id, 42, t);
         assert!(!s.notices.wake_conds.is_empty());
-        assert_eq!(s.sync_read(id), Some(42));
+        // not visible before the store, consumed at it
+        assert_eq!(s.sync_read_at(id, SimTime::ZERO), None);
+        assert_eq!(s.sync_read_at(id, t), Some(42));
         // slot is recycled
-        let id2 = s.sync_alloc();
-        assert_eq!(id, id2);
-    }
-
-    #[test]
-    fn sync_cancel_before_write() {
-        let mut s = shared();
-        let id = s.sync_alloc();
-        s.sync_cancel(id);
-        // the slot is NOT yet free: the writer frees it
-        let id2 = s.sync_alloc();
-        assert_ne!(id, id2);
-        s.sync_write(id, 7);
-        // now freed, no wake notices for the canceled sync write
-        let id3 = s.sync_alloc();
-        assert_eq!(id, id3);
-    }
-
-    #[test]
-    fn sync_cancel_after_write_frees() {
-        let mut s = shared();
-        let id = s.sync_alloc();
-        s.sync_write(id, 7);
-        s.sync_cancel(id);
         let id2 = s.sync_alloc();
         assert_eq!(id, id2);
     }

@@ -49,6 +49,28 @@ pub struct NetStats {
     pub bytes_dead_end: u64,
 }
 
+impl NetStats {
+    /// Book one fiber hop's fault verdict against `frame`: count an
+    /// injected loss or corruption (the engine counted a down fiber or
+    /// node), flip a corrupted bit, and say whether the frame goes on.
+    fn book_hop(&mut self, verdict: Verdict, frame: &mut Frame) -> bool {
+        match verdict {
+            Verdict::Lose => {
+                self.frames_lost_injected += 1;
+                self.bytes_lost_injected += frame.wire_len() as u64;
+                false
+            }
+            Verdict::Down => false,
+            Verdict::Corrupt(bit) => {
+                frame.corrupt_bit(bit);
+                self.frames_corrupted_injected += 1;
+                true
+            }
+            Verdict::Deliver => true,
+        }
+    }
+}
+
 /// Aggregate request accounting for workload drivers (nectar-load).
 /// One shared ledger per world; every load client updates it inline,
 /// and [`World::publish_metrics`] surfaces it as `net/load/*` when
@@ -643,18 +665,9 @@ fn route_cab_effects(
                 let (hub, port) = w.topo.cab_port[i];
                 // fault injection where the frame enters the network:
                 // the legacy global plan, then the CAB↔HUB link plan
-                match w.faults.entry_verdict(i as u16, hub, first_byte, wire_len) {
-                    Verdict::Lose => {
-                        w.stats.frames_lost_injected += 1;
-                        w.stats.bytes_lost_injected += wire_len as u64;
-                        continue;
-                    }
-                    Verdict::Down => continue, // engine counted it
-                    Verdict::Corrupt(bit) => {
-                        frame.corrupt_bit(bit);
-                        w.stats.frames_corrupted_injected += 1;
-                    }
-                    Verdict::Deliver => {}
+                let verdict = w.faults.entry_verdict(i as u16, hub, first_byte, wire_len);
+                if !w.stats.book_hop(verdict, &mut frame) {
+                    continue;
                 }
                 let prop = w.config.link.fiber_propagation;
                 let at = first_byte + prop;
@@ -699,23 +712,14 @@ fn hub_frame_arrival(w: &mut World, sim: &mut Sim, hub: usize, in_port: u8, mut 
                 Attachment::Cab(c) => {
                     // the outbound HUB↔CAB fiber has its own plan,
                     // judged as the first byte leaves the crossbar
-                    match w.faults.forward_verdict(
+                    let verdict = w.faults.forward_verdict(
                         hub as u16,
                         NodeRef::Cab(c),
                         first_byte_out,
                         wire_len,
-                    ) {
-                        Verdict::Lose => {
-                            w.stats.frames_lost_injected += 1;
-                            w.stats.bytes_lost_injected += wire_len as u64;
-                            return;
-                        }
-                        Verdict::Down => return,
-                        Verdict::Corrupt(bit) => {
-                            frame.corrupt_bit(bit);
-                            w.stats.frames_corrupted_injected += 1;
-                        }
-                        Verdict::Deliver => {}
+                    );
+                    if !w.stats.book_hop(verdict, &mut frame) {
+                        return;
                     }
                     let c = c as usize;
                     sim.at(at, move |w, s| {
@@ -723,23 +727,14 @@ fn hub_frame_arrival(w: &mut World, sim: &mut Sim, hub: usize, in_port: u8, mut 
                     });
                 }
                 Attachment::Hub { hub: h2, in_port: p2 } => {
-                    match w.faults.forward_verdict(
+                    let verdict = w.faults.forward_verdict(
                         hub as u16,
                         NodeRef::Hub(h2),
                         first_byte_out,
                         wire_len,
-                    ) {
-                        Verdict::Lose => {
-                            w.stats.frames_lost_injected += 1;
-                            w.stats.bytes_lost_injected += wire_len as u64;
-                            return;
-                        }
-                        Verdict::Down => return,
-                        Verdict::Corrupt(bit) => {
-                            frame.corrupt_bit(bit);
-                            w.stats.frames_corrupted_injected += 1;
-                        }
-                        Verdict::Deliver => {}
+                    );
+                    if !w.stats.book_hop(verdict, &mut frame) {
+                        return;
                     }
                     sim.at(at, move |w, s| {
                         hub_frame_arrival(w, s, h2 as usize, p2, frame);

@@ -6,7 +6,7 @@
 //! reports when it next has work. The core crate interleaves host and
 //! CAB bursts on the global event queue.
 
-use nectar_cab::shared::{CabShared, HostCondId, SigEntry};
+use nectar_cab::shared::{CabShared, HostCondId};
 use nectar_sim::{Cpu, SimTime, StepStatus, Trace};
 
 use crate::costs::HostCostModel;
@@ -142,13 +142,11 @@ impl Host {
                 cx.shared.host_sigq_high = depth;
             }
             cx.charge(cx.costs.interrupt_service);
-            while let Some(entry) = cx.shared.host_sigq.pop_front() {
+            while let Some(hc) = cx.shared.host_sigq.pop_front() {
                 cx.vme(2);
-                if let SigEntry::HostCondSignalled(hc) = entry {
-                    for p in &mut self.procs {
-                        if p.state == ProcState::Blocked(hc) {
-                            p.state = ProcState::Runnable;
-                        }
+                for p in &mut self.procs {
+                    if p.state == ProcState::Blocked(hc) {
+                        p.state = ProcState::Runnable;
                     }
                 }
             }

@@ -16,7 +16,7 @@
 use nectar_cab::proto::Transport;
 use nectar_cab::reqs::{self, RrReplyReq, SendReq, UdpSendReq};
 use nectar_cab::shared::{
-    CabShared, CondId, HostCondId, MboxId, MsgRef, SigEntry, SyncId, WouldBlock,
+    CabShared, CondId, HostCondId, HostOpMode, MboxId, MsgRef, SigEntry, SyncId, WouldBlock,
 };
 use nectar_sim::{Burst, SimDuration, SimTime, Trace};
 
@@ -107,8 +107,18 @@ impl<'a> HostCx<'a> {
     // mailbox operations, shared-memory mode (§3.3)
     // ------------------------------------------------------------------
 
+    /// A mailbox is driven from the host only in the mode it was
+    /// created with (§3.3's per-mailbox selection).
+    fn debug_assert_mode(&self, mbox: MboxId, mode: HostOpMode) {
+        debug_assert_eq!(
+            self.shared.mailboxes[mbox as usize].host_mode, mode,
+            "host op on mailbox {mbox} in the wrong mode"
+        );
+    }
+
     /// Begin_Put from the host: pointer manipulation over VME.
     pub fn mbox_begin_put(&mut self, mbox: MboxId, size: usize) -> Result<MsgRef, WouldBlock> {
+        self.debug_assert_mode(mbox, HostOpMode::SharedMemory);
         self.vme(self.costs.mbox_begin_put_words);
         self.shared.begin_put(mbox, size)
     }
@@ -126,15 +136,19 @@ impl<'a> HostCx<'a> {
     }
 
     /// End_Put from the host: publish, then notify the CAB through the
-    /// signal queue + interrupt (Figure 4's host-to-CAB signaling).
+    /// signal queue + interrupt (Figure 4's host-to-CAB signaling): the
+    /// host cannot touch the CAB scheduler, so the reader wake End_Put
+    /// raised travels as one entry.
     pub fn mbox_end_put(&mut self, mbox: MboxId, msg: MsgRef) {
         self.vme(self.costs.mbox_end_put_words);
         self.shared.end_put(mbox, msg);
-        self.forward_notices_to_cab(Some(mbox));
+        self.shared.notices.take();
+        self.signal_cab(SigEntry::MailboxWritten(mbox), 2);
     }
 
     /// Begin_Get from the host.
     pub fn mbox_begin_get(&mut self, mbox: MboxId) -> Result<MsgRef, CondId> {
+        self.debug_assert_mode(mbox, HostOpMode::SharedMemory);
         self.vme(self.costs.mbox_begin_get_words);
         self.shared.begin_get(mbox)
     }
@@ -146,41 +160,44 @@ impl<'a> HostCx<'a> {
     pub fn mbox_end_get(&mut self, mbox: MboxId, msg: MsgRef) {
         self.vme(self.costs.mbox_end_get_words);
         self.shared.end_get(mbox, msg);
-        let notices = self.shared.notices.take();
-        if self.shared.mailboxes[mbox as usize].space_wanted {
-            self.shared.mailboxes[mbox as usize].space_wanted = false;
-            for c in notices.wake_conds {
-                self.shared.cab_sigq.push_back(SigEntry::CondSignal(c));
-            }
-            self.vme(2);
-            self.doorbell = true;
+        self.shared.notices.take();
+        let m = &mut self.shared.mailboxes[mbox as usize];
+        if std::mem::take(&mut m.space_wanted) {
+            let space_cond = m.space_cond;
+            self.signal_cab(SigEntry::CondSignal(space_cond), 2);
         }
     }
 
-    /// Translate shared-state notices raised by a host-side operation
-    /// into CAB signal-queue entries plus a doorbell interrupt: the
-    /// host cannot touch the CAB scheduler directly.
-    fn forward_notices_to_cab(&mut self, mbox_written: Option<MboxId>) {
-        let notices = self.shared.notices.take();
-        let mut posted = false;
-        if let Some(mb) = mbox_written {
-            if !notices.wake_conds.is_empty() || !notices.upcalls.is_empty() {
-                self.shared.cab_sigq.push_back(SigEntry::MailboxWritten(mb));
-                posted = true;
-            }
-        } else {
-            for c in notices.wake_conds {
-                self.shared.cab_sigq.push_back(SigEntry::CondSignal(c));
-                posted = true;
-            }
-        }
-        if posted {
-            self.vme(2); // queue entry + doorbell register
-            self.doorbell = true;
-        }
-        // notices.interrupt_host: a host-readable mailbox/sync was
-        // touched from the host side itself; the poll value is already
-        // visible (single host per CAB)
+    /// Post one entry to the CAB signal queue and ring the doorbell,
+    /// charging `words` VME words for the entry and the doorbell
+    /// register.
+    fn signal_cab(&mut self, entry: SigEntry, words: u32) {
+        self.shared.cab_sigq.push_back(entry);
+        self.vme(words);
+        self.doorbell = true;
+    }
+
+    // ------------------------------------------------------------------
+    // mailbox operations, RPC mode (§3.3): the CAB executes the
+    // operation and returns its result through a sync
+    // ------------------------------------------------------------------
+
+    /// Ship Begin_Put of `size` bytes to the CAB. The returned sync
+    /// reads the handle index + 1, or 0 when the heap had no space.
+    pub fn rpc_begin_put(&mut self, mbox: MboxId, size: u32) -> SyncId {
+        self.debug_assert_mode(mbox, HostOpMode::Rpc);
+        let reply = self.sync_alloc();
+        self.signal_cab(SigEntry::RpcBeginPut { mbox, size, reply }, 3);
+        reply
+    }
+
+    /// Ship End_Put of the handle `msg_index` to the CAB. The returned
+    /// sync is written once the message is published.
+    pub fn rpc_end_put(&mut self, mbox: MboxId, msg_index: u32) -> SyncId {
+        self.debug_assert_mode(mbox, HostOpMode::Rpc);
+        let reply = self.sync_alloc();
+        self.signal_cab(SigEntry::RpcEndPut { mbox, msg_index, reply }, 3);
+        reply
     }
 
     /// One-call convenience: build and publish a message (Nectarine's
@@ -275,26 +292,12 @@ impl<'a> HostCx<'a> {
     // syncs (§3.4) — host side
     // ------------------------------------------------------------------
 
-    /// Host Write offloads execution to the CAB via the signal queue.
-    pub fn sync_write(&mut self, id: SyncId, value: u32) {
-        self.vme(3);
-        self.shared.cab_sigq.push_back(SigEntry::SyncWrite(id, value));
-        self.doorbell = true;
-    }
-
     /// Non-blocking host Read: one VME read of the state word; consume
     /// if written and visible by now.
     pub fn sync_poll(&mut self, id: SyncId) -> Option<u32> {
         self.vme(1);
         let now = self.now();
         self.shared.sync_read_at(id, now)
-    }
-
-    /// Cancel from the host.
-    pub fn sync_cancel(&mut self, id: SyncId) {
-        self.vme(2);
-        self.shared.cab_sigq.push_back(SigEntry::SyncCancel(id));
-        self.doorbell = true;
     }
 
     /// Allocate a sync (host pool).

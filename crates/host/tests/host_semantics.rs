@@ -4,7 +4,7 @@
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
-use nectar_cab::shared::{CabShared, SigEntry};
+use nectar_cab::shared::CabShared;
 use nectar_cab::HostOpMode;
 use nectar_host::{Host, HostCostModel, HostCx, HostProcess, HostStep};
 use nectar_sim::{SimDuration, SimTime, Trace};
@@ -126,7 +126,7 @@ fn interrupt_service_counts_its_vme_words() {
     let mut h = Host::new(0, 0, costs);
     let mut shared = CabShared::new();
     let hc = shared.create_host_cond();
-    shared.host_sigq.push_back(SigEntry::HostCondSignalled(hc));
+    shared.host_sigq.push_back(hc);
     h.cab_interrupt(SimTime::ZERO);
     run_to_idle(&mut h, &mut shared, SimTime::ZERO);
     assert_eq!(h.stats.cab_interrupts, 1);

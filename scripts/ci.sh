@@ -72,6 +72,15 @@ if grep -rn 'BinaryHeap' crates/*/src \
     exit 1
 fi
 
+# one writer of the host → CAB signal queue: `HostCx` posts every entry
+# and rings the doorbell with it; board.rs's unit tests push entries to
+# drive the CAB's service arms directly.
+if grep -rn 'cab_sigq\.push_back(' crates tests examples \
+    | grep -vE '^crates/(host/src/process|cab/src/board)\.rs:'; then
+    echo 'ci: cab_sigq written outside HostCx — post through a HostCx mailbox or RPC helper'
+    exit 1
+fi
+
 if [[ "${1:-}" == "--fix" ]]; then
     cargo fmt --all
 else

@@ -9,7 +9,7 @@
 //! protocol threads shows up as diverging metric snapshots here.
 
 use nectar::config::Config;
-use nectar::fault::{FaultScript, LinkPlan};
+use nectar::fault::{FaultScript, LinkPlan, NodeOutage, NodeRef};
 use nectar::world::World;
 use nectar_load::sweep::{run_sweep, variants_json};
 use nectar_load::{deploy_fleet, Arrival, FleetPlan, LoadTransport, SizeDist, SweepConfig};
@@ -161,6 +161,44 @@ fn small_fleet_survives_faults_with_oracle_armed() {
     for t in [LoadTransport::Rmp, LoadTransport::ReqResp] {
         assert!(rec.record(t).responses > 0, "{} made no progress under loss", t.name());
     }
+}
+
+/// An echo server that goes dark times its clients' requests out:
+/// requests sent into the outage resolve as timeouts, the server
+/// answers again once it heals, and every intended request still
+/// resolves exactly once.
+#[test]
+fn requests_to_a_dark_server_time_out_and_recover() {
+    let ms = |n| SimTime::ZERO + SimDuration::from_millis(n);
+    let plan = FleetPlan {
+        seed: 0xda4c,
+        mix: vec![(LoadTransport::Datagram, 8)],
+        clients_per_cab: 8,
+        endpoints_per_client: 1,
+        arrival: Arrival::Open { mean_gap: SimDuration::from_millis(1) },
+        size: SizeDist::Fixed(64),
+        timeout: SimDuration::from_millis(5),
+        start: ms(1),
+        stop: ms(31),
+    };
+    let heal = ms(16);
+    let script = FaultScript {
+        links: Vec::new(),
+        outages: vec![NodeOutage { node: NodeRef::Cab(0), from: ms(6), until: heal }],
+    };
+    let (mut world, mut sim) =
+        World::new(Config { seed: plan.seed, ..Config::default() }, plan.topology());
+    world.install_fault_script(&mut sim, &script);
+    let fleet = deploy_fleet(&mut world, &plan);
+    assert_eq!(fleet.servers[0].1 .0, 0, "the echo server sits on the dark CAB");
+    world.run_until(&mut sim, heal);
+    let at_heal = *fleet.ledger.borrow();
+    world.run_until(&mut sim, plan.stop + SimDuration::from_secs(1));
+
+    let led = *fleet.ledger.borrow();
+    assert!(at_heal.timeouts > 0, "no request timed out during the outage: {led:?}");
+    assert!(led.responses > at_heal.responses, "no response after the heal: {led:?}");
+    assert_eq!(led.responses + led.timeouts + led.failures, led.requests_intended, "{led:?}");
 }
 
 /// The quick capacity sweep (the CI smoke configuration) renders

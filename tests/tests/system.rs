@@ -354,43 +354,69 @@ fn mixed_concurrent_traffic() {
 
 #[test]
 fn rpc_mode_mailbox_datagram_roundtrip() {
-    // a full datagram ping-pong where the pinger's request mailbox is
-    // driven in RPC mode would need an RPC-mode Pinger; instead verify
-    // the RPC ops work against a live protocol mailbox end to end
-    use nectar_cab::shared::SigEntry;
+    // Host 0 sends one datagram with its send mailbox selected for RPC
+    // mode (§3.3's per-mailbox selection): Begin_Put and End_Put run on
+    // the CAB and answer through syncs, and the echo comes back to a
+    // reply mailbox on CAB 0.
+    use nectar::scenario::encode_reply_addr;
+    use nectar_cab::reqs::{SendReq, MB_DG_SEND};
+    use nectar_cab::shared::SyncId;
+    use nectar_host::{HostCx, HostProcess, HostStep};
+    use std::cell::Cell;
+    use std::rc::Rc;
+
+    enum Put {
+        Start,
+        Begun(SyncId),
+        Ended(SyncId),
+    }
+    struct RpcSender {
+        req: Vec<u8>,
+        state: Put,
+        done: Rc<Cell<bool>>,
+    }
+    impl HostProcess for RpcSender {
+        fn run(&mut self, cx: &mut HostCx<'_>) -> HostStep {
+            match self.state {
+                Put::Start => {
+                    self.state = Put::Begun(cx.rpc_begin_put(MB_DG_SEND, self.req.len() as u32));
+                    HostStep::Yield
+                }
+                Put::Begun(sync) => match cx.sync_poll(sync) {
+                    None => HostStep::Yield,
+                    Some(handle) => {
+                        assert!(handle > 0, "Begin_Put found no heap space");
+                        let m = cx.shared.handles.get(handle - 1).expect("handle");
+                        cx.msg_write(&m, 0, &self.req);
+                        self.state = Put::Ended(cx.rpc_end_put(MB_DG_SEND, handle - 1));
+                        HostStep::Yield
+                    }
+                },
+                Put::Ended(sync) => match cx.sync_poll(sync) {
+                    None => HostStep::Yield,
+                    Some(_) => {
+                        self.done.set(true);
+                        HostStep::Done
+                    }
+                },
+            }
+        }
+    }
+
     let (mut world, mut sim) = World::single_hub(Config::default(), 2);
     let dst = world.cabs[1].shared.create_mailbox(false, HostOpMode::SharedMemory);
     world.cabs[1].fork_app(Box::new(CabEcho::new(Transport::Datagram, dst, 0)));
-
-    // hand-drive the host side: RPC Begin_Put into MB_DG_SEND
-    let reply_sync = world.cabs[0].shared.sync_alloc();
-    let req = nectar_cab::reqs::SendReq { dst_cab: 1, dst_mbox: dst, src_mbox: 0 }
-        .encode(&[0u8, 0, 0, 0]);
-    world.cabs[0].shared.cab_sigq.push_back(SigEntry::RpcBeginPut {
-        mbox: nectar_cab::reqs::MB_DG_SEND,
-        size: req.len() as u32,
-        reply: reply_sync,
+    let reply = world.cabs[0].shared.create_mailbox(false, HostOpMode::SharedMemory);
+    world.cabs[0].shared.mailboxes[MB_DG_SEND as usize].host_mode = HostOpMode::Rpc;
+    let req =
+        SendReq { dst_cab: 1, dst_mbox: dst, src_mbox: reply }.encode(&encode_reply_addr(0, reply));
+    let done = Rc::new(Cell::new(false));
+    world.hosts[0].spawn(Box::new(RpcSender { req, state: Put::Start, done: done.clone() }));
+    world.run_until_done(&mut sim, until(1), |w| {
+        done.get() && w.cabs[0].shared.mailboxes[reply as usize].delivered == 1
     });
-    world.cabs[0].host_interrupt(SimTime::ZERO);
-    sim.immediately(|w, s| nectar::world::kick_cab(w, s, 0));
-    world.run_until(&mut sim, until(1));
-    let handle = world.cabs[0].shared.sync_read(reply_sync).expect("begin_put done");
-    assert!(handle > 0);
-    let m = world.cabs[0].shared.handles.get(handle - 1).unwrap();
-    world.cabs[0].shared.mem.dma_write(m.data, &req);
-    let done_sync = world.cabs[0].shared.sync_alloc();
-    world.cabs[0].shared.cab_sigq.push_back(SigEntry::RpcEndPut {
-        mbox: nectar_cab::reqs::MB_DG_SEND,
-        msg_index: handle - 1,
-        reply: done_sync,
-    });
-    let t = sim.now();
-    world.cabs[0].host_interrupt(t);
-    sim.immediately(|w, s| nectar::world::kick_cab(w, s, 0));
-    world.run_until(&mut sim, until(2));
-    // the datagram went out and was echoed back to mailbox 0 on CAB 0
-    // (src_mbox 0 = MB_DG_SEND is where the echo lands; just verify the
-    // send thread consumed the request and transmitted)
-    assert!(world.cabs[0].proto.stats.datagrams_out >= 1);
-    assert!(world.cabs[1].proto.stats.datagrams_in >= 1);
+    assert!(done.get(), "End_Put's sync was never written");
+    assert_eq!(world.cabs[0].proto.stats.datagrams_out, 1);
+    assert_eq!(world.cabs[1].proto.stats.datagrams_in, 1);
+    assert_eq!(world.cabs[0].shared.mailboxes[reply as usize].delivered, 1, "no echo");
 }
